@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .battery import BATTERY_NAMES, battery_field, closure_of
@@ -209,10 +208,12 @@ def cmd_transfer(args) -> int:
     if args.subgroup:
         try:
             sub = group.subgroup(json.loads(args.subgroup))
-        except (ValueError, CMError) as exc:
+        except (ValueError, TypeError, CMError) as exc:
             raise InputError(f"bad --subgroup: {exc}") from exc
     quotient = abelianization(sub)
     if args.element is not None:
+        if not 0 <= args.element < group.order:
+            raise InputError(f"--element {args.element} out of range 0..{group.order - 1}")
         elements = [args.element]
     else:
         elements = list(group.elements())
@@ -317,9 +318,6 @@ def _fuse_dash_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    # honored for compatibility with callers that set it; execution is
-    # sequential either way, so reports never depend on it
-    os.environ.get("CM_THREADS")
     parser = build_parser()
     args = parser.parse_args(_fuse_dash_values(list(sys.argv[1:] if argv is None else argv)))
     try:

@@ -2,15 +2,16 @@
 
 
 class CMError(Exception):
-    """Base class for all errors raised by cmcalc."""
+    """Base class for all errors raised by cmcalc; ``witness`` holds the
+    offending input when one is known."""
+
+    def __init__(self, message="", witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class NotAGroup(CMError):
     """The given Cayley table does not define a group."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class NotASubgroup(CMError):
@@ -19,10 +20,6 @@ class NotASubgroup(CMError):
 
 class NotACMType(CMError):
     """The given coset subset fails the half-system condition."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class NotAnAutomorphismOfK(CMError):
@@ -75,6 +72,10 @@ class NotCoprime(CMError):
 
 class BadPrime(CMError):
     """Prime of bad reduction (or p = 2) passed to a good-reduction routine."""
+
+
+class WeilBoundViolation(CMError):
+    """A trace a at prime power q breaks the square-root bound a^2 <= 4q."""
 
 
 class RamifiedOrBadPrime(CMError):

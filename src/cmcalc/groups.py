@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .errors import InternalInconsistency, NotAGroup, NotASubgroup
-from .intlinalg import freeze, smith_normal_form
+from .intlinalg import freeze, present_abelian
 
 _FULL_CHECK_ORDER = 64
 _SAMPLED_TRIPLES = 4096
@@ -76,9 +76,6 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
-
-    def name_of(self, a: int) -> str:
-        return self.names[a] if self.names else str(a)
 
     def subgroup(self, elements) -> "Subgroup":
         return Subgroup(self, tuple(sorted(set(elements))))
@@ -151,11 +148,12 @@ class Subgroup:
     def __post_init__(self):
         members = frozenset(self.elements)
         object.__setattr__(self, "_members", members)
-        if self.parent.identity not in members:
-            raise NotASubgroup("subgroup must contain the identity")
         for a in self.elements:
             if not 0 <= a < self.parent.order:
                 raise NotASubgroup(f"element {a} out of range")
+        if self.parent.identity not in members:
+            raise NotASubgroup("subgroup must contain the identity")
+        for a in self.elements:
             for b in self.elements:
                 if self.parent.mul(a, b) not in members:
                     raise NotASubgroup(f"not closed: {a}*{b} escapes")
@@ -294,30 +292,12 @@ def abelianization(h: Subgroup) -> AbelianQuotient:
         coset = tuple(sorted(g.mul(x, c) for c in comm.elements))
         cosets.append(coset)
         seen.update(coset)
-    n = len(cosets)
     class_of = {x: i for i, coset in enumerate(cosets) for x in coset}
     reps = [c[0] for c in cosets]
-    # present the quotient by generators e_q and relations e_a + e_b - e_{ab}
-    rows = []
-    for a in range(n):
-        for b in range(a, n):
-            ab = class_of[g.mul(reps[a], reps[b])]
-            row = [0] * n
-            row[a] += 1
-            row[b] += 1
-            row[ab] -= 1
-            rows.append(tuple(row))
-    d, _, v = smith_normal_form(freeze(rows))
-    diag = [d[i][i] for i in range(min(len(rows), n))] + [0] * max(0, n - len(rows))
-    if any(x == 0 for x in diag[:n]):
-        raise InternalInconsistency("abelian quotient of a finite group is finite")
-    kept = [i for i in range(n) if diag[i] > 1]
-    moduli = tuple(diag[i] for i in kept)
-    coords = {}
-    for x in h.elements:
-        q = class_of[x]
-        full = tuple(v[q][i] for i in range(n))  # e_q expressed in SNF basis
-        coords[x] = tuple(full[i] % diag[i] for i in kept)
+    moduli, coords = present_abelian(
+        len(cosets), lambda a, b: class_of[g.mul(reps[a], reps[b])], class_of[g.identity]
+    )
+    coords = {x: coords[class_of[x]] for x in h.elements}
     quotient = AbelianQuotient(source=h, moduli=moduli, _coords=coords)
     _check_quotient(quotient, class_of)
     return quotient

@@ -14,6 +14,8 @@ Conventions:
 
 from __future__ import annotations
 
+from .errors import InternalInconsistency
+
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 
@@ -37,12 +39,20 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b:
-        assert len(a[0]) == len(b), "dimension mismatch"
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    if a and b and len(a[0]) != len(b):
+        raise InternalInconsistency("dimension mismatch", witness=(a, b))
+    # sums only nonzero products: transforms and relation rows are sparse
+    nc = len(b[0]) if b else 0
+    b_terms = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * nc
+        for x, terms in zip(row, b_terms):
+            if x:
+                for j, y in terms:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -55,10 +65,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
-
-
-def vec_mat(v: Vector, m: Matrix) -> Vector:
-    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0]) if m else 0))
 
 
 def stack(*blocks: Matrix) -> Matrix:
@@ -117,7 +123,8 @@ def hermite_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
         if r == nr:
             break
     h, uu = freeze(a), freeze(u)
-    assert mat_mul(uu, m) == h
+    if mat_mul(uu, m) != h:
+        raise InternalInconsistency("HNF transform fails U @ m == H", witness=m)
     return h, uu
 
 
@@ -218,7 +225,8 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             u[t] = [-x for x in u[t]]
         t += 1
     d, uu, vv = freeze(a), freeze(u), freeze(v)
-    assert mat_mul(mat_mul(uu, m), vv) == d
+    if mat_mul(mat_mul(uu, m), vv) != d:
+        raise InternalInconsistency("Smith transform fails U @ m @ V == D", witness=m)
     return d, uu, vv
 
 
@@ -226,6 +234,47 @@ def snf_diagonal(m: Matrix) -> tuple[int, ...]:
     d, _, _ = smith_normal_form(m)
     k = min(len(d), len(d[0]) if d else 0)
     return tuple(d[i][i] for i in range(k))
+
+
+def present_abelian(n: int, mul, identity: int, killed=()):
+    """(moduli, coords) of the abelian group 0..n-1 under ``mul`` modulo
+    ``killed``: invariant factors > 1 and each element's coordinates.
+
+    Rows: e_identity, e_x + e_g - e_{xg} for each x and each g of a greedy
+    generating set, and e_k per killed k.  Along these Cayley-graph edges
+    each e_x reduces to a word in the generators and the graph's cycles span
+    the kernel, so n*k + 1 + len(killed) rows replace n(n+1)/2 pair rows.
+    """
+    gens: list[int] = []
+    reached = {identity}
+    for x in range(n):
+        if x in reached:
+            continue
+        gens.append(x)
+        frontier = list(reached)
+        while frontier:
+            y = frontier.pop()
+            for z in [mul(y, g) for g in gens]:
+                if z not in reached:
+                    reached.add(z)
+                    frontier.append(z)
+    rows = [[int(i == identity) for i in range(n)]]
+    for x in range(n):
+        for g in gens:
+            row = [0] * n
+            row[x] += 1
+            row[g] += 1
+            row[mul(x, g)] -= 1
+            rows.append(row)
+    rows += [[int(i == k) for i in range(n)] for k in killed]
+    d, _, v = smith_normal_form(freeze(rows))
+    diag = [d[i][i] for i in range(n)]
+    if 0 in diag:
+        raise InternalInconsistency("presented group is infinite", witness=diag)
+    kept = [i for i in range(n) if diag[i] > 1]
+    moduli = tuple(diag[i] for i in kept)
+    coords = [tuple(v[x][i] % diag[i] for i in kept) for x in range(n)]
+    return moduli, coords
 
 
 def rank(m: Matrix) -> int:

@@ -106,9 +106,6 @@ class QuadField:
             return self.element(0, 1)
         return self.element(-1)
 
-    def omega_str(self) -> str:
-        return "(1+sqrt(d))/2" if self.uses_half_generator else "sqrt(d)"
-
 
 @dataclass(frozen=True)
 class QuadInt:
@@ -162,18 +159,11 @@ class QuadInt:
         s, t = self.field.omega_relation
         return self.a * self.a + s * self.a * self.b - t * self.b * self.b
 
-    def trace(self) -> int:
-        s, _ = self.field.omega_relation
-        return 2 * self.a + s * self.b
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
     def is_unit(self) -> bool:
         return self.norm() == 1
-
-    def divides(self, other: "QuadInt") -> bool:
-        return other.exact_div(self) is not None
 
     def exact_div(self, divisor: "QuadInt"):
         """self / divisor when it lies in the ring, else None."""
@@ -511,40 +501,23 @@ def ray_class_group(field: QuadField, modulus: QuadIdeal) -> RayClassGroup:
     keys = sorted(set(_unit_residues(field, modulus)))
     index = {k: i for i, k in enumerate(keys)}
 
-    def mul_key(k1, k2):
-        x = field.element(*k1) * field.element(*k2)
-        return _reduce_mod(field, modulus, x)
+    def index_of(x):
+        return index[_reduce_mod(field, modulus, x)]
+
+    def mul(i, j):
+        return index_of(field.element(*keys[i]) * field.element(*keys[j]))
 
     n = len(keys)
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            k = index[mul_key(keys[i], keys[j])]
-            row = [0] * n
-            row[i] += 1
-            row[j] += 1
-            row[k] -= 1
-            rows.append(tuple(row))
-    for u in field.units:
-        row = [0] * n
-        row[index[_reduce_mod(field, modulus, u)]] += 1
-        rows.append(tuple(row))
-    dmat, _, v = la.smith_normal_form(la.freeze(rows))
-    diag = [dmat[i][i] for i in range(min(len(rows), n))]
-    if len(diag) < n or any(x == 0 for x in diag):
-        raise InternalInconsistency("ray class group must be finite")
-    kept = [i for i in range(n) if diag[i] > 1]
-    structure = tuple(diag[i] for i in kept)
-    dlog = {}
-    for key in keys:
-        q = index[key]
-        dlog[key] = tuple(v[q][i] % diag[i] for i in kept)
-    rcg = RayClassGroup(modulus=modulus, structure=structure, _dlog=dlog)
+    structure, coords = la.present_abelian(
+        n, mul, index_of(field.one), killed=[index_of(u) for u in field.units]
+    )
+    rcg = RayClassGroup(modulus=modulus, structure=structure, _dlog=dict(zip(keys, coords)))
     for i in range(n):  # multiplicativity audit of the table
         for j in range(n):
-            lhs = rcg.add(dlog[keys[i]], dlog[keys[j]])
-            if lhs != dlog[mul_key(keys[i], keys[j])]:
-                raise InternalInconsistency("discrete log is not multiplicative")
+            if rcg.add(coords[i], coords[j]) != coords[mul(i, j)]:
+                raise InternalInconsistency(
+                    "discrete log is not multiplicative", witness=(keys[i], keys[j])
+                )
     return rcg
 
 

@@ -202,3 +202,17 @@ def test_criterion_10_determinism():
     assert first == invoke(threads="32")
     json.loads(first)  # and it is well-formed JSON
     report(10, "byte-identical reports across repeated runs and thread settings")
+
+
+def test_zeta_determinism():
+    # the zeta and scalar-restriction reports carry no wall-clock field
+    argv = [
+        sys.executable, "-m", "cmcalc.cli", "zeta", "--curve=-1,0", "--d", "-1",
+        "--pmax", "500", "--res-scalars", "50",
+    ]
+    runs = [subprocess.run(argv, capture_output=True) for _ in range(2)]
+    assert all(proc.returncode == 0 for proc in runs), runs[0].stderr.decode()
+    assert runs[0].stdout == runs[1].stdout
+    rep = json.loads(runs[0].stdout)
+    assert "runtime_ms" not in rep["summary"]
+    assert "runtime_ms" not in rep["scalar_restriction"]["summary"]

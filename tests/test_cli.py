@@ -170,6 +170,19 @@ class TestTransferAndSerre:
         rep = json.loads(out)
         assert rep["transfer"]["1"] == [1]
 
+    def test_transfer_element_out_of_range(self, capsys):
+        code, out, err = run_main(capsys, "transfer", "--battery", "C4", "--element", "99")
+        assert code == 2 and out == ""
+        assert "--element 99 out of range" in err
+
+    def test_field_file_subgroup_out_of_range(self, tmp_path, capsys):
+        payload = {"group": {"table": [[0, 1], [1, 0]]}, "iota": 1, "H": [0, 5]}
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_main(capsys, "transfer", str(path))
+        assert code == 2 and out == ""
+        assert "element 5 out of range" in err
+
     def test_serre_galois_field(self, capsys):
         code, out, _ = run_main(capsys, "serre", "--battery", "C2")
         assert code == 0

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from cmcalc import intlinalg as la
+from cmcalc.errors import InternalInconsistency
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -61,6 +62,27 @@ class TestHermite:
             for k, j in enumerate(pivots):
                 for above in range(k):
                     assert 0 <= h[above][j] < h[k][j]
+
+
+class TestMatMul:
+    def test_matches_dense_definition(self):
+        rng = random.Random(5)
+        for _ in range(80):
+            n, k, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 6)
+            # mostly zeros, as in the transforms and relation matrices
+            a = la.freeze([[rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(k)]
+                           for _ in range(n)])
+            b = la.freeze([[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(m)]
+                           for _ in range(k)])
+            dense = tuple(
+                tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
+                for i in range(n)
+            )
+            assert la.mat_mul(a, b) == dense
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(InternalInconsistency):
+            la.mat_mul(la.identity_matrix(2), la.identity_matrix(3))
 
 
 class TestSmith:

@@ -1,0 +1,153 @@
+"""The Cayley-graph abelian presenter against the all-pairs presentation.
+
+The oracle writes one relation e_a + e_b - e_ab for every unordered pair of
+elements, so it needs no generating set; the library helper uses only the
+edges of a Cayley graph.  Both must give the same invariant factors, and the
+helper's coordinates must induce an isomorphism from the group modulo its
+killed elements onto the product of the cyclic factors.
+"""
+
+import pytest
+
+from cmcalc import intlinalg as la
+from cmcalc.battery import BATTERY_NAMES, battery_field
+from cmcalc.groups import commutator_subgroup, cyclic_group, subgroup_generated
+from cmcalc.quadratic import QuadField, _reduce_mod, _unit_residues, ideal_from_generator
+
+# the moduli of the benchmark's rayclass workload: (d, generator, power)
+RAYCLASS_MODULI = (
+    (-1, (7, 0), 1),
+    (-1, (8, 0), 1),
+    (-1, (1, 1), 5),
+    (-1, (2, 1), 2),
+    (-1, (3, 0), 1),
+    (-1, (6, 0), 1),
+    (-2, (5, 0), 1),
+    (-2, (1, 1), 3),
+    (-2, (0, 1), 5),
+    (-3, (2, 1), 2),
+    (-3, (4, 0), 1),
+    (-3, (3, 0), 1),
+    (-7, (3, 0), 1),
+    (-7, (5, 0), 1),
+    (-7, (0, 1), 5),
+)
+
+
+def all_pairs_presenter(n, mul, identity, killed=()):
+    """Oracle: invariant factors > 1 from the all-pairs relation matrix."""
+    rows = []
+    for a in range(n):
+        for b in range(a, n):
+            row = [0] * n
+            row[a] += 1
+            row[b] += 1
+            row[mul(a, b)] -= 1
+            rows.append(tuple(row))
+    for k in killed:
+        row = [0] * n
+        row[k] += 1
+        rows.append(tuple(row))
+    d, _, _ = la.smith_normal_form(la.freeze(rows))
+    diag = [d[i][i] for i in range(n)]
+    assert 0 not in diag
+    return tuple(x for x in diag if x > 1)
+
+
+def assert_presentation(n, mul, identity, killed=()):
+    moduli, coords = la.present_abelian(n, mul, identity, killed)
+    assert moduli == all_pairs_presenter(n, mul, identity, killed)
+    assert all(a % b == 0 for a, b in zip(moduli[1:], moduli))
+    assert len(coords) == n
+    order = 1
+    for m in moduli:
+        order *= m
+    for x, cx in enumerate(coords):
+        assert len(cx) == len(moduli)
+        assert all(0 <= c < m for c, m in zip(cx, moduli))
+        for y, cy in enumerate(coords):
+            total = tuple((a + b) % m for a, b, m in zip(cx, cy, moduli))
+            assert coords[mul(x, y)] == total
+    # surjective onto the product, with kernel exactly <killed>
+    assert len(set(coords)) == order
+    kernel = {x for x in range(n) if not any(coords[x])}
+    reached, frontier = {identity}, [identity]
+    while frontier:
+        y = frontier.pop()
+        for k in killed:
+            z = mul(y, k)
+            if z not in reached:
+                reached.add(z)
+                frontier.append(z)
+    assert kernel == reached
+    return moduli
+
+
+def _all_subgroups(g):
+    found = {g.trivial_subgroup().elements: g.trivial_subgroup()}
+    frontier = [g.trivial_subgroup()]
+    while frontier:
+        current = frontier.pop()
+        for x in g.elements():
+            if x not in current:
+                bigger = subgroup_generated(g, current.elements + (x,))
+                if bigger.elements not in found:
+                    found[bigger.elements] = bigger
+                    frontier.append(bigger)
+    return sorted(found.values(), key=lambda s: s.elements)
+
+
+@pytest.mark.parametrize("name", BATTERY_NAMES)
+def test_every_battery_subgroup_abelianization(name):
+    g = battery_field(name).group
+    subgroups = _all_subgroups(g)
+    assert any(h.order == 1 for h in subgroups)
+    for h in subgroups:
+        comm = commutator_subgroup(h)
+        cosets = []
+        seen = set()
+        for x in h.elements:
+            if x not in seen:
+                coset = tuple(sorted(g.mul(x, c) for c in comm.elements))
+                cosets.append(coset)
+                seen.update(coset)
+        class_of = {x: i for i, coset in enumerate(cosets) for x in coset}
+        reps = [c[0] for c in cosets]
+        assert_presentation(
+            len(cosets),
+            lambda a, b: class_of[g.mul(reps[a], reps[b])],
+            class_of[g.identity],
+        )
+
+
+@pytest.mark.parametrize("d,gen,power", RAYCLASS_MODULI)
+def test_rayclass_workload_moduli(d, gen, power):
+    field = QuadField(d)
+    modulus = ideal_from_generator(field.element(*gen)) ** power
+    keys = sorted(set(_unit_residues(field, modulus)))
+    index = {k: i for i, k in enumerate(keys)}
+
+    def mul(i, j):
+        x = field.element(*keys[i]) * field.element(*keys[j])
+        return index[_reduce_mod(field, modulus, x)]
+
+    killed = [index[_reduce_mod(field, modulus, u)] for u in field.units]
+    assert_presentation(
+        len(keys), mul, index[_reduce_mod(field, modulus, field.one)], killed
+    )
+
+
+def test_trivial_group_and_killed_everything():
+    assert la.present_abelian(1, lambda a, b: 0, 0) == ((), [()])
+    c6 = cyclic_group(6)
+    assert la.present_abelian(6, c6.mul, 0, killed=[1]) == ((), [()] * 6)
+    assert la.present_abelian(6, c6.mul, 0, killed=[3])[0] == (3,)
+
+
+def test_identity_need_not_be_zero():
+    # C3 relabelled so that the identity is element 1
+    perm = (1, 2, 0)
+    inv = {p: i for i, p in enumerate(perm)}
+    mul = lambda a, b: perm[(inv[a] + inv[b]) % 3]
+    assert assert_presentation(3, mul, perm[0]) == (3,)
+

@@ -319,6 +319,12 @@ class TestRayClass:
                 continue
             assert rcg.dlog(x * y) == rcg.add(dx, dy)
 
+    def test_gauss_eleven_and_thirteen(self):
+        # 120 and 144 residue units: too large for an all-pairs presentation
+        for p, structure in ((11, (30,)), (13, (3, 12))):
+            rcg = ray_class_group(GAUSS, ideal_from_generator(GAUSS.element(p, 0)))
+            assert rcg.structure == structure
+
     def test_dlog_rejects_noncoprime(self):
         m = ideal_from_generator(GAUSS.element(3, 0))
         rcg = ray_class_group(GAUSS, m)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cmcalc.errors import BadPrime, CMError, RamifiedOrBadPrime
+from cmcalc.errors import BadPrime, CMError, RamifiedOrBadPrime, WeilBoundViolation
 from cmcalc.quadratic import (
     HeckeCharacterSpec,
     QuadField,
@@ -86,8 +86,9 @@ class TestEulerFactors:
         assert euler_from_counts(5, -2).coefficients == (1, 2, 5)
 
     def test_square_root_bound_gate(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(WeilBoundViolation) as info:
             euler_from_counts(5, 10)
+        assert info.value.witness == (5, 10)
 
     def test_hecke_split(self):
         spec = canonical_weight_one_spec(GAUSS)
