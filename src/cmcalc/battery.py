@@ -45,6 +45,4 @@ def battery_fields(selector: str = "all") -> dict[str, CMFieldHandle]:
 
 def closure_of(field: CMFieldHandle) -> CMFieldHandle:
     """The same context with trivial fixer (the field's Galois closure)."""
-    return CMFieldHandle(
-        group=field.group, iota=field.iota, fixer=field.group.trivial_subgroup()
-    )
+    return field.closure

@@ -47,8 +47,11 @@ def _load_field_file(path: str) -> CMFieldHandle:
     try:
         group_spec = data["group"]
         if isinstance(group_spec, str):
-            with open(group_spec) as fh:
-                group_spec = json.load(fh)
+            try:
+                with open(group_spec) as fh:
+                    group_spec = json.load(fh)
+            except OSError as exc:
+                raise InputError(f"cannot read {group_spec}: {exc}") from exc
         group = make_group(group_spec["table"], names=group_spec.get("names"))
         fixer = group.subgroup(data["H"])
         return CMFieldHandle(group=group, iota=int(data["iota"]), fixer=fixer)
@@ -120,6 +123,8 @@ def _broken_w_system(field) -> WSystem:
 
 
 def cmd_check(args) -> int:
+    if args.trials < 0:
+        raise InputError(f"--trials must be >= 0, got {args.trials}")
     if args.battery == "all":
         names = list(BATTERY_NAMES)
     else:
@@ -162,6 +167,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_zeta(args) -> int:
+    if args.pmax < 3:
+        raise InputError(f"--pmax must be >= 3, got {args.pmax}")
+    if args.res_scalars < 0:
+        raise InputError(f"--res-scalars must be >= 0 (0 means off), got {args.res_scalars}")
     try:
         a4_s, a6_s = args.curve.split(",")
         a4, a6 = int(a4_s), int(a6_s)

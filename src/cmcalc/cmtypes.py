@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import (
     CMError,
@@ -21,7 +22,17 @@ from .errors import (
     NotAnAutomorphismOfK,
     NotNested,
 )
-from .groups import FiniteGroup, Subgroup, coset_of, left_cosets, subgroup_generated
+from .groups import (
+    AbelianQuotient,
+    FiniteGroup,
+    Subgroup,
+    abelianization,
+    left_cosets,
+    subgroup_generated,
+)
+
+if TYPE_CHECKING:
+    from .serre import CharLattice
 
 
 @dataclass(frozen=True)
@@ -79,15 +90,57 @@ class CMFieldHandle:
     def half_degree(self) -> int:
         return self.degree // 2
 
+    @cached_property
+    def coset_table(self) -> tuple[int, ...]:
+        """coset_table[g] is the index of the embedding coset gH."""
+        table = [0] * self.group.order
+        for i, coset in enumerate(self.cosets):
+            for g in coset:
+                table[g] = i
+        return tuple(table)
+
+    @cached_property
+    def act_table(self) -> tuple[tuple[int, ...], ...]:
+        """act_table[g][c] is the left translate of embedding coset c by g."""
+        index, reps = self.coset_table, [c[0] for c in self.cosets]
+        return tuple(tuple(index[row[r]] for r in reps) for row in self.group.table)
+
+    @cached_property
+    def full_lattice(self) -> CharLattice:
+        """Z^Sigma with the translation action (see serre.full_character_lattice)."""
+        from . import serre
+
+        return serre.full_character_lattice(self)
+
+    @cached_property
+    def serre_lattice(self) -> CharLattice:
+        """The Serre sublattice (see serre.serre_character_lattice)."""
+        from . import serre
+
+        return serre.serre_character_lattice(self)
+
+    @cached_property
+    def closure(self) -> CMFieldHandle:
+        """The Galois closure: the same context with trivial fixer."""
+        if self.fixer.order == 1:
+            return self
+        g = self.group
+        return CMFieldHandle(group=g, iota=self.iota, fixer=g.trivial_subgroup())
+
+    @cached_property
+    def quotient(self) -> AbelianQuotient:
+        """H/[H,H] for the fixing subgroup, where cocycles take values."""
+        return abelianization(self.fixer)
+
     def coset_index(self, g_elt: int) -> int:
-        return coset_of(self.group, self.fixer, g_elt)
+        return self.coset_table[g_elt]
 
     def coset_rep(self, idx: int) -> int:
         return self.cosets[idx][0]
 
     def act(self, g_elt: int, idx: int) -> int:
         """Left translation of an embedding coset by a group element."""
-        return self.coset_index(self.group.mul(g_elt, self.coset_rep(idx)))
+        return self.act_table[g_elt][idx]
 
     @cached_property
     def identity_coset(self) -> int:
@@ -199,8 +252,8 @@ def stabilizer(cm_type: CMType) -> Subgroup:
     members = cm_type.coset_set()
     elts = [
         g
-        for g in field.group.elements()
-        if all(field.act(g, c) in members for c in cm_type.cosets)
+        for g, row in enumerate(field.act_table)
+        if all(row[c] in members for c in cm_type.cosets)
     ]
     return field.group.subgroup(elts)
 
@@ -272,7 +325,6 @@ def restricts_to(cm_type: CMType, small_field: CMFieldHandle) -> CMType | None:
     return candidate
 
 
-@lru_cache(maxsize=None)
 def subgroups_containing(group: FiniteGroup, sub: Subgroup) -> tuple[Subgroup, ...]:
     """All subgroups between ``sub`` and the full group (exhaustive closure walk)."""
     found = {sub.elements: sub}

@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cmtypes import CMFieldHandle, CMType, enumerate_cm_types, stabilizer, translate_left
 from .errors import CMError, FactorNotInH, InternalInconsistency
 from .groups import (
     AbelianQuotient,
     Subgroup,
-    abelianization,
     transfer,
     transfer_product,
 )
@@ -66,12 +64,6 @@ def choose_w_system(field: CMFieldHandle, seed: int | None = None) -> WSystem:
     return WSystem(field=field, reps=tuple(reps))
 
 
-@lru_cache(maxsize=None)
-def field_quotient(field: CMFieldHandle) -> AbelianQuotient:
-    """H/[H,H] for the field's fixing subgroup (shared by all sweeps)."""
-    return abelianization(field.fixer)
-
-
 def taniyama_cocycle(
     cm_type: CMType,
     tau: int,
@@ -84,13 +76,12 @@ def taniyama_cocycle(
         raise CMError("w-system belongs to a different field")
     g = field.group
     if quotient is None:
-        quotient = field_quotient(field)
-    members = set(field.fixer.elements)
+        quotient = field.quotient
+    moved = field.act_table[tau]
     product = g.identity
     for c in cm_type.cosets:
-        tc = field.act(tau, c)
-        factor = g.mul(g.inv(wsys.reps[tc]), g.mul(tau, wsys.reps[c]))
-        if factor not in members:
+        factor = g.mul(g.inv(wsys.reps[moved[c]]), g.mul(tau, wsys.reps[c]))
+        if factor not in field.fixer:
             raise FactorNotInH(
                 f"factor at coset {c} lies outside the fixing subgroup"
             )
@@ -110,7 +101,7 @@ def check_rep_independence(
     violating the conjugation pairing) is the intended negative control.
     """
     field = cm_type.field
-    quotient = field_quotient(field)
+    quotient = field.quotient
     canonical = choose_w_system(field)
     baseline = {
         tau: taniyama_cocycle(cm_type, tau, canonical, quotient)
@@ -138,7 +129,7 @@ def check_rep_independence(
 
 def check_cocycle_law(field: CMFieldHandle, wsys: WSystem | None = None) -> dict:
     """F_phi(sigma tau) == F_{tau phi}(sigma) + F_phi(tau), exhaustively."""
-    quotient = field_quotient(field)
+    quotient = field.quotient
     if wsys is None:
         wsys = choose_w_system(field)
     g = field.group
@@ -176,10 +167,11 @@ def check_transfer_identity(field: CMFieldHandle, wsys: WSystem | None = None) -
     The complementary type contributes the remaining cosets, so the combined
     product runs over a full representative system: exactly the transfer.
     """
-    quotient = field_quotient(field)
+    quotient = field.quotient
     if wsys is None:
         wsys = choose_w_system(field)
     g = field.group
+    transfers = [transfer(g, field.fixer, tau, quotient=quotient) for tau in g.elements()]
     failures = []
     count = 0
     for cm_type in enumerate_cm_types(field):
@@ -190,8 +182,7 @@ def check_transfer_identity(field: CMFieldHandle, wsys: WSystem | None = None) -
                 taniyama_cocycle(cm_type, tau, wsys, quotient),
                 taniyama_cocycle(comp, tau, wsys, quotient),
             )
-            rhs = transfer(g, field.fixer, tau, quotient=quotient)
-            if lhs != rhs:
+            if lhs != transfers[tau]:
                 failures.append({"type": list(cm_type.cosets), "tau": tau})
     return {
         "law": "transfer_identity",
@@ -234,7 +225,7 @@ def check_reflex_compatibility(cm_type: CMType, wsys: WSystem | None = None) -> 
     """
     field = cm_type.field
     g = field.group
-    quotient = field_quotient(field)
+    quotient = field.quotient
     if wsys is None:
         wsys = choose_w_system(field)
     stab = stabilizer(cm_type)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import InternalInconsistency, NotAGroup, NotASubgroup
 from .intlinalg import freeze, present_abelian
@@ -215,7 +215,6 @@ def commutator_subgroup(h: Subgroup) -> Subgroup:
     return closure
 
 
-@lru_cache(maxsize=None)
 def left_cosets(group: FiniteGroup, sub: Subgroup) -> tuple[tuple[int, ...], ...]:
     """All left cosets gH, each sorted, ordered by their minimal element."""
     if sub.parent is not group and sub.parent != group:
@@ -231,17 +230,9 @@ def left_cosets(group: FiniteGroup, sub: Subgroup) -> tuple[tuple[int, ...], ...
     return tuple(cosets)
 
 
-@lru_cache(maxsize=None)
-def _coset_lookup(group: FiniteGroup, sub: Subgroup) -> dict[int, int]:
-    lookup = {}
-    for i, coset in enumerate(left_cosets(group, sub)):
-        for g in coset:
-            lookup[g] = i
-    return lookup
-
-
 def coset_of(group: FiniteGroup, sub: Subgroup, g: int) -> int:
-    return _coset_lookup(group, sub)[g]
+    """Index of the left coset gH; field handles keep this as a table."""
+    return next(i for i, coset in enumerate(left_cosets(group, sub)) if g in coset)
 
 
 @dataclass(frozen=True)
@@ -329,7 +320,7 @@ def transfer_product(
     if sub.parent != group:
         raise NotASubgroup("subgroup belongs to a different group")
     cosets = left_cosets(group, sub)
-    lookup = _coset_lookup(group, sub)
+    lookup = {x: i for i, coset in enumerate(cosets) for x in coset}
     if reps is None:
         reps = tuple(c[0] for c in cosets)
     else:

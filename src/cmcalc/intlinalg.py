@@ -59,19 +59,8 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b))
-
-
 def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
-
-
-def stack(*blocks: Matrix) -> Matrix:
-    rows: list[tuple[int, ...]] = []
-    for b in blocks:
-        rows.extend(b)
-    return tuple(rows)
 
 
 def hermite_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:

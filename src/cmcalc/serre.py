@@ -17,7 +17,6 @@ that equality of lattices is equality of bases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import intlinalg as la
 from .cmtypes import (
@@ -54,9 +53,10 @@ class CharLattice:
     action: tuple[Matrix, ...]
 
     def __post_init__(self):
+        cols = la.transpose(self.basis)
         for g, p in enumerate(self.action):
-            for row in self.basis:
-                if not la.in_row_span(self.basis, la.mat_vec(p, row)):
+            for vec in la.transpose(la.mat_mul(p, cols)):
+                if not la.in_row_span(self.basis, vec):
                     raise InternalInconsistency(
                         f"sublattice not stable under element {g}"
                     )
@@ -112,15 +112,16 @@ class LatticeMap:
     matrix: Matrix
 
     def __post_init__(self):
-        for row in self.source.basis:
-            if not self.target.contains(la.mat_vec(self.matrix, row)):
+        # basis vectors as columns, so the checks are sparse matrix products
+        cols = la.transpose(self.source.basis)
+        pushed = la.mat_mul(self.matrix, cols)
+        for vec in la.transpose(pushed):
+            if not self.target.contains(vec):
                 raise InternalInconsistency("map does not land in the target lattice")
         for g in range(len(self.source.action)):
-            left = la.mat_mul(self.matrix, self.source.action[g])
-            right = la.mat_mul(self.target.action[g], self.matrix)
-            for row in self.source.basis:
-                if la.mat_vec(left, row) != la.mat_vec(right, row):
-                    raise InternalInconsistency(f"map is not equivariant at element {g}")
+            moved = la.mat_mul(self.source.action[g], cols)
+            if la.mat_mul(self.matrix, moved) != la.mat_mul(self.target.action[g], pushed):
+                raise InternalInconsistency(f"map is not equivariant at element {g}")
 
     def apply(self, vec: Vector) -> Vector:
         return la.mat_vec(self.matrix, vec)
@@ -130,40 +131,17 @@ class LatticeMap:
         return la.rank(pushed)
 
 
-def _perm_matrix(field: CMFieldHandle, g_elt: int) -> Matrix:
-    n = field.degree
-    rows = [[0] * n for _ in range(n)]
-    for c in range(n):
-        rows[field.act(g_elt, c)][c] = 1
-    return la.freeze(rows)
-
-
-@lru_cache(maxsize=None)
-def _action_matrices(field: CMFieldHandle) -> tuple[Matrix, ...]:
-    return tuple(_perm_matrix(field, g) for g in field.group.elements())
-
-
-@lru_cache(maxsize=None)
-def _generators(group) -> tuple[int, ...]:
-    from .groups import subgroup_generated
-
-    gens: list[int] = []
-    have = {group.identity}
-    for x in group.elements():
-        if x not in have:
-            gens.append(x)
-            have = set(subgroup_generated(group, gens).elements)
-    return tuple(gens)
-
-
-@lru_cache(maxsize=None)
 def full_character_lattice(field: CMFieldHandle) -> CharLattice:
-    """All of Z^Sigma with the left-translation action on embedding cosets."""
-    return CharLattice(
-        ambient_rank=field.degree,
-        basis=la.identity_matrix(field.degree),
-        action=_action_matrices(field),
+    """All of Z^Sigma with the left-translation action on embedding cosets.
+
+    Prefer ``field.full_lattice``, which builds this once per handle.
+    """
+    n = field.degree
+    action = tuple(
+        la.freeze([[1 if row[c] == r else 0 for c in range(n)] for r in range(n)])
+        for row in field.act_table
     )
+    return CharLattice(ambient_rank=n, basis=la.identity_matrix(n), action=action)
 
 
 def _require_galois(field: CMFieldHandle) -> None:
@@ -174,38 +152,37 @@ def _require_galois(field: CMFieldHandle) -> None:
         )
 
 
-@lru_cache(maxsize=None)
 def serre_character_lattice(field: CMFieldHandle) -> CharLattice:
-    """Kernel sublattice of all (g - 1)(iota + 1), of rank half-degree + 1."""
+    """Characters with n_c + n_{iota c} constant, of rank half-degree + 1.
+
+    The kernel of the g - 1 pair relations (n_c1 + n_{iota c1}) -
+    (n_c + n_{iota c}) = 0.  Prefer ``field.serre_lattice``, which builds
+    this once per handle.
+    """
     _require_galois(field)
-    acts = _action_matrices(field)
     n = field.degree
-    ident = la.identity_matrix(n)
-    iota_plus = la.mat_add(acts[field.iota], ident)
-    blocks = [
-        la.mat_mul(la.mat_sub(acts[g], ident), iota_plus)
-        for g in field.group.elements()
-    ]
-    kernel = la.integer_kernel(la.stack(*blocks))
-    return CharLattice(ambient_rank=n, basis=kernel, action=acts)
+    sums = [[1 if x in pair else 0 for x in range(n)] for pair in field.iota_pairs]
+    rows = la.freeze([[a - b for a, b in zip(sums[0], s)] for s in sums[1:]])
+    basis = la.integer_kernel(rows) if rows else la.identity_matrix(n)
+    return CharLattice(ambient_rank=n, basis=basis, action=field.full_lattice.action)
 
 
 def identity_cocharacter(field: CMFieldHandle) -> Cocharacter:
     """Evaluation of the coefficient at the identity embedding."""
-    lattice = serre_character_lattice(field)
+    lattice = field.serre_lattice
     vec = tuple(1 if c == field.identity_coset else 0 for c in range(field.degree))
     return Cocharacter(lattice=lattice, functional=vec)
 
 
 def weight_functional(field: CMFieldHandle, mu: Vector) -> Vector:
     """The weight -(iota + 1) mu of an ambient cocharacter vector."""
-    moved = la.mat_vec(_action_matrices(field)[field.iota], mu)
+    moved = la.mat_vec(field.full_lattice.action[field.iota], mu)
     return tuple(-(a + b) for a, b in zip(mu, moved))
 
 
 def weight_cocharacter(field: CMFieldHandle) -> Cocharacter:
     """chi = sum n_rho [rho]  |->  -(n_1 + n_iota)."""
-    lattice = serre_character_lattice(field)
+    lattice = field.serre_lattice
     mu = identity_cocharacter(field).functional
     return Cocharacter(lattice=lattice, functional=weight_functional(field, mu))
 
@@ -215,7 +192,7 @@ def type_cocharacter(cm_type: CMType) -> Cocharacter:
     field = cm_type.field
     members = cm_type.coset_set()
     vec = tuple(1 if c in members else 0 for c in range(field.degree))
-    return Cocharacter(lattice=full_character_lattice(field), functional=vec)
+    return Cocharacter(lattice=field.full_lattice, functional=vec)
 
 
 def _coset_containment_matrix(fine: CMFieldHandle, coarse: CMFieldHandle) -> Matrix:
@@ -238,8 +215,8 @@ def norm_lattice_map(e1_field: CMFieldHandle, e2_field: CMFieldHandle) -> Lattic
     if not all(h in e2_field.fixer for h in e1_field.fixer.elements):
         raise NotNested("first field does not contain the second")
     matrix = _coset_containment_matrix(e1_field, e2_field)
-    source = serre_character_lattice(e2_field)
-    target = serre_character_lattice(e1_field)
+    source = e2_field.serre_lattice
+    target = e1_field.serre_lattice
     out = LatticeMap(source=source, target=target, matrix=matrix)
     # defining property: the norm intertwines the two identity cocharacters
     mu1 = identity_cocharacter(e1_field)
@@ -250,64 +227,36 @@ def norm_lattice_map(e1_field: CMFieldHandle, e2_field: CMFieldHandle) -> Lattic
     return out
 
 
-@lru_cache(maxsize=None)
 def reflex_norm_map(cm_type: CMType, e_field: CMFieldHandle) -> LatticeMap:
-    """The unique equivariant map with identity-coefficient evaluations 1 on phi.
+    """The reflex norm of a CM-type into the Serre lattice of a Galois field E.
 
-    Solves the linear system (equivariance for a generating set plus the
-    evaluation row at the identity coset of E) over the integers; the result
-    is then certified equivariant for the whole group.  Raises NoSolution
-    when E does not contain the reflex field of the type.
+    Entry (c_E, c_K) is 1 exactly when sigma^-1 rho lies in phi, for sigma
+    representing c_E and rho representing c_K.  The entry does not depend on
+    sigma exactly when the fixer of E stabilizes phi, that is when E contains
+    the reflex field; otherwise no equivariant lift exists and NoSolution is
+    raised.  The matrix is certified equivariant for the whole group, and its
+    evaluation row at the identity coset of E is re-checked against phi.
     """
     field = cm_type.field
     if e_field.group != field.group or e_field.iota != field.iota:
         raise NotNested("type and field live in different ambient contexts")
     _require_galois(e_field)
-    n_k = field.degree
-    n_e = e_field.degree
-    acts_k = _action_matrices(field)
-    acts_e = _action_matrices(e_field)
-    nvars = n_e * n_k
-
-    def var(r, c):
-        return r * n_k + c
-
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for g in _generators(field.group):
-        pe, pk = acts_e[g], acts_k[g]
-        for r in range(n_e):
-            for c in range(n_k):
-                row = [0] * nvars
-                for k in range(n_e):
-                    if pe[r][k]:
-                        row[var(k, c)] += pe[r][k]
-                for k in range(n_k):
-                    if pk[k][c]:
-                        row[var(r, k)] -= pk[k][c]
-                rows.append(row)
-                rhs.append(0)
-    members = cm_type.coset_set()
-    for c in range(n_k):
-        row = [0] * nvars
-        row[var(e_field.identity_coset, c)] = 1
-        rows.append(row)
-        rhs.append(1 if c in members else 0)
-    solution = la.solve_integer(la.freeze(rows), tuple(rhs))
-    if solution is None:
+    stab = stabilizer(cm_type)
+    if not all(h in stab for h in e_field.fixer.elements):
         raise NoSolution(
             "no equivariant lift: the field does not contain the reflex field"
         )
-    matrix = la.freeze([solution[r * n_k : (r + 1) * n_k] for r in range(n_e)])
-    out = LatticeMap(
-        source=full_character_lattice(field),
-        target=serre_character_lattice(e_field),
-        matrix=matrix,
+    inv, members = field.group.inv, cm_type.coset_set()
+    matrix = la.freeze(
+        [
+            [1 if c in members else 0 for c in field.act_table[inv(e_field.coset_rep(ce))]]
+            for ce in range(e_field.degree)
+        ]
     )
-    # re-check the evaluation row after the generator-level solve
+    out = LatticeMap(source=field.full_lattice, target=e_field.serre_lattice, matrix=matrix)
     mu_e = identity_cocharacter(e_field)
-    for c in range(n_k):
-        col = tuple(matrix[r][c] for r in range(n_e))
+    for c in range(field.degree):
+        col = tuple(row[c] for row in matrix)
         if mu_e.evaluate(col) != (1 if c in members else 0):
             raise InternalInconsistency("reflex norm evaluation row corrupted")
     return out
@@ -315,11 +264,7 @@ def reflex_norm_map(cm_type: CMType, e_field: CMFieldHandle) -> LatticeMap:
 
 def mumford_tate_rank(cm_type: CMType) -> int:
     """Character rank of the image torus of the reflex norm from the closure."""
-    field = cm_type.field
-    closure = CMFieldHandle(
-        group=field.group, iota=field.iota, fixer=field.group.trivial_subgroup()
-    )
-    return reflex_norm_map(cm_type, closure).image_rank()
+    return reflex_norm_map(cm_type, cm_type.field.closure).image_rank()
 
 
 def reciprocity_cocharacter(
@@ -364,7 +309,7 @@ def reciprocity_cocharacter(
     ]
     return LatticeMap(
         source=t_lattice,
-        target=full_character_lattice(e_field),
+        target=e_field.full_lattice,
         matrix=la.freeze(rows),
     )
 
@@ -382,7 +327,7 @@ def check_serre_exact_sequence(field: CMFieldHandle) -> dict:
     if field.is_degenerate:
         raise NotGaloisContext("sequence requires a totally imaginary field")
     _require_galois(field)
-    serre = serre_character_lattice(field)
+    serre = field.serre_lattice
     n = field.degree
     pair_of = {}
     for i, (c, d) in enumerate(field.iota_pairs):
@@ -428,9 +373,9 @@ def check_serre_exact_sequence(field: CMFieldHandle) -> dict:
 def check_norm_weight_triangle(field: CMFieldHandle) -> dict:
     """(1 + iota) equals minus-weight composed with the full norm on X(S)."""
     _require_galois(field)
-    serre = serre_character_lattice(field)
+    serre = field.serre_lattice
     n = field.degree
-    acts = _action_matrices(field)
+    acts = field.full_lattice.action
     one_plus_iota = la.mat_add(acts[field.iota], la.identity_matrix(n))
     mu = identity_cocharacter(field).functional
     w = weight_functional(field, mu)
@@ -447,7 +392,7 @@ def check_norm_weight_triangle(field: CMFieldHandle) -> dict:
 def check_cm_type_generation(field: CMFieldHandle) -> dict:
     """Indicator vectors of all CM-types generate the Serre sublattice."""
     _require_galois(field)
-    serre = serre_character_lattice(field)
+    serre = field.serre_lattice
     indicators = tuple(
         type_cocharacter(t).functional for t in enumerate_cm_types(field)
     )
@@ -486,19 +431,16 @@ def check_translation_compatibility(field: CMFieldHandle) -> dict:
     R_{tau^-1} times the original matrix, with R right translation on the
     closure coordinates.
     """
-    group = field.group
-    closure = CMFieldHandle(
-        group=group, iota=field.iota, fixer=group.trivial_subgroup()
-    )
+    group, closure = field.group, field.closure
+    types = enumerate_cm_types(field)
+    matrices = {t.cosets: reflex_norm_map(t, closure).matrix for t in types}
+    right = [_right_translation_matrix(closure, group.inv(tau)) for tau in group.elements()]
     failures = []
-    for cm_type in enumerate_cm_types(field):
-        base = reflex_norm_map(cm_type, closure).matrix
+    for cm_type in types:
+        base = matrices[cm_type.cosets]
         for tau in group.elements():
-            moved = reflex_norm_map(translate_left(tau, cm_type), closure).matrix
-            twisted = la.mat_mul(
-                _right_translation_matrix(closure, group.inv(tau)), base
-            )
-            if moved != twisted:
+            moved = matrices[translate_left(tau, cm_type).cosets]
+            if moved != la.mat_mul(right[tau], base):
                 failures.append({"type": list(cm_type.cosets), "tau": tau})
     return {
         "law": "reflex_norm_translation",
@@ -511,26 +453,26 @@ def check_translation_compatibility(field: CMFieldHandle) -> dict:
 def check_norm_triangle(field: CMFieldHandle) -> dict:
     """Reflex norm through an intermediate Galois field composed with the
     norm map equals the reflex norm through the closure."""
-    group = field.group
-    closure = CMFieldHandle(
-        group=group, iota=field.iota, fixer=group.trivial_subgroup()
-    )
+    group, closure = field.group, field.closure
+    subfields = []
+    for sub in subgroups_containing(group, group.trivial_subgroup()):
+        if sub.order == 1 or field.iota in sub or not sub.is_normal():
+            continue
+        e2 = CMFieldHandle(group=group, iota=field.iota, fixer=sub)
+        subfields.append((sub, e2, norm_lattice_map(closure, e2).matrix))
     checked = 0
     failures = []
     for cm_type in enumerate_cm_types(field):
         stab = stabilizer(cm_type)
-        for sub in subgroups_containing(group, group.trivial_subgroup()):
-            if sub.order == 1 or field.iota in sub or not sub.is_normal():
-                continue
+        direct = None
+        for sub, e2, norm in subfields:
             if not all(x in stab for x in sub.elements):
                 continue
-            e2 = CMFieldHandle(group=group, iota=field.iota, fixer=sub)
-            via_small = reflex_norm_map(cm_type, e2)
-            norm = norm_lattice_map(closure, e2)
-            direct = reflex_norm_map(cm_type, closure)
-            composite = la.mat_mul(norm.matrix, via_small.matrix)
+            if direct is None:
+                direct = reflex_norm_map(cm_type, closure).matrix
+            composite = la.mat_mul(norm, reflex_norm_map(cm_type, e2).matrix)
             checked += 1
-            if composite != direct.matrix:
+            if composite != direct:
                 failures.append(
                     {"type": list(cm_type.cosets), "through": list(sub.elements)}
                 )
@@ -544,7 +486,7 @@ def check_norm_triangle(field: CMFieldHandle) -> dict:
 
 def serre_report(field: CMFieldHandle) -> dict:
     """Aggregate lattice report for one Galois-presented field."""
-    serre = serre_character_lattice(field)
+    serre = field.serre_lattice
     checks = [check_norm_weight_triangle(field)]
     if not field.is_degenerate:
         checks.insert(0, check_serre_exact_sequence(field))

@@ -113,12 +113,14 @@ def _check_good_odd(curve: CurveSpec, p: int) -> None:
 def count_points(curve: CurveSpec, p: int) -> tuple[int, int]:
     """(#E(F_p) including infinity, a_p) by a quadratic-symbol sum."""
     _check_good_odd(curve, p)
+    return _count_fp(curve.a4 % p, curve.a6 % p, p)
+
+
+def _count_fp(a4: int, a6: int, p: int) -> tuple[int, int]:
     leg = legendre_table(p)
-    a4, a6 = curve.a4 % p, curve.a6 % p
     total = 0
     for x in range(p):
-        rhs = (x * x % p * x + a4 * x + a6) % p
-        total += 1 + leg[rhs]
+        total += 1 + leg[(x * x % p * x + a4 * x + a6) % p]
     count = total + 1
     return count, p + 1 - count
 
@@ -244,32 +246,36 @@ def _residue_image_degree_one(prime: QuadIdeal, x: QuadInt) -> int:
 def count_points_quadratic_extension(
     field: QuadField, a4: QuadInt, a6: QuadInt, p: int
 ) -> int:
-    """#E(F_{p^2}) for an inert prime p, counting via the norm map.
+    """#E(F_{p^2}) for an inert prime p, with F_{p^2} = F_p[omega]."""
+    return _count_fp2(field.omega_relation, (a4.a, a4.b), (a6.a, a6.b), p)
 
-    F_{p^2} is F_p[omega]; an element is a square exactly when its norm to
-    F_p is a square, so one Legendre table over F_p suffices.
+
+def _count_fp2(relation: tuple[int, int], a4: tuple[int, int], a6: tuple[int, int], p: int) -> int:
+    """#E(F_{p^2}) over F_{p^2} = F_p[theta], theta^2 = s theta + t irreducible.
+
+    Coefficients are pairs (u, v) meaning u + v theta.  An element is a
+    square exactly when its norm to F_p is, so one Legendre table over F_p
+    suffices.
     """
-    s, t = field.omega_relation
+    s, t = relation
     leg = legendre_table(p)
-    a4a, a4b = a4.a % p, a4.b % p
-    a6a, a6b = a6.a % p, a6.b % p
-
-    def mul(u, v):
-        ua, ub = u
-        va, vb = v
-        return ((ua * va + ub * vb * t) % p, (ua * vb + ub * va + ub * vb * s) % p)
-
+    a4a, a4b = a4[0] % p, a4[1] % p
+    a6a, a6b = a6[0] % p, a6[1] % p
     total = 0
     for xa in range(p):
+        ca = xa * xa % p
+        ra0 = a4a * xa + a6a
+        rb0 = a4b * xa + a6b
         for xb in range(p):
-            x = (xa, xb)
-            x3 = mul(mul(x, x), x)
-            a4x = mul((a4a, a4b), x)
-            ra = (x3[0] + a4x[0] + a6a) % p
-            rb = (x3[1] + a4x[1] + a6b) % p
-            norm = (ra * ra + s * ra * rb - t * rb * rb) % p
-            total += 1 + leg[norm]
-    return total + 1
+            # x = xa + xb theta: x^2 = qa + qb theta, then x^3 + a4 x + a6
+            bb = xb * xb
+            qa = (ca + t * bb) % p
+            qb = (2 * xa * xb + s * bb) % p
+            sb = s * xb + xa
+            ra = (qa * xa + t * qb * xb + ra0 + t * a4b * xb) % p
+            rb = (qa * xb + qb * sb + a4a * xb + a4b * s * xb + rb0) % p
+            total += leg[(ra * ra + s * ra * rb - t * rb * rb) % p]
+    return p * p + total + 1
 
 
 def _weil_quartic_from_counts(p: int, n1: int, n2: int) -> EulerFactor:
@@ -323,8 +329,8 @@ def verify_res_scalars(curve: CurveSpec, p_max: int, a4=None, a6=None) -> dict:
             for prime in fac.primes:
                 r4 = _residue_image_degree_one(prime, c4)
                 r6 = _residue_image_degree_one(prime, c6)
-                count, a_p = _count_reduced(r4, r6, p)
-                ext = _count_reduced_ext((r4, r6), p)
+                count, a_p = _count_fp(r4, r6, p)
+                ext = _count_fp2((0, _non_residue(p)), (r4, 0), (r6, 0), p)
                 place_factors.append(euler_from_counts(p, a_p))
                 base_counts.append(count)
                 ext_counts.append(ext)
@@ -369,36 +375,6 @@ def verify_res_scalars(curve: CurveSpec, p_max: int, a4=None, a6=None) -> dict:
         },
         "passed": not mismatches and bool(results),
     }
-
-
-def _count_reduced(a4: int, a6: int, p: int) -> tuple[int, int]:
-    leg = legendre_table(p)
-    total = 0
-    for x in range(p):
-        rhs = (x * x % p * x + a4 * x + a6) % p
-        total += 1 + leg[rhs]
-    count = total + 1
-    return count, p + 1 - count
-
-
-def _count_reduced_ext(coeffs: tuple[int, int], p: int) -> int:
-    """#E(F_{p^2}) for a curve with F_p coefficients, F_{p^2} = F_p(sqrt(n))."""
-    a4, a6 = coeffs
-    n = _non_residue(p)
-    leg = legendre_table(p)
-    total = 0
-    for xa in range(p):
-        for xb in range(p):
-            # x = xa + xb sqrt(n); compute x^3 + a4 x + a6
-            sq_a = (xa * xa + n * xb * xb) % p
-            sq_b = (2 * xa * xb) % p
-            cu_a = (sq_a * xa + n * sq_b * xb) % p
-            cu_b = (sq_a * xb + sq_b * xa) % p
-            ra = (cu_a + a4 * xa + a6) % p
-            rb = (cu_b + a4 * xb) % p
-            norm = (ra * ra - n * rb * rb) % p
-            total += 1 + leg[norm]
-    return total + 1
 
 
 def _non_residue(p: int) -> int:

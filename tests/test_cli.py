@@ -60,6 +60,14 @@ class TestEnumerate:
         assert code == 0
         assert json.loads(out)["degree"] == 2
 
+    def test_field_file_with_missing_group_path(self, tmp_path, capsys):
+        field_path = tmp_path / "field.json"
+        missing = tmp_path / "no_such_group.json"
+        field_path.write_text(json.dumps({"group": str(missing), "iota": 1, "H": [0]}))
+        code, out, err = run_main(capsys, "enumerate", str(field_path))
+        assert code == 2 and out == ""
+        assert f"cannot read {missing}" in err
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{broken")
@@ -109,6 +117,10 @@ class TestCheck:
         code, _, err = run_main(capsys, "check", "--battery", "nope")
         assert code == 2
 
+    def test_negative_trials(self, capsys):
+        code, out, err = run_main(capsys, "check", "--battery", "C2", "--trials", "-3")
+        assert code == 2 and out == "" and "--trials" in err
+
 
 class TestZeta:
     def test_quick(self, capsys):
@@ -127,6 +139,27 @@ class TestZeta:
     def test_unsupported_field(self, capsys):
         code, _, err = run_main(capsys, "zeta", "--curve", "-1,0", "--d", "-5")
         assert code == 2
+
+    def test_pmax_below_three(self, capsys):
+        for pmax in ("-5", "2"):
+            code, out, err = run_main(
+                capsys, "zeta", "--curve", "-1,0", "--d", "-1", "--pmax", pmax
+            )
+            assert code == 2 and out == "" and "--pmax" in err
+
+    def test_negative_res_scalars(self, capsys):
+        code, out, err = run_main(
+            capsys, "zeta", "--curve", "-1,0", "--d", "-1", "--pmax", "13",
+            "--res-scalars", "-1",
+        )
+        assert code == 2 and out == "" and "--res-scalars" in err
+
+    def test_res_scalars_zero_means_off(self, capsys):
+        code, out, _ = run_main(
+            capsys, "zeta", "--curve", "-1,0", "--d", "-1", "--pmax", "13",
+            "--res-scalars", "0",
+        )
+        assert code == 0 and "scalar_restriction" not in json.loads(out)
 
 
 class TestRayclass:

@@ -14,7 +14,6 @@ from cmcalc.cocycle import (
     check_reflex_compatibility,
     check_transfer_identity,
     choose_w_system,
-    field_quotient,
     taniyama_cocycle,
 )
 from cmcalc.errors import CMError
@@ -69,14 +68,14 @@ class TestWSystems:
 class TestCocycleValues:
     def test_identity_element_gives_zero(self):
         for field in ALL_FIELDS:
-            q = field_quotient(field)
+            q = field.quotient
             w = choose_w_system(field)
             for t in enumerate_cm_types(field):
                 assert taniyama_cocycle(t, field.group.identity, w, q) == q.zero
 
     def test_trivial_fixer_always_zero(self):
         field = battery_field("C4")
-        q = field_quotient(field)
+        q = field.quotient
         w = choose_w_system(field)
         for t in enumerate_cm_types(field):
             for tau in field.group.elements():
@@ -85,7 +84,7 @@ class TestCocycleValues:
     def test_golden_values(self):
         for name, table in GOLDEN.items():
             field = battery_field(name)
-            q = field_quotient(field)
+            q = field.quotient
             assert list(q.moduli) == table["moduli"]
             w = choose_w_system(field)
             for key, per_tau in table["values"].items():
@@ -96,7 +95,7 @@ class TestCocycleValues:
 
     def test_c12_values_nontrivial(self):
         field = c12_field()
-        q = field_quotient(field)
+        q = field.quotient
         assert q.moduli == (3,)
         w = choose_w_system(field)
         values = {
@@ -151,7 +150,7 @@ class TestIdentities:
         # on abelian contexts the transfer is g -> g^[G:H]
         for field in [battery_field("C2xC4"), c12_field()]:
             g = field.group
-            q = field_quotient(field)
+            q = field.quotient
             m = field.degree
             for tau in g.elements():
                 assert transfer(g, field.fixer, tau, quotient=q) == q.project(
@@ -164,7 +163,7 @@ class TestIdentities:
 
         rng = random.Random(17)
         for field in [battery_field("C2xC4"), battery_field("D4"), c12_field()]:
-            q = field_quotient(field)
+            q = field.quotient
             w = choose_w_system(field)
             g = field.group
             for t in enumerate_cm_types(field):
@@ -199,7 +198,7 @@ class TestNegativeControl:
     @pytest.mark.parametrize("name", ["D4", "C2xC4"])
     def test_breaking_pairing_changes_values(self, name):
         field = battery_field(name)
-        q = field_quotient(field)
+        q = field.quotient
         good = choose_w_system(field)
         broken = self._broken(field)
         changed = False
@@ -227,7 +226,7 @@ class TestRightTranslationConjugation:
 
         for field in [battery_field("C2xC4"), c12_field(), battery_field("D4")]:
             g = field.group
-            q = field_quotient(field)
+            q = field.quotient
             w = choose_w_system(field)
             normalizing = [
                 tau for tau in g.elements() if field.fixer.normalizes(tau)

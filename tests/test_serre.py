@@ -10,11 +10,19 @@ from cmcalc.cmtypes import (
     is_primitive,
     reflex_field,
     stabilizer,
+    subgroups_containing,
     translate_left,
     validate_cm_type,
 )
 from cmcalc.errors import NoSolution, NotDefinedOverE, NotGaloisContext, NotSerrePair
-from cmcalc.groups import cyclic_group, direct_product
+from cmcalc.groups import (
+    coset_of,
+    cyclic_group,
+    dihedral_group,
+    direct_product,
+    left_cosets,
+    subgroup_generated,
+)
 from cmcalc.serre import (
     Cocharacter,
     check_cm_type_generation,
@@ -40,24 +48,93 @@ KLEIN = battery_field("C2xC2")
 GALOIS_FIELDS = [battery_field(n) for n in ("C2", "C4", "C2xC2", "C2xC4")]
 
 
-def closed_form_reflex_matrix(cm_type, e_field):
-    """Independent oracle: entry (c_E, c_K) is 1 exactly when some (hence
-    any) representative of c_E maps the representative of c_K into phi."""
+ORDER16_GROUP = direct_product(dihedral_group(4), cyclic_group(2))
+ORDER16 = CMFieldHandle(group=ORDER16_GROUP, iota=4, fixer=ORDER16_GROUP.subgroup([0, 8]))
+
+
+def _perm_matrices(field):
+    """Translation matrices built from groups.coset_of, not the handle's tables."""
+    g, fixer, n = field.group, field.fixer, field.degree
+    reps = [c[0] for c in left_cosets(g, fixer)]
+    out = []
+    for x in g.elements():
+        rows = [[0] * n for _ in range(n)]
+        for c, rep in enumerate(reps):
+            rows[coset_of(g, fixer, g.mul(x, rep))][c] = 1
+        out.append(la.freeze(rows))
+    return out
+
+
+def _generators(group):
+    gens, have = [], {group.identity}
+    for x in group.elements():
+        if x not in have:
+            gens.append(x)
+            have = set(subgroup_generated(group, gens).elements)
+    return gens
+
+
+def solved_reflex_matrix(cm_type, e_field):
+    """Oracle: the reflex norm as the integer solution of equivariance on a
+    generating set plus the evaluation row at the identity coset of E, or
+    None when that system has no integer solution."""
     field = cm_type.field
-    g = field.group
+    n_k, n_e = field.degree, e_field.degree
+    acts_k, acts_e = _perm_matrices(field), _perm_matrices(e_field)
+    rows, rhs = [], []
+    for g in _generators(field.group):
+        pe, pk = acts_e[g], acts_k[g]
+        for r in range(n_e):
+            for c in range(n_k):
+                row = [0] * (n_e * n_k)
+                for k in range(n_e):
+                    row[k * n_k + c] += pe[r][k]
+                for k in range(n_k):
+                    row[r * n_k + k] -= pk[k][c]
+                rows.append(row)
+                rhs.append(0)
     members = cm_type.coset_set()
+    ident = coset_of(e_field.group, e_field.fixer, e_field.group.identity)
+    for c in range(n_k):
+        row = [0] * (n_e * n_k)
+        row[ident * n_k + c] = 1
+        rows.append(row)
+        rhs.append(1 if c in members else 0)
+    solution = la.solve_integer(la.freeze(rows), tuple(rhs))
+    if solution is None:
+        return None
+    return la.freeze([solution[r * n_k : (r + 1) * n_k] for r in range(n_e)])
+
+
+def block_kernel_serre_basis(field):
+    """Oracle: the kernel of all |G| blocks (g - 1)(iota + 1)."""
+    acts = _perm_matrices(field)
+    ident = la.identity_matrix(field.degree)
+    iota_plus = la.mat_add(acts[field.iota], ident)
     rows = []
-    for ce in range(e_field.degree):
-        row = []
-        for ck in range(field.degree):
-            values = {
-                field.coset_index(g.mul(g.inv(sigma), field.coset_rep(ck))) in members
-                for sigma in e_field.cosets[ce]
-            }
-            assert len(values) == 1, "entry depends on the representative"
-            row.append(1 if values.pop() else 0)
-        rows.append(tuple(row))
-    return la.freeze(rows)
+    for p in acts:
+        p_minus_1 = la.freeze([[x - y for x, y in zip(r, e)] for r, e in zip(p, ident)])
+        rows.extend(la.mat_mul(p_minus_1, iota_plus))
+    return la.integer_kernel(tuple(rows))
+
+
+def galois_reflex(cm_type):
+    """The smallest Galois field containing the reflex field: fixer = normal
+    core of the stabilizer."""
+    g = cm_type.field.group
+    stab = stabilizer(cm_type)
+    core = [h for h in stab.elements if all(g.conj(x, h) in stab for x in g.elements())]
+    return CMFieldHandle(group=g, iota=cm_type.field.iota, fixer=g.subgroup(core))
+
+
+def galois_subfields(field):
+    """Every Galois CM field of the context (normal fixer avoiding iota)."""
+    g = field.group
+    return [
+        CMFieldHandle(group=g, iota=field.iota, fixer=sub)
+        for sub in subgroups_containing(g, g.trivial_subgroup())
+        if field.iota not in sub and sub.is_normal()
+    ]
 
 
 class TestFullLattice:
@@ -118,6 +195,12 @@ class TestSerreLattice:
         with pytest.raises(NotGaloisContext):
             serre_character_lattice(battery_field("D4"))
 
+    def test_pair_relations_match_block_kernel(self):
+        fields = GALOIS_FIELDS + [closure_of(battery_field(n)) for n in BATTERY_NAMES]
+        for field in fields + [closure_of(ORDER16)]:
+            assert serre_character_lattice(field).basis == block_kernel_serre_basis(field)
+            assert field.serre_lattice.basis == block_kernel_serre_basis(field)
+
     def test_constant_pair_sum_characterization(self):
         for field in GALOIS_FIELDS:
             lat = serre_character_lattice(field)
@@ -175,16 +258,53 @@ class TestReflexNorm:
     def test_c4_matches_closed_form(self):
         t = validate_cm_type(C4, {0, 1})
         m = reflex_norm_map(t, C4)
-        assert m.matrix == closed_form_reflex_matrix(t, C4)
+        assert m.matrix == solved_reflex_matrix(t, C4)
 
     def test_closed_form_oracle_battery(self):
         for field in GALOIS_FIELDS + [battery_field("D4")]:
-            closure = closure_of(field)
             for t in enumerate_cm_types(field):
-                assert (
-                    reflex_norm_map(t, closure).matrix
-                    == closed_form_reflex_matrix(t, closure)
-                )
+                for e in (closure_of(field), galois_reflex(t)):
+                    assert reflex_norm_map(t, e).matrix == solved_reflex_matrix(t, e)
+
+    def test_order16_against_solve(self):
+        types = enumerate_cm_types(ORDER16)
+        primitive = next(t for t in types if is_primitive(t))
+        imprimitive = next(t for t in types if not is_primitive(t))
+        for t in (primitive, imprimitive):
+            for e in (closure_of(ORDER16), galois_reflex(t)):
+                assert reflex_norm_map(t, e).matrix == solved_reflex_matrix(t, e)
+
+    def test_no_solution_exactly_outside_stabilizer(self):
+        for name in BATTERY_NAMES:
+            field = battery_field(name)
+            for t in enumerate_cm_types(field):
+                stab = stabilizer(t)
+                for e in galois_subfields(field):
+                    inside = all(h in stab for h in e.fixer.elements)
+                    assert (solved_reflex_matrix(t, e) is not None) == inside
+                    if inside:
+                        reflex_norm_map(t, e)
+                    else:
+                        with pytest.raises(NoSolution):
+                            reflex_norm_map(t, e)
+
+    def test_closed_form_entry_independent_of_representative(self):
+        # entry (c_E, c_K) = [sigma^-1 rho in phi] is the same for every
+        # representative sigma of c_E when E contains the reflex field
+        for name in BATTERY_NAMES:
+            field = battery_field(name)
+            g = field.group
+            for t in enumerate_cm_types(field):
+                members = t.coset_set()
+                for e in (closure_of(field), galois_reflex(t)):
+                    matrix = reflex_norm_map(t, e).matrix
+                    for ce in range(e.degree):
+                        for ck in range(field.degree):
+                            values = {
+                                field.act(g.inv(sigma), ck) in members
+                                for sigma in e.cosets[ce]
+                            }
+                            assert values == {bool(matrix[ce][ck])}
 
     def test_equivariance_exhaustive(self):
         for field in GALOIS_FIELDS:
@@ -210,7 +330,7 @@ class TestReflexNorm:
         t = validate_cm_type(KLEIN, {0, 1})
         e = reflex_field(t)
         m = reflex_norm_map(t, e)
-        assert m.matrix == closed_form_reflex_matrix(t, e)
+        assert m.matrix == solved_reflex_matrix(t, e)
 
     def test_induced_type_composite(self):
         # reflex norm of an induced type is the restriction composite
@@ -308,7 +428,7 @@ class TestGaloisQuarticWithNontrivialFixer:
             assert is_primitive(t)
             assert (
                 reflex_norm_map(t, closure).matrix
-                == closed_form_reflex_matrix(t, closure)
+                == solved_reflex_matrix(t, closure)
             )
             assert mumford_tate_rank(t) == 3
 

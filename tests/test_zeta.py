@@ -20,6 +20,8 @@ from cmcalc.zeta import (
     count_points_quadratic_extension,
     euler_from_counts,
     euler_from_hecke,
+    _count_fp2,
+    _non_residue,
     verify_cm_zeta,
     verify_res_scalars,
 )
@@ -76,6 +78,53 @@ class TestCounting:
                 GAUSS, GAUSS.element(-1), GAUSS.element(0), p
             )
             assert ext == p * p + 1 - (a_p * a_p - 2 * p)
+
+
+def naive_count_fp2(relation, a4, a6, p):
+    """Oracle: #E(F_p[theta]) with theta^2 = s theta + t, by tabulating
+    every square y^2 and matching it against every x^3 + a4 x + a6."""
+    s, t = relation
+
+    def mul(u, v):
+        return ((u[0] * v[0] + t * u[1] * v[1]) % p,
+                (u[0] * v[1] + u[1] * v[0] + s * u[1] * v[1]) % p)
+
+    field = [(u, v) for u in range(p) for v in range(p)]
+    roots = {}
+    for y in field:
+        sq = mul(y, y)
+        roots[sq] = roots.get(sq, 0) + 1
+    count = 1
+    for x in field:
+        x3 = mul(mul(x, x), x)
+        ax = mul(a4, x)
+        rhs = ((x3[0] + ax[0] + a6[0]) % p, (x3[1] + ax[1] + a6[1]) % p)
+        count += roots.get(rhs, 0)
+    return count
+
+
+class TestQuadraticExtensionCount:
+    # (d, inert primes): F_{p^2} = F_p[omega] for the ring of integers
+    INERT = ((-1, (3, 7, 11)), (-2, (5, 7, 13)), (-3, (5, 11, 17)), (-7, (3, 5, 13)))
+
+    def test_inert_against_naive(self):
+        for d, primes in self.INERT:
+            field = QuadField(d)
+            for p in primes:
+                assert factor_rational_prime(field, p).kind == "inert"
+                for a4, a6 in (((-1, 0), (0, 0)), ((2, 1), (3, -2)), ((0, 5), (7, 1))):
+                    got = count_points_quadratic_extension(
+                        field, field.element(*a4), field.element(*a6), p
+                    )
+                    assert got == naive_count_fp2(field.omega_relation, a4, a6, p)
+
+    def test_split_form_against_naive(self):
+        # the split places count over F_p(sqrt(n)), n a non-residue
+        for p in (5, 7, 13, 17):
+            relation = (0, _non_residue(p))
+            for a4, a6 in ((-1, 0), (0, 16), (3, 5)):
+                got = _count_fp2(relation, (a4, 0), (a6, 0), p)
+                assert got == naive_count_fp2(relation, (a4 % p, 0), (a6 % p, 0), p)
 
 
 class TestEulerFactors:
