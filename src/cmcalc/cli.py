@@ -19,7 +19,7 @@ from .cmtypes import (
     reflex_field,
     reflex_type,
 )
-from .cocycle import WSystem, choose_w_system, cocycle_report
+from .cocycle import cocycle_report
 from .errors import CMError
 from .groups import abelianization, make_group, transfer
 from .quadratic import (
@@ -55,7 +55,7 @@ def _load_field_file(path: str) -> CMFieldHandle:
         group = make_group(group_spec["table"], names=group_spec.get("names"))
         fixer = group.subgroup(data["H"])
         return CMFieldHandle(group=group, iota=int(data["iota"]), fixer=fixer)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed field file {path}: {exc}") from exc
     except CMError as exc:
         raise InputError(f"invalid field data in {path}: {exc}") from exc
@@ -104,24 +104,6 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _broken_w_system(field) -> WSystem:
-    """A deliberately corrupted representative system (test-only fault)."""
-    good = choose_w_system(field)
-    reps = list(good.reps)
-    c, ic = field.iota_pairs[0]
-    coset = field.cosets[ic]
-    alternative = next(
-        (w for w in coset if w != reps[ic]), None
-    )
-    if alternative is None:
-        return good
-    reps[ic] = alternative
-    broken = WSystem.__new__(WSystem)
-    object.__setattr__(broken, "field", field)
-    object.__setattr__(broken, "reps", tuple(reps))
-    return broken
-
-
 def cmd_check(args) -> int:
     if args.trials < 0:
         raise InputError(f"--trials must be >= 0, got {args.trials}")
@@ -146,10 +128,7 @@ def cmd_check(args) -> int:
             serre_part["closure"] = serre_report(closure_of(field))
             entry["serre"] = serre_part
         if "cocycle" in suites:
-            broken = _broken_w_system(field) if args.inject_fault else None
-            entry["cocycle"] = cocycle_report(
-                field, trials=args.trials, seed=args.seed, extra_system=broken
-            )
+            entry["cocycle"] = cocycle_report(field, trials=args.trials, seed=args.seed)
         report["fields"][name] = entry
         for part in entry.values():
             stack = [part]
@@ -269,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--battery", default="all")
     p_check.add_argument("--trials", type=int, default=100)
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p_check.set_defaults(func=cmd_check)
 
     p_zeta = sub.add_parser("zeta", help="compare counting and character factors")

@@ -32,6 +32,7 @@ from .groups import (
 )
 
 if TYPE_CHECKING:
+    from .cocycle import WSystem
     from .serre import CharLattice
 
 
@@ -52,6 +53,8 @@ class CMFieldHandle:
         g = self.group
         if self.fixer.parent != g:
             raise CMError("fixing subgroup belongs to a different group")
+        if not 0 <= self.iota < g.order:
+            raise CMError(f"iota {self.iota} out of range 0..{g.order - 1}")
         if g.order == 1:
             if self.iota != g.identity:
                 raise CMError("trivial context must use the identity involution")
@@ -131,6 +134,22 @@ class CMFieldHandle:
     def quotient(self) -> AbelianQuotient:
         """H/[H,H] for the fixing subgroup, where cocycles take values."""
         return abelianization(self.fixer)
+
+    @cached_property
+    def canonical_w_system(self) -> WSystem:
+        """The canonical representative system (see cocycle.choose_w_system)."""
+        from .cocycle import choose_w_system
+
+        return choose_w_system(self)
+
+    @cached_property
+    def cm_subfields(self) -> tuple[CMFieldHandle, ...]:
+        """Handles of all CM subfields of K (iota acts nontrivially), K included."""
+        return tuple(
+            CMFieldHandle(group=self.group, iota=self.iota, fixer=sub)
+            for sub in subgroups_containing(self.group, self.fixer)
+            if self.iota not in sub  # otherwise the fixed field is totally real
+        )
 
     def coset_index(self, g_elt: int) -> int:
         return self.coset_table[g_elt]
@@ -343,19 +362,9 @@ def subgroups_containing(group: FiniteGroup, sub: Subgroup) -> tuple[Subgroup, .
     return tuple(found[k] for k in sorted(found))
 
 
-def cm_subfields(field: CMFieldHandle) -> tuple[CMFieldHandle, ...]:
-    """Handles of all CM subfields of K (iota acts nontrivially), K included."""
-    out = []
-    for sub in subgroups_containing(field.group, field.fixer):
-        if field.iota in sub:
-            continue  # fixed field is totally real
-        out.append(CMFieldHandle(group=field.group, iota=field.iota, fixer=sub))
-    return tuple(out)
-
-
 def is_primitive(cm_type: CMType) -> bool:
     """True when the type is induced from no proper CM subfield."""
-    for small in cm_subfields(cm_type.field):
+    for small in cm_type.field.cm_subfields:
         if small.fixer.order == cm_type.field.fixer.order:
             continue
         if restricts_to(cm_type, small) is not None:

@@ -3,26 +3,24 @@
 For a field handle (G, iota, H) and a system of coset representatives
 w_rho with w_rho H = rho and w_{iota rho} = iota w_rho, the cocycle of a
 CM-type phi at tau is the product over phi of w_{tau rho}^-1 tau w_rho,
-projected to H/[H,H] (where the product order is immaterial).  The value
-does not depend on the representative system, satisfies the cocycle law
-in the type argument, and combines with the complementary type to the
-transfer homomorphism.  Those three facts are the checkable identities
-this module sweeps.
+projected to H/[H,H].  Each factor lies in H and the projection is a
+homomorphism on H, so the value is the sum of the projected factors: a
+representative system holds one factor table, and every value below is a
+sum read from it.  The value does not depend on the representative
+system, satisfies the cocycle law in the type argument, and combines with
+the complementary type to the transfer homomorphism.  Those three facts
+are the checkable identities this module sweeps.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cmtypes import CMFieldHandle, CMType, enumerate_cm_types, stabilizer, translate_left
 from .errors import CMError, FactorNotInH, InternalInconsistency
-from .groups import (
-    AbelianQuotient,
-    Subgroup,
-    transfer,
-    transfer_product,
-)
+from .groups import Subgroup, transfer, transfer_product
 
 CocycleValue = tuple[int, ...]
 """Coordinates in the invariant-factor presentation of H/[H,H]."""
@@ -47,6 +45,35 @@ class WSystem:
             if self.reps[ic] != g.mul(field.iota, w):
                 raise CMError(f"conjugation constraint fails at coset {c}")
 
+    @cached_property
+    def factors(self) -> tuple[tuple[CocycleValue, ...], ...]:
+        """factors[tau][c] is w_{tau c}^-1 tau w_c projected to H/[H,H].
+
+        Raises FactorNotInH when a factor leaves the fixing subgroup, which
+        a representative outside its coset causes.
+        """
+        field = self.field
+        g, reps, project = field.group, self.reps, field.quotient.project
+        table = []
+        for tau, moved in enumerate(field.act_table):
+            row = []
+            for c, w in enumerate(reps):
+                factor = g.mul(g.inv(reps[moved[c]]), g.mul(tau, w))
+                if factor not in field.fixer:
+                    raise FactorNotInH(
+                        f"factor of {tau} at coset {c} lies outside the fixing subgroup",
+                        witness=(tau, c),
+                    )
+                row.append(project(factor))
+            table.append(tuple(row))
+        return tuple(table)
+
+    def value(self, tau: int, cosets) -> CocycleValue:
+        """Sum of the factors at tau over a set of cosets."""
+        row = self.factors[tau]
+        moduli = self.field.quotient.moduli
+        return tuple(sum(row[c][i] for c in cosets) % d for i, d in enumerate(moduli))
+
 
 def choose_w_system(field: CMFieldHandle, seed: int | None = None) -> WSystem:
     """Pick representatives on one coset per iota-pair and extend by iota.
@@ -64,29 +91,20 @@ def choose_w_system(field: CMFieldHandle, seed: int | None = None) -> WSystem:
     return WSystem(field=field, reps=tuple(reps))
 
 
-def taniyama_cocycle(
-    cm_type: CMType,
-    tau: int,
-    wsys: WSystem,
-    quotient: AbelianQuotient | None = None,
-) -> CocycleValue:
+def taniyama_cocycle(cm_type: CMType, tau: int, wsys: WSystem) -> CocycleValue:
     """Value of the type cocycle at tau, in H/[H,H] coordinates."""
-    field = cm_type.field
-    if wsys.field != field:
+    if wsys.field != cm_type.field:
         raise CMError("w-system belongs to a different field")
-    g = field.group
-    if quotient is None:
-        quotient = field.quotient
-    moved = field.act_table[tau]
-    product = g.identity
-    for c in cm_type.cosets:
-        factor = g.mul(g.inv(wsys.reps[moved[c]]), g.mul(tau, wsys.reps[c]))
-        if factor not in field.fixer:
-            raise FactorNotInH(
-                f"factor at coset {c} lies outside the fixing subgroup"
-            )
-        product = g.mul(product, factor)
-    return quotient.project(product)
+    return wsys.value(tau, cm_type.cosets)
+
+
+def _value_table(field: CMFieldHandle, types) -> dict:
+    """F[phi][tau], keyed by the cosets of phi, from the canonical system."""
+    wsys = field.canonical_w_system
+    return {
+        t.cosets: tuple(taniyama_cocycle(t, tau, wsys) for tau in field.group.elements())
+        for t in types
+    }
 
 
 def check_rep_independence(
@@ -100,22 +118,26 @@ def check_rep_independence(
     ``extra_system`` joins the comparison; passing a corrupted system (one
     violating the conjugation pairing) is the intended negative control.
     """
-    field = cm_type.field
-    quotient = field.quotient
-    canonical = choose_w_system(field)
-    baseline = {
-        tau: taniyama_cocycle(cm_type, tau, canonical, quotient)
-        for tau in field.group.elements()
-    }
-    failures = []
-    systems = [
-        (k, choose_w_system(field, seed=seed * 100003 + k)) for k in range(trials)
-    ]
+    systems = _random_systems(cm_type.field, trials, seed, extra_system)
+    return _rep_independence(cm_type, trials, systems)
+
+
+def _random_systems(field: CMFieldHandle, trials: int, seed: int, extra_system) -> list:
+    """(trial, system) pairs; the extra system, if any, is trial -1."""
+    systems = [(k, choose_w_system(field, seed=seed * 100003 + k)) for k in range(trials)]
     if extra_system is not None:
         systems.append((-1, extra_system))
+    return systems
+
+
+def _rep_independence(cm_type: CMType, trials: int, systems) -> dict:
+    field = cm_type.field
+    canonical = field.canonical_w_system
+    baseline = [taniyama_cocycle(cm_type, tau, canonical) for tau in field.group.elements()]
+    failures = []
     for k, wsys in systems:
         for tau in field.group.elements():
-            value = taniyama_cocycle(cm_type, tau, wsys, quotient)
+            value = taniyama_cocycle(cm_type, tau, wsys)
             if value != baseline[tau]:
                 failures.append({"tau": tau, "trial": k, "value": list(value)})
     return {
@@ -127,25 +149,21 @@ def check_rep_independence(
     }
 
 
-def check_cocycle_law(field: CMFieldHandle, wsys: WSystem | None = None) -> dict:
+def check_cocycle_law(field: CMFieldHandle) -> dict:
     """F_phi(sigma tau) == F_{tau phi}(sigma) + F_phi(tau), exhaustively."""
     quotient = field.quotient
-    if wsys is None:
-        wsys = choose_w_system(field)
     g = field.group
+    types = enumerate_cm_types(field)
+    table = _value_table(field, types)
     failures = []
     count = 0
-    for cm_type in enumerate_cm_types(field):
+    for cm_type in types:
+        values = table[cm_type.cosets]
         for tau in g.elements():
-            moved = translate_left(tau, cm_type)
-            f_tau = taniyama_cocycle(cm_type, tau, wsys, quotient)
+            moved = table[translate_left(tau, cm_type).cosets]
             for sigma in g.elements():
                 count += 1
-                lhs = taniyama_cocycle(cm_type, g.mul(sigma, tau), wsys, quotient)
-                rhs = quotient.add(
-                    taniyama_cocycle(moved, sigma, wsys, quotient), f_tau
-                )
-                if lhs != rhs:
+                if values[g.mul(sigma, tau)] != quotient.add(moved[sigma], values[tau]):
                     failures.append(
                         {
                             "type": list(cm_type.cosets),
@@ -161,28 +179,25 @@ def check_cocycle_law(field: CMFieldHandle, wsys: WSystem | None = None) -> dict
     }
 
 
-def check_transfer_identity(field: CMFieldHandle, wsys: WSystem | None = None) -> dict:
+def check_transfer_identity(field: CMFieldHandle) -> dict:
     """F_phi(tau) + F_{iota phi}(tau) equals the transfer of tau, exhaustively.
 
     The complementary type contributes the remaining cosets, so the combined
     product runs over a full representative system: exactly the transfer.
     """
     quotient = field.quotient
-    if wsys is None:
-        wsys = choose_w_system(field)
     g = field.group
+    types = enumerate_cm_types(field)
+    table = _value_table(field, types)
     transfers = [transfer(g, field.fixer, tau, quotient=quotient) for tau in g.elements()]
     failures = []
     count = 0
-    for cm_type in enumerate_cm_types(field):
-        comp = cm_type.complement()
+    for cm_type in types:
+        values = table[cm_type.cosets]
+        comp = table[cm_type.complement().cosets]
         for tau in g.elements():
             count += 1
-            lhs = quotient.add(
-                taniyama_cocycle(cm_type, tau, wsys, quotient),
-                taniyama_cocycle(comp, tau, wsys, quotient),
-            )
-            if lhs != transfers[tau]:
+            if quotient.add(values[tau], comp[tau]) != transfers[tau]:
                 failures.append({"type": list(cm_type.cosets), "tau": tau})
     return {
         "law": "transfer_identity",
@@ -214,20 +229,19 @@ def _orbits_under(sub: Subgroup, field: CMFieldHandle, cosets) -> list[list[int]
     return orbits
 
 
-def check_reflex_compatibility(cm_type: CMType, wsys: WSystem | None = None) -> dict:
+def check_reflex_compatibility(cm_type: CMType) -> dict:
     """Orbitwise transfer description of the cocycle on the reflex stabilizer.
 
-    For tau fixing the type, the partial product over each stabilizer orbit
-    equals a conjugated transfer: with S the stabilizer, base point sigma_j
-    in the orbit, and M_j = S meet sigma_j H sigma_j^-1, the orbit factor is
-    sigma_j^-1 Ver_{S -> M_j}(tau) sigma_j projected to H/[H,H]; the orbit
-    factors multiply to the full cocycle value.
+    For tau fixing the type, the sum of the cocycle factors over each
+    stabilizer orbit equals a conjugated transfer: with S the stabilizer,
+    base point sigma_j in the orbit, and M_j = S meet sigma_j H sigma_j^-1,
+    the orbit sum is sigma_j^-1 Ver_{S -> M_j}(tau) sigma_j projected to
+    H/[H,H]; the orbit sums add up to the full cocycle value.
     """
     field = cm_type.field
     g = field.group
     quotient = field.quotient
-    if wsys is None:
-        wsys = choose_w_system(field)
+    wsys = field.canonical_w_system
     stab = stabilizer(cm_type)
     stab_group, to_sub, to_parent = stab.as_group()
     orbits = _orbits_under(stab, field, cm_type.cosets)
@@ -235,18 +249,9 @@ def check_reflex_compatibility(cm_type: CMType, wsys: WSystem | None = None) -> 
     failures = []
     count = 0
     for tau in stab.elements:
-        total = quotient.zero
-        value_full = taniyama_cocycle(cm_type, tau, wsys, quotient)
         for orbit in orbits:
-            base = orbit[0]
-            sigma = field.cosets[base][0]
-            # partial product of cocycle factors over this orbit
-            partial = g.identity
-            for c in orbit:
-                tc = field.act(tau, c)
-                factor = g.mul(g.inv(wsys.reps[tc]), g.mul(tau, wsys.reps[c]))
-                partial = g.mul(partial, factor)
-            partial_value = quotient.project(partial)
+            sigma = field.cosets[orbit[0]][0]
+            partial_value = wsys.value(tau, orbit)
             # conjugated transfer into S meet sigma H sigma^-1
             m_elements = [
                 s
@@ -266,9 +271,6 @@ def check_reflex_compatibility(cm_type: CMType, wsys: WSystem | None = None) -> 
                 failures.append(
                     {"tau": tau, "orbit": orbit, "kind": "orbit_transfer"}
                 )
-            total = quotient.add(total, partial_value)
-        if total != value_full:
-            failures.append({"tau": tau, "kind": "orbit_product"})
     return {
         "law": "reflex_orbit_transfer",
         "type": list(cm_type.cosets),
@@ -288,17 +290,12 @@ def cocycle_report(
 
     Each entry carries its pass/fail flag and witness triples on failure;
     ``extra_system`` is forwarded to the independence check (fault injection).
+    The random systems do not depend on the type, so all types share them.
     """
-    reports = [
-        check_cocycle_law(field),
-        check_transfer_identity(field),
-    ]
+    systems = _random_systems(field, trials, seed, extra_system)
+    reports = [check_cocycle_law(field), check_transfer_identity(field)]
     for cm_type in enumerate_cm_types(field):
-        reports.append(
-            check_rep_independence(
-                cm_type, trials=trials, seed=seed, extra_system=extra_system
-            )
-        )
+        reports.append(_rep_independence(cm_type, trials, systems))
         reports.append(check_reflex_compatibility(cm_type))
     return {
         "degree": field.degree,

@@ -266,9 +266,6 @@ class AbelianQuotient:
     def add(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((x + y) % d for x, y, d in zip(u, v, self.moduli))
 
-    def neg(self, u: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((-x) % d for x, d in zip(u, self.moduli))
-
 
 def abelianization(h: Subgroup) -> AbelianQuotient:
     """Compute H/[H,H] with canonical Smith-normal-form coordinates."""

@@ -236,8 +236,12 @@ class QuadIdeal:
         if k < 0:
             raise ValueError("negative ideal powers are not supported")
         out = unit_ideal(self.field)
-        for _ in range(k):
-            out = out * self
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
         return out
 
     def __add__(self, other: "QuadIdeal") -> "QuadIdeal":
@@ -479,12 +483,6 @@ class RayClassGroup:
             raise NotCoprime("element is not coprime to the modulus")
         return self._dlog[key]
 
-    def class_of_ideal(self, ideal: QuadIdeal) -> tuple[int, ...]:
-        """Ray class of an ideal coprime to the modulus (via any generator)."""
-        if not ideal.is_coprime(self.modulus):
-            raise NotCoprime("ideal is not coprime to the modulus")
-        return self.dlog(find_generator(ideal))
-
     def zero(self) -> tuple[int, ...]:
         return (0,) * len(self.structure)
 
@@ -630,25 +628,38 @@ def canonical_weight_one_spec(field: QuadField) -> HeckeCharacterSpec:
     )
 
 
+# ray class groups take seconds from norm ~300 on and minutes past 900
+MAX_IDEAL_NORM = 600
+
+
 def parse_ideal(field: QuadField, data) -> QuadIdeal:
     """Ideal from serialized form: {"n","c","d"}, {"gen": [a, b]}, or a
-    CLI string 'gen:a,b' / 'gen:a,b^k' / 'hnf:n,c,d'."""
+    CLI string 'gen:a,b' / 'gen:a,b^k' / 'hnf:n,c,d'.  A norm above
+    MAX_IDEAL_NORM raises CMError, for 'gen:a,b^k' before the power is built."""
+    power = 1
     if isinstance(data, str):
         if data.startswith("gen:"):
             body = data[4:]
-            power = 1
             if "^" in body:
                 body, exp = body.split("^", 1)
                 power = int(exp)
             a, b = (int(x) for x in body.split(","))
-            return ideal_from_generator(field.element(a, b)) ** power
-        if data.startswith("hnf:"):
+            ideal = ideal_from_generator(field.element(a, b))
+        elif data.startswith("hnf:"):
             n, c, d = (int(x) for x in data[4:].split(","))
-            return QuadIdeal(field=field, n=n, c=c, d=d)
-        raise CMError(f"unrecognized ideal spec {data!r}")
-    if "gen" in data:
+            ideal = QuadIdeal(field=field, n=n, c=c, d=d)
+        else:
+            raise CMError(f"unrecognized ideal spec {data!r}")
+    elif "gen" in data:
         a, b = data["gen"]
-        return ideal_from_generator(field.element(int(a), int(b)))
-    return QuadIdeal(
-        field=field, n=int(data["n"]), c=int(data["c"]), d=int(data["d"])
-    )
+        ideal = ideal_from_generator(field.element(int(a), int(b)))
+    else:
+        ideal = QuadIdeal(
+            field=field, n=int(data["n"]), c=int(data["c"]), d=int(data["d"])
+        )
+    # a norm N >= 2 has N^k > MAX_IDEAL_NORM once k reaches its bit length
+    if ideal.norm > 1 and (
+        power >= MAX_IDEAL_NORM.bit_length() or ideal.norm**power > MAX_IDEAL_NORM
+    ):
+        raise CMError(f"ideal norm exceeds {MAX_IDEAL_NORM}")
+    return ideal if power == 1 else ideal**power

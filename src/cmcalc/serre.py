@@ -24,7 +24,6 @@ from .cmtypes import (
     CMType,
     enumerate_cm_types,
     stabilizer,
-    subgroups_containing,
     translate_left,
 )
 from .errors import (
@@ -67,9 +66,6 @@ class CharLattice:
 
     def contains(self, vec: Vector) -> bool:
         return la.in_row_span(self.basis, vec)
-
-    def is_full(self) -> bool:
-        return self.basis == la.identity_matrix(self.ambient_rank)
 
 
 @dataclass(frozen=True)
@@ -453,20 +449,19 @@ def check_translation_compatibility(field: CMFieldHandle) -> dict:
 def check_norm_triangle(field: CMFieldHandle) -> dict:
     """Reflex norm through an intermediate Galois field composed with the
     norm map equals the reflex norm through the closure."""
-    group, closure = field.group, field.closure
-    subfields = []
-    for sub in subgroups_containing(group, group.trivial_subgroup()):
-        if sub.order == 1 or field.iota in sub or not sub.is_normal():
-            continue
-        e2 = CMFieldHandle(group=group, iota=field.iota, fixer=sub)
-        subfields.append((sub, e2, norm_lattice_map(closure, e2).matrix))
+    closure = field.closure
+    subfields = [
+        (e2, norm_lattice_map(closure, e2).matrix)
+        for e2 in closure.cm_subfields
+        if e2.fixer.order > 1 and e2.fixer.is_normal()
+    ]
     checked = 0
     failures = []
     for cm_type in enumerate_cm_types(field):
         stab = stabilizer(cm_type)
         direct = None
-        for sub, e2, norm in subfields:
-            if not all(x in stab for x in sub.elements):
+        for e2, norm in subfields:
+            if not all(x in stab for x in e2.fixer.elements):
                 continue
             if direct is None:
                 direct = reflex_norm_map(cm_type, closure).matrix
@@ -474,7 +469,7 @@ def check_norm_triangle(field: CMFieldHandle) -> dict:
             checked += 1
             if composite != direct:
                 failures.append(
-                    {"type": list(cm_type.cosets), "through": list(sub.elements)}
+                    {"type": list(cm_type.cosets), "through": list(e2.fixer.elements)}
                 )
     return {
         "law": "reflex_norm_through_subfield",

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -75,6 +76,15 @@ class TestEnumerate:
         assert code == 2
         assert "bad.json:1" in err
 
+    @pytest.mark.parametrize("iota", [99, -2])
+    def test_iota_out_of_range(self, tmp_path, capsys, iota):
+        cyclic4 = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"group": {"table": cyclic4}, "iota": iota, "H": [0]}))
+        code, out, err = run_main(capsys, "enumerate", str(path))
+        assert code == 2 and out == ""
+        assert f"iota {iota} out of range 0..3" in err
+
     def test_invalid_field_data(self, tmp_path, capsys):
         payload = {
             "group": {"table": [[0, 1], [1, 0]]},
@@ -97,10 +107,18 @@ class TestCheck:
         rep = json.loads(out)
         assert rep["summary"]["failures"] == 0
 
-    def test_injected_fault_fails_with_witness(self, capsys):
+    def test_injected_fault_fails_with_witness(self, capsys, monkeypatch):
+        from cmcalc import cli
+        from cmcalc.cocycle import cocycle_report
+        from test_cocycle import TestNegativeControl
+
+        def with_broken_system(field, **kwargs):
+            broken = TestNegativeControl()._broken(field)
+            return cocycle_report(field, extra_system=broken, **kwargs)
+
+        monkeypatch.setattr(cli, "cocycle_report", with_broken_system)
         code, out, _ = run_main(
-            capsys, "check", "--suite", "cocycle", "--battery", "D4",
-            "--trials", "3", "--inject-fault",
+            capsys, "check", "--suite", "cocycle", "--battery", "D4", "--trials", "3",
         )
         assert code == 1
         rep = json.loads(out)
@@ -185,6 +203,24 @@ class TestRayclass:
             capsys, "rayclass", "--d", "-1", "--modulus", "hnf:4,2,2"
         )
         assert code == 0 and json.loads(out)["modulus_norm"] == 8
+
+    @pytest.mark.parametrize(
+        "modulus, code",
+        [("gen:1,1^40", 2), ("gen:1,0^3000000", 0)],  # norms 2^40 and 1
+    )
+    def test_large_powers_return_at_once(self, capsys, modulus, code):
+        start = time.perf_counter()
+        got, _, _ = run_main(capsys, "rayclass", "--d", "-1", "--modulus", modulus)
+        assert got == code and time.perf_counter() - start < 1.0
+
+    def test_norm_above_bound(self, capsys):
+        code, out, err = run_main(capsys, "rayclass", "--d", "-1", "--modulus", "gen:31,0")
+        assert code == 2 and out == "" and "norm exceeds 600" in err
+
+    @pytest.mark.parametrize("p, structure", [(11, [30]), (13, [3, 12])])
+    def test_primes_below_bound(self, capsys, p, structure):
+        code, out, _ = run_main(capsys, "rayclass", "--d", "-1", "--modulus", f"gen:{p},0")
+        assert code == 0 and json.loads(out)["structure"] == structure
 
 
 class TestTransferAndSerre:

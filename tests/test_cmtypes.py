@@ -5,7 +5,6 @@ import pytest
 from cmcalc.battery import BATTERY_NAMES, battery_field, closure_of
 from cmcalc.cmtypes import (
     CMFieldHandle,
-    cm_subfields,
     enumerate_cm_types,
     induce,
     is_primitive,
@@ -268,7 +267,7 @@ class TestInductionRestriction:
 
     def test_cm_subfields_of_d4(self):
         f = battery_field("D4")
-        subs = cm_subfields(f)
+        subs = f.cm_subfields
         assert [s.fixer.elements for s in subs] == [(0, 4)]
 
 

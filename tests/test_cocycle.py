@@ -16,8 +16,10 @@ from cmcalc.cocycle import (
     choose_w_system,
     taniyama_cocycle,
 )
-from cmcalc.errors import CMError
-from cmcalc.groups import abelianization, cyclic_group, transfer
+from cmcalc.errors import CMError, FactorNotInH
+from cmcalc.groups import cyclic_group, transfer
+
+from test_serre import ORDER16
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "data" / "cocycle_golden.json").read_text()
@@ -71,7 +73,7 @@ class TestCocycleValues:
             q = field.quotient
             w = choose_w_system(field)
             for t in enumerate_cm_types(field):
-                assert taniyama_cocycle(t, field.group.identity, w, q) == q.zero
+                assert taniyama_cocycle(t, field.group.identity, w) == q.zero
 
     def test_trivial_fixer_always_zero(self):
         field = battery_field("C4")
@@ -79,7 +81,7 @@ class TestCocycleValues:
         w = choose_w_system(field)
         for t in enumerate_cm_types(field):
             for tau in field.group.elements():
-                assert taniyama_cocycle(t, tau, w, q) == q.zero
+                assert taniyama_cocycle(t, tau, w) == q.zero
 
     def test_golden_values(self):
         for name, table in GOLDEN.items():
@@ -90,7 +92,7 @@ class TestCocycleValues:
             for key, per_tau in table["values"].items():
                 cm_type = validate_cm_type(field, [int(c) for c in key.split(",")])
                 for tau_s, expected in per_tau.items():
-                    got = taniyama_cocycle(cm_type, int(tau_s), w, q)
+                    got = taniyama_cocycle(cm_type, int(tau_s), w)
                     assert list(got) == expected, (name, key, tau_s)
 
     def test_c12_values_nontrivial(self):
@@ -99,7 +101,7 @@ class TestCocycleValues:
         assert q.moduli == (3,)
         w = choose_w_system(field)
         values = {
-            taniyama_cocycle(t, tau, w, q)
+            taniyama_cocycle(t, tau, w)
             for t in enumerate_cm_types(field)
             for tau in field.group.elements()
         }
@@ -162,13 +164,14 @@ class TestIdentities:
         import random
 
         rng = random.Random(17)
-        for field in [battery_field("C2xC4"), battery_field("D4"), c12_field()]:
+        fields = [battery_field("C2xC4"), battery_field("D4"), c12_field(), ORDER16]
+        for field in fields:
             q = field.quotient
             w = choose_w_system(field)
             g = field.group
             for t in enumerate_cm_types(field):
                 for tau in g.elements():
-                    base = taniyama_cocycle(t, tau, w, q)
+                    base = taniyama_cocycle(t, tau, w)
                     orderings = [list(reversed(t.cosets))]
                     for _ in range(5):
                         shuffled = list(t.cosets)
@@ -190,7 +193,10 @@ class TestNegativeControl:
         c, ic = field.iota_pairs[0]
         alternative = next(w for w in field.cosets[ic] if w != reps[ic])
         reps[ic] = alternative
-        broken = WSystem.__new__(WSystem)
+        return self._unchecked(field, reps)
+
+    def _unchecked(self, field, reps):
+        broken = WSystem.__new__(WSystem)  # skips the validation in __post_init__
         object.__setattr__(broken, "field", field)
         object.__setattr__(broken, "reps", tuple(reps))
         return broken
@@ -198,17 +204,22 @@ class TestNegativeControl:
     @pytest.mark.parametrize("name", ["D4", "C2xC4"])
     def test_breaking_pairing_changes_values(self, name):
         field = battery_field(name)
-        q = field.quotient
         good = choose_w_system(field)
         broken = self._broken(field)
         changed = False
         for t in enumerate_cm_types(field):
             for tau in field.group.elements():
-                if taniyama_cocycle(t, tau, good, q) != taniyama_cocycle(
-                    t, tau, broken, q
-                ):
+                if taniyama_cocycle(t, tau, good) != taniyama_cocycle(t, tau, broken):
                     changed = True
         assert changed
+
+    def test_representative_outside_its_coset_raises(self):
+        field = battery_field("D4")
+        reps = list(choose_w_system(field).reps)
+        reps[0] = next(w for w in field.cosets[1] if w != reps[1])
+        broken = self._unchecked(field, reps)
+        with pytest.raises(FactorNotInH):
+            taniyama_cocycle(enumerate_cm_types(field)[0], 1, broken)
 
     def test_extra_system_reported(self):
         field = battery_field("C2xC4")
@@ -235,10 +246,10 @@ class TestRightTranslationConjugation:
                 for tau in normalizing:
                     moved = translate_right(g.inv(tau), t)
                     for sigma in g.elements():
-                        base = taniyama_cocycle(t, sigma, w, q)
+                        base = taniyama_cocycle(t, sigma, w)
                         # conjugation by tau descends to the quotient
                         rep_elt = next(
                             x for x in field.fixer.elements if q.project(x) == base
                         )
                         conj = g.mul(g.mul(tau, rep_elt), g.inv(tau))
-                        assert taniyama_cocycle(moved, sigma, w, q) == q.project(conj)
+                        assert taniyama_cocycle(moved, sigma, w) == q.project(conj)
