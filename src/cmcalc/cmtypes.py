@@ -237,8 +237,19 @@ def validate_cm_type(field: CMFieldHandle, subset) -> CMType:
     return CMType(field=field, cosets=tuple(chosen))
 
 
+# 2^16 = 65 536 types (the order-32 closures) is the most any report sweeps
+MAX_HALF_DEGREE = 16
+
+
+def require_enumerable(field: CMFieldHandle) -> None:
+    """Raise CMError when the field has more than 2^MAX_HALF_DEGREE CM-types."""
+    if field.half_degree > MAX_HALF_DEGREE:
+        raise CMError(f"2^{field.half_degree} CM-types exceed the enumeration bound")
+
+
 def enumerate_cm_types(field: CMFieldHandle) -> tuple[CMType, ...]:
     """All 2^g CM-types, in the deterministic binary order of iota-pair choices."""
+    require_enumerable(field)
     out = []
     for pick in itertools.product((0, 1), repeat=len(field.iota_pairs)):
         subset = tuple(pair[k] for pair, k in zip(field.iota_pairs, pick))

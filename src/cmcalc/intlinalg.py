@@ -5,14 +5,21 @@ arbitrary precision and no floating point appears anywhere.  Sublattices of
 Z^n are represented by their row-style Hermite normal form, so lattice
 equality is syntactic equality of the canonical bases.
 
-Conventions:
-  * row HNF: ``U @ M == H`` with U unimodular, pivots positive, entries
-    above a pivot reduced into [0, pivot);
-  * Smith form: ``U @ M @ V == D`` diagonal with d_i | d_{i+1}, d_i >= 0;
+No transform is built that no caller reads.  Each output is certified
+instead, and a failed certificate raises InternalInconsistency:
+  * row HNF H of M: pivots positive in strictly increasing columns, entries
+    above a pivot in [0, pivot), and every row of M reduces to zero against
+    H (the row operations are unimodular, so span H lies in span M);
+  * kernels and solves reuse that elimination on [M^T | I]: M @ k == 0 and
+    rank M + len(kernel) == cols, and M @ x == b;
+  * Smith form: only D (diagonal, d_i | d_{i+1}, d_i >= 0) and V are built,
+    and present_abelian certifies the presentation it reads from them;
   * linear maps act on column vectors, lattices are spanned by basis rows.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 from .errors import InternalInconsistency
 
@@ -26,10 +33,6 @@ def freeze(rows) -> Matrix:
 
 def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def zero_matrix(rows: int, cols: int) -> Matrix:
-    return tuple((0,) * cols for _ in range(rows))
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -63,166 +66,133 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
 
-def hermite_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
-    """Return (H, U) with U unimodular and U @ m == H in row HNF."""
+def hermite_normal_form(m: Matrix) -> Matrix:
+    """Row HNF of m (nonzero rows, then zero rows), certified as above."""
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    a = [list(row) for row in m]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-
-    def row_sub(i, q, k):
-        if q:
-            ai, ak = a[i], a[k]
-            for j in range(nc):
-                ai[j] -= q * ak[j]
-            ui, uk = u[i], u[k]
-            for j in range(nr):
-                ui[j] -= q * uk[j]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
+    a = [list(row) for row in m if any(row)]  # zero rows never pivot
+    n = len(a)
     r = 0
     for col in range(nc):
+        if r == n:
+            break
         while True:
-            nz = [i for i in range(r, nr) if a[i][col] != 0]
+            nz = [i for i in range(r, n) if a[i][col]]
             if not nz:
                 break
             i0 = min(nz, key=lambda i: abs(a[i][col]))
             a[r], a[i0] = a[i0], a[r]
-            u[r], u[i0] = u[i0], u[r]
+            prow = a[r]
             clean = True
-            p = a[r][col]
-            for i in range(r + 1, nr):
-                if a[i][col]:
-                    row_sub(i, a[i][col] // p, r)
-                    if a[i][col]:
-                        clean = False
+            for i in nz:
+                if i > r and a[i][col]:
+                    q = a[i][col] // prow[col]
+                    a[i] = [x - q * y for x, y in zip(a[i], prow)]
+                    clean = clean and not a[i][col]
             if clean:
                 break
-        if not [i for i in range(r, nr) if a[i][col] != 0]:
+        prow = a[r]
+        if not prow[col]:
             continue
-        if a[r][col] < 0:
-            row_neg(r)
-        p = a[r][col]
+        if prow[col] < 0:
+            a[r] = prow = [-x for x in prow]
         for i in range(r):
-            row_sub(i, a[i][col] // p, r)
+            q = a[i][col] // prow[col]
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], prow)]
         r += 1
-        if r == nr:
-            break
-    h, uu = freeze(a), freeze(u)
-    if mat_mul(uu, m) != h:
-        raise InternalInconsistency("HNF transform fails U @ m == H", witness=m)
-    return h, uu
+    h = freeze(a[:r])
+    pivots = _pivots(h)
+    for k, (row, j) in enumerate(zip(h, pivots)):
+        if row[j] <= 0 or (k and j <= pivots[k - 1]) or any(
+            not 0 <= h[i][j] < row[j] for i in range(k)
+        ):
+            raise InternalInconsistency("HNF fails its shape certificate", witness=m)
+    if not rows_in_span(h, m):
+        raise InternalInconsistency("HNF does not span the input rows", witness=m)
+    return h + ((0,) * nc,) * (nr - r)
+
+
+def _pivots(rows: Matrix) -> list[int]:
+    """Column of each row's first nonzero entry (0 for a zero row)."""
+    return [row.index(next(filter(None, row), 0)) for row in rows]
+
+
+def _reduce(rows: Matrix, pivots: list[int], vec: Vector):
+    """vec minus the multiples of echelon rows that clear their pivot
+    entries; None once a pivot entry is not divisible (vec is outside)."""
+    v = list(vec)
+    for row, j in zip(rows, pivots):
+        if v[j]:
+            q, rem = divmod(v[j], row[j])
+            if rem:
+                return None
+            v = [x - q * y for x, y in zip(v, row)]
+    return v
 
 
 def hnf_basis(m: Matrix) -> Matrix:
     """Canonical basis (nonzero HNF rows) of the row span of m."""
-    h, _ = hermite_normal_form(m)
-    return tuple(row for row in h if any(row))
+    return tuple(row for row in hermite_normal_form(m) if any(row))
 
 
-def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Return (D, U, V) with U @ m @ V == D, diagonal, d_i | d_{i+1} >= 0."""
+def smith_normal_form(m: Matrix) -> tuple[Matrix, tuple, Matrix]:
+    """Return (D, (), V): D = U @ m @ V diagonal with d_i | d_{i+1}, d_i >= 0,
+    for a unimodular U that is not built; present_abelian certifies what it
+    reads from D and V."""
     nr = len(m)
     nc = len(m[0]) if nr else 0
     a = [list(row) for row in m]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    v = [list(row) for row in identity_matrix(nc)]
 
     def row_sub(i, q, k):
         if q:
-            for j in range(nc):
-                a[i][j] -= q * a[k][j]
-            for j in range(nr):
-                u[i][j] -= q * u[k][j]
+            a[i] = [x - q * y for x, y in zip(a[i], a[k])]
 
     def col_sub(j, q, k):
         if q:
-            for i in range(nr):
-                a[i][j] -= q * a[i][k]
-            for i in range(nc):
-                v[i][j] -= q * v[i][k]
-
-    def swap_rows(i, k):
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j, k):
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
+            for row in a + v:
+                row[j] -= q * row[k]
 
     t = 0
     while t < min(nr, nc):
         # prefer a unit pivot (common in the incidence systems built here)
-        pivot = None
-        for i in range(t, nr):
-            row = a[i]
-            for j in range(t, nc):
-                if abs(row[j]) == 1:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
+        rows, cols = range(t, nr), range(t, nc)
+        pivot = next(((i, j) for i in rows for j in cols if abs(a[i][j]) == 1), None)
         if pivot is None:
-            pivots = [
-                (abs(a[i][j]), i, j)
-                for i in range(t, nr)
-                for j in range(t, nc)
-                if a[i][j] != 0
-            ]
-            if not pivots:
+            nonzero = [(abs(a[i][j]), i, j) for i in rows for j in cols if a[i][j]]
+            if not nonzero:
                 break
-            _, pi, pj = min(pivots)
-            pivot = (pi, pj)
+            pivot = min(nonzero)[1:]
         pi, pj = pivot
-        swap_rows(t, pi)
-        swap_cols(t, pj)
+        a[t], a[pi] = a[pi], a[t]
+        for row in a + v:
+            row[t], row[pj] = row[pj], row[t]
         redo = False
         p = a[t][t]
         for i in range(t + 1, nr):
             if a[i][t]:
                 row_sub(i, a[i][t] // p, t)
-                if a[i][t]:
-                    redo = True
+                redo = redo or bool(a[i][t])
         if redo:
             continue
         for j in range(t + 1, nc):
             if a[t][j]:
                 col_sub(j, a[t][j] // p, t)
-                if a[t][j]:
-                    redo = True
+                redo = redo or bool(a[t][j])
         if redo:
             continue
         p = a[t][t]
-        bad = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % p != 0:
-                    bad = i
-                    break
+        if abs(p) != 1:  # a unit pivot divides every remaining entry
+            rest = range(t + 1, nc)
+            bad = next((i for i in range(t + 1, nr) for j in rest if a[i][j] % p), None)
             if bad is not None:
-                break
-        if bad is not None:
-            row_sub(t, -1, bad)  # adds row `bad` into row t
-            continue
-        if a[t][t] < 0:
+                row_sub(t, -1, bad)  # adds row `bad` into row t
+                continue
+        if p < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
-    d, uu, vv = freeze(a), freeze(u), freeze(v)
-    if mat_mul(mat_mul(uu, m), vv) != d:
-        raise InternalInconsistency("Smith transform fails U @ m @ V == D", witness=m)
-    return d, uu, vv
-
-
-def snf_diagonal(m: Matrix) -> tuple[int, ...]:
-    d, _, _ = smith_normal_form(m)
-    k = min(len(d), len(d[0]) if d else 0)
-    return tuple(d[i][i] for i in range(k))
+    return freeze(a), (), freeze(v)
 
 
 def present_abelian(n: int, mul, identity: int, killed=()):
@@ -263,29 +233,69 @@ def present_abelian(n: int, mul, identity: int, killed=()):
     kept = [i for i in range(n) if diag[i] > 1]
     moduli = tuple(diag[i] for i in kept)
     coords = [tuple(v[x][i] % diag[i] for i in kept) for x in range(n)]
+    _certify_presentation(n, mul, identity, killed, gens, moduli, coords)
     return moduli, coords
+
+
+def _certify_presentation(n, mul, identity, killed, gens, moduli, coords) -> None:
+    """coords is an isomorphism from the group modulo <killed> onto the
+    product of the Z/d_i, in invariant-factor form: it is additive along
+    every generator edge (so a homomorphism, by induction on word length),
+    kills <killed>, reaches prod d_i points, and n / prod d_i = |<killed>|."""
+    order = prod(moduli)
+    sub, frontier = {identity}, [identity]
+    while frontier:
+        y = frontier.pop()
+        for z in [mul(y, k) for k in killed]:
+            if z not in sub:
+                sub.add(z)
+                frontier.append(z)
+    if (
+        any(d < 2 for d in moduli)
+        or any(b % a for a, b in zip(moduli, moduli[1:]))
+        or any(coords[identity])
+        or any(any(coords[k]) for k in killed)
+        or len(set(coords)) != order
+        or n != order * len(sub)
+    ):
+        raise InternalInconsistency("presentation fails its certificate", witness=moduli)
+    for x in range(n):
+        for g in gens:
+            total = tuple((a + b) % d for a, b, d in zip(coords[x], coords[g], moduli))
+            if coords[mul(x, g)] != total:
+                raise InternalInconsistency("coordinates are not additive", witness=(x, g))
 
 
 def rank(m: Matrix) -> int:
     return len(hnf_basis(m))
 
 
+def _augmented(m: Matrix) -> Matrix:
+    """[m^T | I]: row j is (column j of m, e_j), so its row span is the
+    lattice of pairs (m @ x, x)."""
+    nc = len(m[0]) if m else 0
+    return tuple(
+        tuple(row[j] for row in m) + tuple(int(i == j) for i in range(nc))
+        for j in range(nc)
+    )
+
+
 def integer_kernel(m: Matrix) -> Matrix:
     """HNF basis (rows) of the right kernel {v : m @ v == 0}.
 
-    The kernel of an integer matrix is always saturated, so this basis spans
-    every rational kernel vector with integer coordinates.
+    The rows of HNF[m^T | I] with a zero left part are (0, k) for k running
+    over the HNF basis of the kernel.  The kernel of an integer matrix is
+    always saturated, so this basis spans every rational kernel vector with
+    integer coordinates.
     """
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    if nc == 0:
-        return ()
-    if nr == 0:
-        return identity_matrix(nc)
-    d, _, v = smith_normal_form(m)
-    r = sum(1 for i in range(min(nr, nc)) if d[i][i] != 0)
-    cols = transpose(v)
-    return hnf_basis(cols[r:]) if r < nc else ()
+    h = hnf_basis(_augmented(m))
+    rank_m = sum(1 for row in h if any(row[:nr]))
+    kernel = tuple(row[nr:] for row in h if not any(row[:nr]))
+    if rank_m + len(kernel) != nc or any(any(mat_vec(m, k)) for k in kernel):
+        raise InternalInconsistency("kernel fails m @ k == 0 or the rank count", witness=m)
+    return kernel
 
 
 def image_lattice(m: Matrix) -> Matrix:
@@ -297,43 +307,41 @@ def lattice_equal(a_rows: Matrix, b_rows: Matrix) -> bool:
     return hnf_basis(a_rows) == hnf_basis(b_rows)
 
 
+def rows_in_span(basis_hnf: Matrix, rows) -> bool:
+    """Whether every row lies in the integer row span of an HNF basis."""
+    basis = tuple(row for row in basis_hnf if any(row))
+    pivots = _pivots(basis)
+    for vec in rows:
+        v = _reduce(basis, pivots, vec)
+        if v is None or any(v):
+            return False
+    return True
+
+
 def in_row_span(basis_hnf: Matrix, vec: Vector) -> bool:
     """Membership of vec in the integer row span of an HNF basis."""
-    v = list(vec)
-    for row in basis_hnf:
-        j = next((k for k, x in enumerate(row) if x), None)
-        if j is None:
-            continue
-        if v[j] % row[j] == 0:
-            q = v[j] // row[j]
-            if q:
-                for k in range(len(v)):
-                    v[k] -= q * row[k]
-    return not any(v)
+    return rows_in_span(basis_hnf, (vec,))
 
 
 def lattice_contains(big_rows: Matrix, small_rows: Matrix) -> bool:
-    basis = hnf_basis(big_rows)
-    return all(in_row_span(basis, row) for row in small_rows)
+    return rows_in_span(hnf_basis(big_rows), small_rows)
 
 
 def solve_integer(m: Matrix, b: Vector):
-    """One integer solution x of m @ x == b, or None."""
+    """One integer solution x of m @ x == b, or None.
+
+    Reducing (b, 0) against the rows (m @ y, y) of HNF[m^T | I] with a
+    nonzero left part leaves (0, -x) exactly when b is in the image.
+    """
     nr = len(m)
-    nc = len(m[0]) if nr else 0
-    d, u, v = smith_normal_form(m)
-    ub = mat_vec(u, b)
-    w = [0] * nc
-    r = min(nr, nc)
-    for i in range(nr):
-        di = d[i][i] if i < r else 0
-        if di:
-            if ub[i] % di != 0:
-                return None
-            w[i] = ub[i] // di
-        elif ub[i] != 0:
-            return None
-    return mat_vec(v, tuple(w))
+    left = tuple(row for row in hnf_basis(_augmented(m)) if any(row[:nr]))
+    v = _reduce(left, _pivots(left), tuple(b) + (0,) * (len(m[0]) if nr else 0))
+    if v is None or any(v[:nr]):
+        return None
+    x = tuple(-y for y in v[nr:])
+    if mat_vec(m, x) != tuple(b):
+        raise InternalInconsistency("solution fails m @ x == b", witness=(m, b))
+    return x
 
 
 def lattice_index(sub_rows: Matrix, sup_rows: Matrix):
@@ -341,18 +349,13 @@ def lattice_index(sub_rows: Matrix, sup_rows: Matrix):
 
     Raises ValueError if sub is not contained in sup.
     """
-    sup = hnf_basis(sup_rows)
-    sub = hnf_basis(sub_rows)
+    sup, sub = hnf_basis(sup_rows), hnf_basis(sub_rows)
     supt = transpose(sup)
-    coords = []
-    for row in sub:
-        x = solve_integer(supt, row)
-        if x is None:
-            raise ValueError("not a sublattice")
-        coords.append(x)
+    coords = [solve_integer(supt, row) for row in sub]
+    if None in coords:
+        raise ValueError("not a sublattice")
     if len(sub) < len(sup):
         return None
-    idx = 1
-    for di in snf_diagonal(freeze(coords)):
-        idx *= di
-    return abs(idx)
+    # |det| of the square coordinate matrix: the product of its HNF diagonal
+    h = hnf_basis(freeze(coords))
+    return prod(h[i][i] for i in range(len(h)))

@@ -23,6 +23,7 @@ from .cmtypes import (
     CMFieldHandle,
     CMType,
     enumerate_cm_types,
+    require_enumerable,
     stabilizer,
     translate_left,
 )
@@ -54,11 +55,8 @@ class CharLattice:
     def __post_init__(self):
         cols = la.transpose(self.basis)
         for g, p in enumerate(self.action):
-            for vec in la.transpose(la.mat_mul(p, cols)):
-                if not la.in_row_span(self.basis, vec):
-                    raise InternalInconsistency(
-                        f"sublattice not stable under element {g}"
-                    )
+            if not la.rows_in_span(self.basis, la.transpose(la.mat_mul(p, cols))):
+                raise InternalInconsistency(f"sublattice not stable under element {g}")
 
     @property
     def rank(self) -> int:
@@ -392,11 +390,12 @@ def check_cm_type_generation(field: CMFieldHandle) -> dict:
     indicators = tuple(
         type_cocharacter(t).functional for t in enumerate_cm_types(field)
     )
+    # the HNF certificate shows that generated spans the indicators' lattice
     generated = la.hnf_basis(indicators)
     equal = generated == serre.basis
     index = (
-        la.lattice_index(indicators, serre.basis)
-        if la.lattice_contains(serre.basis, indicators)
+        la.lattice_index(generated, serre.basis)
+        if la.lattice_contains(serre.basis, generated)
         else None
     )
     return {
@@ -481,6 +480,7 @@ def check_norm_triangle(field: CMFieldHandle) -> dict:
 
 def serre_report(field: CMFieldHandle) -> dict:
     """Aggregate lattice report for one Galois-presented field."""
+    require_enumerable(field)  # the checks sweep every type: refuse before any lattice
     serre = field.serre_lattice
     checks = [check_norm_weight_triangle(field)]
     if not field.is_degenerate:

@@ -85,6 +85,19 @@ class TestEnumerate:
         assert code == 2 and out == ""
         assert f"iota {iota} out of range 0..3" in err
 
+    @pytest.mark.parametrize("command", ["enumerate", "serre"])
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_type_enumeration_bound(self, tmp_path, capsys, command, n):
+        # C_n has 2^(n/2) CM-types: refused before any type is built
+        cyclic = [[(a + b) % n for b in range(n)] for a in range(n)]
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"group": {"table": cyclic}, "iota": n // 2, "H": [0]}))
+        start = time.perf_counter()
+        code, out, err = run_main(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert "exceed the enumeration bound" in err
+        assert time.perf_counter() - start < 1.0
+
     def test_invalid_field_data(self, tmp_path, capsys):
         payload = {
             "group": {"table": [[0, 1], [1, 0]]},

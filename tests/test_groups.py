@@ -168,11 +168,14 @@ class TestAbelianization:
             assert kernel == set(commutator_subgroup(h).elements)
 
     def test_projection_homomorphism_exhaustive(self):
-        g = dihedral_group(4)
-        q = abelianization(g.full_subgroup())
-        for a in range(8):
-            for b in range(8):
-                assert q.project(g.mul(a, b)) == q.add(q.project(a), q.project(b))
+        # the all-pairs audit of the projection and its order, on every subgroup
+        for g in ABELIAN_TEST_GROUPS + [dihedral_group(4)]:
+            for h in _all_subgroups(g):
+                q = abelianization(h)
+                for a in h.elements:
+                    for b in h.elements:
+                        assert q.project(g.mul(a, b)) == q.add(q.project(a), q.project(b))
+                assert q.order == h.order // commutator_subgroup(h).order
 
 
 class TestTransfer:

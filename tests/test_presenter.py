@@ -12,7 +12,14 @@ import pytest
 from cmcalc import intlinalg as la
 from cmcalc.battery import BATTERY_NAMES, battery_field
 from cmcalc.groups import commutator_subgroup, cyclic_group, subgroup_generated
-from cmcalc.quadratic import QuadField, _reduce_mod, _unit_residues, ideal_from_generator
+from cmcalc.quadratic import (
+    QuadField,
+    _reduce_mod,
+    _unit_residues,
+    ideal_from_generator,
+    ray_class_group,
+)
+from linalg_oracle import snf_with_transforms
 
 # the moduli of the benchmark's rayclass workload: (d, generator, power)
 RAYCLASS_MODULI = (
@@ -48,7 +55,7 @@ def all_pairs_presenter(n, mul, identity, killed=()):
         row = [0] * n
         row[k] += 1
         rows.append(tuple(row))
-    d, _, _ = la.smith_normal_form(la.freeze(rows))
+    d, _, _ = snf_with_transforms(la.freeze(rows))
     diag = [d[i][i] for i in range(n)]
     assert 0 not in diag
     return tuple(x for x in diag if x > 1)
@@ -135,6 +142,22 @@ def test_rayclass_workload_moduli(d, gen, power):
     assert_presentation(
         len(keys), mul, index[_reduce_mod(field, modulus, field.one)], killed
     )
+
+
+@pytest.mark.parametrize(
+    "d,gen,power", RAYCLASS_MODULI + ((-1, (11, 0), 1), (-1, (13, 0), 1))
+)
+def test_ray_class_group_dlog_multiplicative(d, gen, power):
+    # the all-pairs audit of the discrete-log table; the library certifies
+    # the table at n*k cost instead (present_abelian)
+    field = QuadField(d)
+    modulus = ideal_from_generator(field.element(*gen)) ** power
+    rcg = ray_class_group(field, modulus)
+    elements = [field.element(*k) for k in sorted(set(_unit_residues(field, modulus)))]
+    logs = [rcg.dlog(x) for x in elements]
+    for x, dx in zip(elements, logs):
+        for y, dy in zip(elements, logs):
+            assert rcg.dlog(x * y) == rcg.add(dx, dy), (x, y)
 
 
 def test_trivial_group_and_killed_everything():

@@ -41,6 +41,7 @@ from cmcalc.serre import (
     weight_cocharacter,
     weight_functional,
 )
+from linalg_oracle import snf_kernel, snf_solve
 
 C2 = battery_field("C2")
 C4 = battery_field("C4")
@@ -100,7 +101,7 @@ def solved_reflex_matrix(cm_type, e_field):
         row[ident * n_k + c] = 1
         rows.append(row)
         rhs.append(1 if c in members else 0)
-    solution = la.solve_integer(la.freeze(rows), tuple(rhs))
+    solution = snf_solve(la.freeze(rows), tuple(rhs))
     if solution is None:
         return None
     return la.freeze([solution[r * n_k : (r + 1) * n_k] for r in range(n_e)])
@@ -115,7 +116,7 @@ def block_kernel_serre_basis(field):
     for p in acts:
         p_minus_1 = la.freeze([[x - y for x, y in zip(r, e)] for r, e in zip(p, ident)])
         rows.extend(la.mat_mul(p_minus_1, iota_plus))
-    return la.integer_kernel(tuple(rows))
+    return snf_kernel(tuple(rows))
 
 
 def galois_reflex(cm_type):
