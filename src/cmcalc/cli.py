@@ -148,8 +148,9 @@ def cmd_check(args) -> int:
 def cmd_zeta(args) -> int:
     if args.pmax < 3:
         raise InputError(f"--pmax must be >= 3, got {args.pmax}")
-    if args.res_scalars < 0:
-        raise InputError(f"--res-scalars must be >= 0 (0 means off), got {args.res_scalars}")
+    if args.res_scalars < 0 or args.res_scalars in (1, 2):
+        # 1 and 2 would check no odd prime
+        raise InputError(f"--res-scalars must be 0 (off) or >= 3, got {args.res_scalars}")
     try:
         a4_s, a6_s = args.curve.split(",")
         a4, a6 = int(a4_s), int(a6_s)
@@ -162,12 +163,15 @@ def cmd_zeta(args) -> int:
     curve = CurveSpec(a4=a4, a6=a6, cm_field=field)
     spec = canonical_weight_one_spec(field)
     report = verify_cm_zeta(curve, spec, args.pmax)
+    passed = report["passed"]
     if args.res_scalars:
-        report["scalar_restriction"] = verify_res_scalars(curve, args.res_scalars)
+        restriction = verify_res_scalars(curve, args.res_scalars)
+        report["scalar_restriction"] = restriction
+        passed = passed and restriction["passed"]
     if not args.verbose:
         report["primes"] = [e for e in report["primes"] if not e["match"]]
     _emit(report)
-    return 0 if report["passed"] else 1
+    return 0 if passed else 1
 
 
 def cmd_rayclass(args) -> int:

@@ -151,6 +151,15 @@ class CMFieldHandle:
             if self.iota not in sub  # otherwise the fixed field is totally real
         )
 
+    @cached_property
+    def cm_types(self) -> tuple[CMType, ...]:
+        """All 2^g CM-types, in the deterministic binary order of iota-pair
+        choices; enumerate_cm_types checks the size bound first."""
+        return tuple(
+            validate_cm_type(self, tuple(pair[k] for pair, k in zip(self.iota_pairs, pick)))
+            for pick in itertools.product((0, 1), repeat=len(self.iota_pairs))
+        )
+
     def coset_index(self, g_elt: int) -> int:
         return self.coset_table[g_elt]
 
@@ -248,13 +257,9 @@ def require_enumerable(field: CMFieldHandle) -> None:
 
 
 def enumerate_cm_types(field: CMFieldHandle) -> tuple[CMType, ...]:
-    """All 2^g CM-types, in the deterministic binary order of iota-pair choices."""
+    """All 2^g CM-types of the field (field.cm_types), after the size bound."""
     require_enumerable(field)
-    out = []
-    for pick in itertools.product((0, 1), repeat=len(field.iota_pairs)):
-        subset = tuple(pair[k] for pair, k in zip(field.iota_pairs, pick))
-        out.append(validate_cm_type(field, subset))
-    return tuple(out)
+    return field.cm_types
 
 
 def translate_left(tau: int, cm_type: CMType) -> CMType:

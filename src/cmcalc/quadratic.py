@@ -409,7 +409,8 @@ class PrimeFactorization:
 
 def factor_rational_prime(field: QuadField, p: int) -> PrimeFactorization:
     """Split/inert/ramified decision by the discriminant symbol, with
-    explicit prime ideals (class number one makes them principal)."""
+    explicit prime ideals (class number one makes them principal).  A split
+    pair comes in Hermite order, ascending (n, c, d)."""
     if not is_rational_prime(p):
         raise NotPrime(f"{p} is not a rational prime")
     disc = field.discriminant
@@ -439,22 +440,8 @@ def factor_rational_prime(field: QuadField, p: int) -> PrimeFactorization:
         )
     if first == second:
         raise InternalInconsistency("split prime with equal factors")
-    first, second = _orient_split_pair(first, second)
-    return PrimeFactorization(
-        p=p, kind="split", primes=(first, second), residue_degrees=(1, 1)
-    )
-
-
-def _orient_split_pair(first: QuadIdeal, second: QuadIdeal) -> tuple[QuadIdeal, QuadIdeal]:
-    """Deterministic order on a conjugate pair: positive omega part of the
-    primary generator when available, else lexicographic basis order."""
-    try:
-        g1 = primary_generator(first)
-        return (first, second) if g1.b > 0 else (second, first)
-    except CMError:
-        k1 = (first.n, first.c, first.d)
-        k2 = (second.n, second.c, second.d)
-        return (first, second) if k1 <= k2 else (second, first)
+    pair = tuple(sorted((first, second), key=lambda q: (q.n, q.c, q.d)))
+    return PrimeFactorization(p=p, kind="split", primes=pair, residue_degrees=(1, 1))
 
 
 @dataclass(frozen=True)

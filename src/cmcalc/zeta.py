@@ -18,12 +18,13 @@ from .errors import (BadPrime, CMError, InternalInconsistency, NotCoprime,
                      RamifiedOrBadPrime, WeilBoundViolation)
 from .quadratic import (
     HeckeCharacterSpec,
+    PrimeFactorization,
     QuadField,
-    QuadIdeal,
     QuadInt,
     factor_rational_prime,
     hecke_eval,
     is_rational_prime,
+    legendre,
 )
 
 
@@ -145,23 +146,21 @@ def euler_from_counts(p: int, a_p: int) -> EulerFactor:
     return EulerFactor((1, -a_p, p))
 
 
-def euler_from_hecke(spec: HeckeCharacterSpec, p: int) -> EulerFactor:
-    """Local factor from character values at the primes above p.
+def euler_from_hecke(spec: HeckeCharacterSpec, fac: PrimeFactorization) -> EulerFactor:
+    """Local factor from character values at the primes of a factorization.
 
     Split p: (1 - chi(P) T)(1 - chi(P') T) with integer coefficients by
     conjugate symmetry; inert p: 1 - chi((p)) T^2.  Ramified primes and
     primes meeting the conductor are refused.
     """
-    field = spec.field
-    if not is_rational_prime(p):
-        raise RamifiedOrBadPrime(f"{p} is not prime")
-    fac = factor_rational_prime(field, p)
+    if any(prime.field != spec.field for prime in fac.primes):
+        raise CMError("factorization belongs to a different field")
     if fac.kind == "ramified":
-        raise RamifiedOrBadPrime(f"{p} ramifies in the CM field")
+        raise RamifiedOrBadPrime(f"{fac.p} ramifies in the CM field")
     try:
         values = [hecke_eval(spec, prime) for prime in fac.primes]
     except NotCoprime as exc:
-        raise RamifiedOrBadPrime(f"{p} meets the conductor") from exc
+        raise RamifiedOrBadPrime(f"{fac.p} meets the conductor") from exc
     if fac.kind == "inert":
         value = values[0]
         if value.b != 0:
@@ -176,12 +175,13 @@ def euler_from_hecke(spec: HeckeCharacterSpec, p: int) -> EulerFactor:
     return EulerFactor((1, -s.a, q.a))
 
 
-def verify_cm_zeta(curve: CurveSpec, spec: HeckeCharacterSpec, p_max: int) -> dict:
-    """Exact comparison of counting and character factors for odd good p."""
-    primes_checked = []
-    excluded = []
-    mismatches = []
-    conductor_norm = spec.conductor.norm
+def _sweep_primes(curve: CurveSpec, p_max: int, excluded: list, conductor_norm: int = 1):
+    """Yield (p, factorization) for the primes p <= p_max that a sweep checks.
+
+    Each other prime is appended to ``excluded`` with the first reason that
+    applies: bad_reduction (p = 2 or bad for the curve), conductor (p divides
+    ``conductor_norm``; 1 excludes none), ramified (in the CM field).
+    """
     for p in range(2, p_max + 1):
         if not is_rational_prime(p):
             continue
@@ -195,9 +195,18 @@ def verify_cm_zeta(curve: CurveSpec, spec: HeckeCharacterSpec, p_max: int) -> di
         if fac.kind == "ramified":
             excluded.append({"p": p, "reason": "ramified"})
             continue
+        yield p, fac
+
+
+def verify_cm_zeta(curve: CurveSpec, spec: HeckeCharacterSpec, p_max: int) -> dict:
+    """Exact comparison of counting and character factors for odd good p."""
+    primes_checked = []
+    excluded = []
+    mismatches = []
+    for p, fac in _sweep_primes(curve, p_max, excluded, spec.conductor.norm):
         count, a_p = count_points(curve, p)
         from_counts = euler_from_counts(p, a_p)
-        from_hecke = euler_from_hecke(spec, p)
+        from_hecke = euler_from_hecke(spec, fac)
         match = from_counts == from_hecke
         entry = {
             "p": p,
@@ -227,20 +236,6 @@ def verify_cm_zeta(curve: CurveSpec, spec: HeckeCharacterSpec, p_max: int) -> di
 
 
 # --- scalar restriction ------------------------------------------------------
-
-
-def _as_quadint(field: QuadField, value) -> QuadInt:
-    if isinstance(value, QuadInt):
-        if value.field != field:
-            raise CMError("coefficient from a different field")
-        return value
-    return field.element(int(value))
-
-
-def _residue_image_degree_one(prime: QuadIdeal, x: QuadInt) -> int:
-    """Image of x in O/P = F_p for a degree-one prime (omega maps to -c)."""
-    p = prime.n
-    return (x.a - x.b * prime.c) % p
 
 
 def count_points_quadratic_extension(
@@ -296,52 +291,36 @@ def _weil_quartic_from_counts(p: int, n1: int, n2: int) -> EulerFactor:
     return EulerFactor((1, c1, c2, p * c1, p * p))
 
 
-def verify_res_scalars(curve: CurveSpec, p_max: int, a4=None, a6=None) -> dict:
+def verify_res_scalars(curve: CurveSpec, p_max: int) -> dict:
     """Scalar-restriction check: per-place factors against surface counts.
 
-    The curve is read over the CM field (coefficients may be ring elements
-    via ``a4``/``a6``).  For each good odd prime, the degree-4 factor
-    reconstructed from the restricted surface's counts over F_p and F_{p^2}
-    must equal the product over places v | p of the curve factors in
-    T^{f_v}.
+    The rational curve is read over the CM field.  For each good odd prime
+    unramified there, the degree-4 factor reconstructed from the restricted
+    surface's counts over F_p and F_{p^2} must equal the product over
+    places v | p of the curve factors in T^{f_v}.
     """
     field = curve.cm_field
-    c4 = _as_quadint(field, curve.a4 if a4 is None else a4)
-    c6 = _as_quadint(field, curve.a6 if a6 is None else a6)
     results = []
     excluded = []
     mismatches = []
-    for p in range(2, p_max + 1):
-        if not is_rational_prime(p):
-            continue
-        if p == 2 or not curve.is_good(p):
-            excluded.append({"p": p, "reason": "bad_reduction"})
-            continue
-        fac = factor_rational_prime(field, p)
-        if fac.kind == "ramified":
-            excluded.append({"p": p, "reason": "ramified"})
-            continue
-        lift_consistent = True
+    for p, fac in _sweep_primes(curve, p_max, excluded):
         if fac.kind == "split":
-            place_factors = []
-            base_counts = []
-            ext_counts = []
-            for prime in fac.primes:
-                r4 = _residue_image_degree_one(prime, c4)
-                r6 = _residue_image_degree_one(prime, c6)
-                count, a_p = _count_fp(r4, r6, p)
-                ext = _count_fp2((0, _non_residue(p)), (r4, 0), (r6, 0), p)
-                place_factors.append(euler_from_counts(p, a_p))
-                base_counts.append(count)
-                ext_counts.append(ext)
-                # the two independent counts must satisfy the quadratic lift
-                if ext != p * p + 1 - (a_p * a_p - 2 * p):
-                    lift_consistent = False
-            induced = place_factors[0] * place_factors[1]
-            n1 = base_counts[0] * base_counts[1]
-            n2 = ext_counts[0] * ext_counts[1]
+            # both places have residue field F_p, where the rational curve
+            # reduces to the same curve: count it once and square
+            a4, a6 = curve.a4 % p, curve.a6 % p
+            count, a_p = _count_fp(a4, a6, p)
+            ext = _count_fp2((0, _non_residue(p)), (a4, 0), (a6, 0), p)
+            # the two independent counts must satisfy the quadratic lift
+            lift_consistent = ext == p * p + 1 - (a_p * a_p - 2 * p)
+            place = euler_from_counts(p, a_p)
+            induced = place * place
+            n1 = count * count
+            n2 = ext * ext
         else:
-            count_ext = count_points_quadratic_extension(field, c4, c6, p)
+            lift_consistent = True
+            count_ext = count_points_quadratic_extension(
+                field, field.element(curve.a4), field.element(curve.a6), p
+            )
             a_v = p * p + 1 - count_ext
             if a_v * a_v > 4 * p * p:
                 raise WeilBoundViolation(f"a = {a_v} breaks a^2 <= 4q at q = {p}^2",
@@ -378,8 +357,8 @@ def verify_res_scalars(curve: CurveSpec, p_max: int, a4=None, a6=None) -> dict:
 
 
 def _non_residue(p: int) -> int:
-    leg = legendre_table(p)
+    """The least quadratic non-residue modulo the odd prime p."""
     for x in range(2, p):
-        if leg[x] == -1:
+        if legendre(x, p) == -1:
             return x
     raise InternalInconsistency("no quadratic non-residue found")

@@ -185,6 +185,34 @@ class TestZeta:
         )
         assert code == 2 and out == "" and "--res-scalars" in err
 
+    @pytest.mark.parametrize("res", ["1", "2"])
+    def test_res_scalars_without_odd_prime(self, capsys, res):
+        code, out, err = run_main(
+            capsys, "zeta", "--curve", "-1,0", "--d", "-1", "--pmax", "5",
+            "--res-scalars", res,
+        )
+        assert code == 2 and out == "" and "--res-scalars" in err
+
+    def test_failed_scalar_restriction_exits_one(self, capsys, monkeypatch):
+        from cmcalc import cli
+        from cmcalc.zeta import verify_res_scalars
+
+        def with_mismatch(curve, p_max):
+            rep = verify_res_scalars(curve, p_max)
+            rep["primes"][0]["match"] = False
+            rep["summary"]["mismatches"] = 1
+            rep["passed"] = False
+            return rep
+
+        monkeypatch.setattr(cli, "verify_res_scalars", with_mismatch)
+        code, out, _ = run_main(
+            capsys, "zeta", "--curve", "-1,0", "--d", "-1", "--pmax", "13",
+            "--res-scalars", "13",
+        )
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["passed"] and not rep["scalar_restriction"]["passed"]
+
     def test_res_scalars_zero_means_off(self, capsys):
         code, out, _ = run_main(
             capsys, "zeta", "--curve", "-1,0", "--d", "-1", "--pmax", "13",

@@ -108,6 +108,31 @@ class TestEnumeration:
     def test_klein_four_types(self):
         assert len(enumerate_cm_types(klein_field())) == 4
 
+    def test_enumerated_once_per_handle(self):
+        import itertools
+
+        for field in ALL_TEST_FIELDS:
+            types = enumerate_cm_types(field)
+            assert enumerate_cm_types(field) is types
+            binary = [
+                tuple(sorted(pair[k] for pair, k in zip(field.iota_pairs, pick)))
+                for pick in itertools.product((0, 1), repeat=len(field.iota_pairs))
+            ]
+            assert [t.cosets for t in types] == binary
+
+    def test_bound_refuses_before_any_type(self, monkeypatch):
+        import cmcalc.cmtypes as cmtypes
+
+        def refuse(*args):
+            raise AssertionError("a CM-type was built")
+
+        monkeypatch.setattr(cmtypes, "validate_cm_type", refuse)
+        g = cyclic_group(64)
+        field = CMFieldHandle(group=g, iota=32, fixer=g.trivial_subgroup())
+        with pytest.raises(CMError, match="exceed the enumeration bound"):
+            enumerate_cm_types(field)
+        assert "cm_types" not in vars(field)
+
     def test_census_all_fields(self):
         for field in ALL_TEST_FIELDS:
             types = enumerate_cm_types(field)

@@ -204,6 +204,15 @@ class TestFactorization:
                     product = product * fac.primes[0]
                 assert product == ideal_from_generator(f.element(p))
 
+    def test_split_pairs_in_hermite_order(self):
+        for d in CLASS_NUMBER_ONE:
+            f = QuadField(d)
+            for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
+                fac = factor_rational_prime(f, p)
+                if fac.kind == "split":
+                    first, second = fac.primes
+                    assert (first.n, first.c, first.d) < (second.n, second.c, second.d)
+
     def test_eisenstein_7_splits(self):
         fac = factor_rational_prime(EISENSTEIN, 7)
         assert fac.kind == "split"

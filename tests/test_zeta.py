@@ -141,20 +141,31 @@ class TestEulerFactors:
 
     def test_hecke_split(self):
         spec = canonical_weight_one_spec(GAUSS)
-        assert euler_from_hecke(spec, 5).coefficients == (1, 2, 5)
-        assert euler_from_hecke(spec, 13).coefficients == (1, -6, 13)
+        assert euler_from_hecke(spec, factor_rational_prime(GAUSS, 5)).coefficients == (1, 2, 5)
+        assert euler_from_hecke(spec, factor_rational_prime(GAUSS, 13)).coefficients == (1, -6, 13)
 
     def test_hecke_inert(self):
         spec = canonical_weight_one_spec(GAUSS)
-        assert euler_from_hecke(spec, 3).coefficients == (1, 0, 3)
+        assert euler_from_hecke(spec, factor_rational_prime(GAUSS, 3)).coefficients == (1, 0, 3)
 
     def test_hecke_ramified_refused(self):
         spec = canonical_weight_one_spec(GAUSS)
         with pytest.raises(RamifiedOrBadPrime):
-            euler_from_hecke(spec, 2)
+            euler_from_hecke(spec, factor_rational_prime(GAUSS, 2))
         spec3 = canonical_weight_one_spec(EISENSTEIN)
         with pytest.raises(RamifiedOrBadPrime):
-            euler_from_hecke(spec3, 3)
+            euler_from_hecke(spec3, factor_rational_prime(EISENSTEIN, 3))
+
+    def test_hecke_conductor_refused(self):
+        conductor = canonical_conductor(GAUSS) * ideal_from_generator(GAUSS.element(3, 0))
+        spec = HeckeCharacterSpec(field=GAUSS, conductor=conductor, infinity_type=(1, 0))
+        with pytest.raises(RamifiedOrBadPrime, match="meets the conductor"):
+            euler_from_hecke(spec, factor_rational_prime(GAUSS, 3))
+
+    def test_hecke_foreign_factorization_refused(self):
+        spec = canonical_weight_one_spec(GAUSS)
+        with pytest.raises(CMError, match="different field"):
+            euler_from_hecke(spec, factor_rational_prime(EISENSTEIN, 7))
 
     def test_polynomial_ops(self):
         f = EulerFactor((1, 2, 5))
@@ -228,6 +239,23 @@ class TestZetaSweep:
         )
         assert verify_cm_zeta(CURVE, spec, 100)["passed"]
 
+    def test_exclusion_reasons_in_order(self):
+        # p = 3 is good for y^2 = x^3 - x, divides the norm of the (3)
+        # convention modulus and ramifies in Q(sqrt(-3)): the conductor
+        # reason is recorded first
+        curve = CurveSpec(a4=-1, a6=0, cm_field=EISENSTEIN)
+        rep = verify_cm_zeta(curve, canonical_weight_one_spec(EISENSTEIN), 20)
+        assert rep["excluded"] == [
+            {"p": 2, "reason": "bad_reduction"},
+            {"p": 3, "reason": "conductor"},
+        ]
+        assert [e["p"] for e in rep["primes"]] == [5, 7, 11, 13, 17, 19]
+        rs = verify_res_scalars(curve, 20)
+        assert rs["excluded"] == [
+            {"p": 2, "reason": "bad_reduction"},
+            {"p": 3, "reason": "ramified"},
+        ]
+
     def test_secondary_target_eisenstein(self):
         # frozen convention: generator congruent to 1 mod (3), no twist
         rep = verify_cm_zeta(CUBE_CURVE, canonical_weight_one_spec(EISENSTEIN), 300)
@@ -262,3 +290,60 @@ class TestScalarRestriction:
     def test_eisenstein_curve(self):
         rep = verify_res_scalars(CUBE_CURVE, 40)
         assert rep["passed"]
+
+
+class TestPrimeArithmeticOnce:
+    """Each sweep factors each prime once and counts each curve once."""
+
+    @staticmethod
+    def counting(monkeypatch, module, name, calls):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append((name, args))
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def test_zeta_sweep(self, monkeypatch):
+        import cmcalc.quadratic as quadratic
+        import cmcalc.zeta as zeta
+
+        calls = []
+        for module, name in ((zeta, "factor_rational_prime"), (zeta, "hecke_eval"),
+                             (quadratic, "primary_generator")):
+            self.counting(monkeypatch, module, name, calls)
+        rep = zeta.verify_cm_zeta(CURVE, canonical_weight_one_spec(GAUSS), 500)
+        names = [name for name, _ in calls]
+        # every prime past the bad-reduction and conductor tests is factored once
+        factored = [args[1] for name, args in calls if name == "factor_rational_prime"]
+        assert factored == [e["p"] for e in rep["primes"]]
+        assert names.count("primary_generator") == names.count("hecke_eval") > 0
+
+    def test_res_scalars(self, monkeypatch):
+        import cmcalc.zeta as zeta
+
+        calls = []
+        for name in ("factor_rational_prime", "_count_fp", "_count_fp2"):
+            self.counting(monkeypatch, zeta, name, calls)
+        rep = zeta.verify_res_scalars(CURVE, 60)
+        assert rep["passed"]
+        kinds = {e["p"]: e["splitting"] for e in rep["primes"]}
+        split = [p for p, kind in kinds.items() if kind == "split"]
+        assert split and len(split) < len(kinds)
+        factored = [args[1] for name, args in calls if name == "factor_rational_prime"]
+        assert factored == list(kinds)
+        # one F_p count per split prime, one F_{p^2} count per prime
+        assert [args[2] for name, args in calls if name == "_count_fp"] == split
+        assert [args[3] for name, args in calls if name == "_count_fp2"] == list(kinds)
+
+    def test_factorization_calls_no_primary_generator(self, monkeypatch):
+        import cmcalc.quadratic as quadratic
+
+        def refuse(*args):
+            raise AssertionError("factor_rational_prime asked for a primary generator")
+
+        monkeypatch.setattr(quadratic, "primary_generator", refuse)
+        for d in (-1, -3):
+            for p in (3, 5, 7, 13, 97):
+                factor_rational_prime(QuadField(d), p)
