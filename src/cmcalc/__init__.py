@@ -2,7 +2,7 @@
 contexts, Serre-quotient character lattices, transfer cocycles, and
 Hecke-character reconstructions of CM elliptic-curve zeta data."""
 
-from .battery import BATTERY_NAMES, battery_field, battery_fields, closure_of
+from .battery import BATTERY_NAMES, battery_field, closure_of
 from .cmtypes import (
     CMFieldHandle,
     CMType,

@@ -37,12 +37,6 @@ def battery_field(name: str) -> CMFieldHandle:
     raise KeyError(f"unknown battery context {name!r}")
 
 
-def battery_fields(selector: str = "all") -> dict[str, CMFieldHandle]:
-    if selector == "all":
-        return {name: battery_field(name) for name in BATTERY_NAMES}
-    return {selector: battery_field(selector)}
-
-
 def closure_of(field: CMFieldHandle) -> CMFieldHandle:
     """The same context with trivial fixer (the field's Galois closure)."""
     return field.closure

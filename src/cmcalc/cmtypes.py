@@ -110,7 +110,8 @@ class CMFieldHandle:
 
     @cached_property
     def full_lattice(self) -> CharLattice:
-        """Z^Sigma with the translation action (see serre.full_character_lattice)."""
+        """Z^Sigma acted on by act_table's coset permutations (see
+        serre.full_character_lattice)."""
         from . import serre
 
         return serre.full_character_lattice(self)

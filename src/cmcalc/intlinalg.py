@@ -58,10 +58,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
-
-
 def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 

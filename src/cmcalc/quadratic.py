@@ -201,18 +201,17 @@ class QuadIdeal:
         w1 = self.field.element(self.n, 0) * self.field.element(0, 1)
         w2 = self.field.element(self.c, self.d) * self.field.element(0, 1)
         for x in (w1, w2):
-            if not self._lattice_contains(x):
+            if x not in self:
                 raise CMError("basis does not span an ideal")
 
-    def _lattice_contains(self, x: QuadInt) -> bool:
-        if x.b % self.d:
-            return False
-        q = x.b // self.d
-        rem = x.a - q * self.c
-        return rem % self.n == 0
+    def residue(self, x: QuadInt) -> tuple[int, int]:
+        """Coordinates (a, b) of the representative a + b*omega of x modulo
+        the ideal, with 0 <= a < n and 0 <= b < d."""
+        q, r = divmod(x.b, self.d)
+        return ((x.a - q * self.c) % self.n, r)
 
     def __contains__(self, x: QuadInt) -> bool:
-        return self._lattice_contains(x)
+        return self.residue(x) == (0, 0)
 
     @property
     def norm(self) -> int:
@@ -348,29 +347,19 @@ def canonical_conductor(field: QuadField) -> QuadIdeal:
     )
 
 
-def _reduce_mod(field: QuadField, modulus: QuadIdeal, x: QuadInt) -> tuple[int, int]:
-    q, r = divmod(x.b, modulus.d)
-    a = x.a - q * modulus.c
-    return (a % modulus.n, r)
-
-
 def _residues(field: QuadField, modulus: QuadIdeal):
     for b in range(modulus.d):
         for a in range(modulus.n):
             yield field.element(a, b)
 
 
-def _is_coprime_residue(field: QuadField, modulus: QuadIdeal, x: QuadInt) -> bool:
-    if x.is_zero():
-        return modulus.norm == 1
-    return (ideal_from_generator(x) + modulus).norm == 1
-
-
 def _unit_residues(field: QuadField, modulus: QuadIdeal) -> list[tuple[int, int]]:
+    # zero is a unit residue only modulo the unit ideal, where every residue is
     return [
-        _reduce_mod(field, modulus, x)
+        modulus.residue(x)
         for x in _residues(field, modulus)
-        if _is_coprime_residue(field, modulus, x)
+        if modulus.norm == 1
+        or (not x.is_zero() and ideal_from_generator(x).is_coprime(modulus))
     ]
 
 
@@ -384,12 +373,14 @@ def primary_generator(ideal: QuadIdeal, conductor: QuadIdeal | None = None) -> Q
     field = ideal.field
     if conductor is None:
         conductor = canonical_conductor(field)
-    if not ideal.is_coprime(conductor):
-        raise NotCoprime("ideal is not coprime to the convention conductor")
     g = find_generator(ideal)
     matches = [
         u * g for u in field.units if conductor.divides_element(u * g - field.one)
     ]
+    # an associate congruent to 1 puts 1 in ideal + conductor, so only a
+    # failure needs the coprimality test, to tell the two errors apart
+    if not matches and not ideal.is_coprime(conductor):
+        raise NotCoprime("ideal is not coprime to the convention conductor")
     if len(matches) != 1:
         raise NoPrimaryGenerator(
             f"{len(matches)} associates congruent to 1 modulo the conductor"
@@ -464,8 +455,7 @@ class RayClassGroup:
         return n
 
     def dlog(self, x: QuadInt) -> tuple[int, ...]:
-        field = self.modulus.field
-        key = _reduce_mod(field, self.modulus, x)
+        key = self.modulus.residue(x)
         if key not in self._dlog:
             raise NotCoprime("element is not coprime to the modulus")
         return self._dlog[key]
@@ -487,7 +477,7 @@ def ray_class_group(field: QuadField, modulus: QuadIdeal) -> RayClassGroup:
     index = {k: i for i, k in enumerate(keys)}
 
     def index_of(x):
-        return index[_reduce_mod(field, modulus, x)]
+        return index[modulus.residue(x)]
 
     def mul(i, j):
         return index_of(field.element(*keys[i]) * field.element(*keys[j]))

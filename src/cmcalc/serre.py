@@ -44,18 +44,19 @@ Vector = la.Vector
 class CharLattice:
     """A sublattice of Z^ambient_rank stable under a group action.
 
-    ``basis`` holds the canonical (row HNF) basis; ``action`` maps each
-    group element to its ambient permutation matrix, indexed by element.
+    ``basis`` holds the canonical (row HNF) basis; ``action`` holds one
+    coordinate permutation per group element, indexed by element:
+    ``action[g][c]`` is the coordinate that g sends c to (for a field, its
+    handle's ``act_table``).
     """
 
     ambient_rank: int
     basis: Matrix
-    action: tuple[Matrix, ...]
+    action: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        cols = la.transpose(self.basis)
-        for g, p in enumerate(self.action):
-            if not la.rows_in_span(self.basis, la.transpose(la.mat_mul(p, cols))):
+        for g, perm in enumerate(self.action):
+            if not la.rows_in_span(self.basis, (_permute(row, perm) for row in self.basis)):
                 raise InternalInconsistency(f"sublattice not stable under element {g}")
 
     @property
@@ -88,8 +89,8 @@ class Cocharacter:
 
     def translated(self, g_elt: int) -> "Cocharacter":
         """Galois translate: (g mu)(chi) = mu(g^-1 chi)."""
-        p = self.lattice.action[g_elt]
-        return Cocharacter(lattice=self.lattice, functional=la.mat_vec(p, self.functional))
+        perm = self.lattice.action[g_elt]
+        return Cocharacter(lattice=self.lattice, functional=_permute(self.functional, perm))
 
 
 @dataclass(frozen=True)
@@ -106,15 +107,16 @@ class LatticeMap:
     matrix: Matrix
 
     def __post_init__(self):
-        # basis vectors as columns, so the checks are sparse matrix products
-        cols = la.transpose(self.source.basis)
-        pushed = la.mat_mul(self.matrix, cols)
+        # basis vectors as columns, so the checks are sparse matrix products;
+        # the target action permutes the rows of the pushed columns
+        basis = self.source.basis
+        pushed = la.mat_mul(self.matrix, la.transpose(basis))
         for vec in la.transpose(pushed):
             if not self.target.contains(vec):
                 raise InternalInconsistency("map does not land in the target lattice")
-        for g in range(len(self.source.action)):
-            moved = la.mat_mul(self.source.action[g], cols)
-            if la.mat_mul(self.matrix, moved) != la.mat_mul(self.target.action[g], pushed):
+        for g, perm in enumerate(self.source.action):
+            moved = la.transpose(tuple(_permute(row, perm) for row in basis))
+            if la.mat_mul(self.matrix, moved) != _permute(pushed, self.target.action[g]):
                 raise InternalInconsistency(f"map is not equivariant at element {g}")
 
     def apply(self, vec: Vector) -> Vector:
@@ -125,17 +127,21 @@ class LatticeMap:
         return la.rank(pushed)
 
 
+def _permute(items, perm) -> tuple:
+    """Move entry c to position perm[c]: a permutation matrix times items."""
+    out = [None] * len(perm)
+    for c, item in zip(perm, items):
+        out[c] = item
+    return tuple(out)
+
+
 def full_character_lattice(field: CMFieldHandle) -> CharLattice:
-    """All of Z^Sigma with the left-translation action on embedding cosets.
+    """All of Z^Sigma, acted on by the handle's left translations of cosets.
 
     Prefer ``field.full_lattice``, which builds this once per handle.
     """
     n = field.degree
-    action = tuple(
-        la.freeze([[1 if row[c] == r else 0 for c in range(n)] for r in range(n)])
-        for row in field.act_table
-    )
-    return CharLattice(ambient_rank=n, basis=la.identity_matrix(n), action=action)
+    return CharLattice(ambient_rank=n, basis=la.identity_matrix(n), action=field.act_table)
 
 
 def _require_galois(field: CMFieldHandle) -> None:
@@ -158,7 +164,7 @@ def serre_character_lattice(field: CMFieldHandle) -> CharLattice:
     sums = [[1 if x in pair else 0 for x in range(n)] for pair in field.iota_pairs]
     rows = la.freeze([[a - b for a, b in zip(sums[0], s)] for s in sums[1:]])
     basis = la.integer_kernel(rows) if rows else la.identity_matrix(n)
-    return CharLattice(ambient_rank=n, basis=basis, action=field.full_lattice.action)
+    return CharLattice(ambient_rank=n, basis=basis, action=field.act_table)
 
 
 def identity_cocharacter(field: CMFieldHandle) -> Cocharacter:
@@ -170,7 +176,7 @@ def identity_cocharacter(field: CMFieldHandle) -> Cocharacter:
 
 def weight_functional(field: CMFieldHandle, mu: Vector) -> Vector:
     """The weight -(iota + 1) mu of an ambient cocharacter vector."""
-    moved = la.mat_vec(field.full_lattice.action[field.iota], mu)
+    moved = _permute(mu, field.act_table[field.iota])
     return tuple(-(a + b) for a, b in zip(mu, moved))
 
 
@@ -277,11 +283,12 @@ def reciprocity_cocharacter(
     if len(t_lattice.action) != group.order:
         raise NotSerrePair("lattice action does not match the ambient group", "input")
     iota = e_field.iota
-    for g in group.elements():
-        gi = la.mat_mul(t_lattice.action[g], t_lattice.action[iota])
-        ig = la.mat_mul(t_lattice.action[iota], t_lattice.action[g])
+    p_iota = t_lattice.action[iota]
+    for p_g in t_lattice.action:
+        gi = tuple(p_g[c] for c in p_iota)  # g after iota
+        ig = tuple(p_iota[c] for c in p_g)  # iota after g
         for row in t_lattice.basis:
-            if la.mat_vec(gi, row) != la.mat_vec(ig, row):
+            if _permute(row, gi) != _permute(row, ig):
                 raise NotSerrePair(
                     "the two involution orderings act differently", "commuting"
                 )
@@ -369,13 +376,12 @@ def check_norm_weight_triangle(field: CMFieldHandle) -> dict:
     _require_galois(field)
     serre = field.serre_lattice
     n = field.degree
-    acts = field.full_lattice.action
-    one_plus_iota = la.mat_add(acts[field.iota], la.identity_matrix(n))
+    p_iota = field.act_table[field.iota]
     mu = identity_cocharacter(field).functional
     w = weight_functional(field, mu)
     ok = True
     for row in serre.basis:
-        lhs = la.mat_vec(one_plus_iota, row)
+        lhs = tuple(a + b for a, b in zip(row, _permute(row, p_iota)))
         scale = -sum(x * y for x, y in zip(w, row))
         if lhs != (scale,) * n:
             ok = False
@@ -408,34 +414,29 @@ def check_cm_type_generation(field: CMFieldHandle) -> dict:
     }
 
 
-def _right_translation_matrix(closure: CMFieldHandle, tau: int) -> Matrix:
-    """[x] |-> [x tau] on the closure's embedding cosets (trivial fixer)."""
-    group = closure.group
-    n = closure.degree
-    rows = [[0] * n for _ in range(n)]
-    for c in range(n):
-        target = closure.coset_index(group.mul(closure.coset_rep(c), tau))
-        rows[target][c] = 1
-    return la.freeze(rows)
-
-
 def check_translation_compatibility(field: CMFieldHandle) -> dict:
     """Reflex norm of a translated type is the right-translated reflex norm.
 
-    For every type and every tau, the matrix of the translated type equals
-    R_{tau^-1} times the original matrix, with R right translation on the
-    closure coordinates.
+    For every type and every tau, the matrix of the translated type is the
+    original matrix with its rows permuted by right translation [x] |->
+    [x tau^-1] of the closure's embedding cosets.
     """
     group, closure = field.group, field.closure
     types = enumerate_cm_types(field)
     matrices = {t.cosets: reflex_norm_map(t, closure).matrix for t in types}
-    right = [_right_translation_matrix(closure, group.inv(tau)) for tau in group.elements()]
+    right = [
+        tuple(
+            closure.coset_index(group.mul(closure.coset_rep(c), group.inv(tau)))
+            for c in range(closure.degree)
+        )
+        for tau in group.elements()
+    ]
     failures = []
     for cm_type in types:
         base = matrices[cm_type.cosets]
         for tau in group.elements():
             moved = matrices[translate_left(tau, cm_type).cosets]
-            if moved != la.mat_mul(right[tau], base):
+            if moved != _permute(base, right[tau]):
                 failures.append({"type": list(cm_type.cosets), "tau": tau})
     return {
         "law": "reflex_norm_translation",

@@ -7,11 +7,13 @@ the new hash.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
 from cmcalc import cli
 from cmcalc.battery import BATTERY_NAMES
+from cmcalc.groups import cyclic_group, dihedral_group, direct_product
 
 GOLDEN = {
     "zeta_gauss": (
@@ -30,6 +32,17 @@ GOLDEN = {
     ),
 }
 ENUMERATE_ALL = "522e9d379bfe474a55a10174868d80adcd0921e57cd38582638ca58c8606f50f"
+# concatenated over BATTERY_NAMES
+BATTERY_ALL = {
+    "serre": "4b25579f954946e99c43d260042d3b0870af611bd1fc588765c352fa132811d5",
+    "transfer": "98ebe5d4c1c068625fb414b2ddd56a029ffc2954ea20a57b72692b968d478a20",
+}
+# the order-16 field file D4 x C2, iota 4, H = [0, 8], read as ORDER16_FILE
+ORDER16_FILE = "order16.json"
+ORDER16 = {
+    "serre": "5fb22c22947d4e2e5afefe8cf9d596f14da69c3201c503714f0a1c5548ad17cc",
+    "enumerate": "c91899fb9cf98e5593017c3e923db86038d64f06f496b3a78216bd99cde66f96",
+}
 
 
 def report_text(argv):
@@ -53,3 +66,19 @@ def test_golden_report(name):
 def test_golden_battery_enumerate():
     text = "".join(report_text(["enumerate", "--battery", n]) for n in BATTERY_NAMES)
     assert sha256(text) == ENUMERATE_ALL
+
+
+@pytest.mark.parametrize("command", sorted(BATTERY_ALL))
+def test_golden_battery_report(command):
+    text = "".join(report_text([command, "--battery", n]) for n in BATTERY_NAMES)
+    assert sha256(text) == BATTERY_ALL[command]
+
+
+@pytest.mark.parametrize("command", sorted(ORDER16))
+def test_golden_order16_field_file(command, tmp_path, monkeypatch):
+    group = direct_product(dihedral_group(4), cyclic_group(2))
+    payload = {"group": {"table": [list(r) for r in group.table]}, "iota": 4, "H": [0, 8]}
+    # the report names its field file, so the file is read by a fixed relative name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / ORDER16_FILE).write_text(json.dumps(payload))
+    assert sha256(report_text([command, ORDER16_FILE])) == ORDER16[command]

@@ -14,7 +14,6 @@ from cmcalc.battery import BATTERY_NAMES, battery_field
 from cmcalc.groups import commutator_subgroup, cyclic_group, subgroup_generated
 from cmcalc.quadratic import (
     QuadField,
-    _reduce_mod,
     _unit_residues,
     ideal_from_generator,
     ray_class_group,
@@ -136,11 +135,11 @@ def test_rayclass_workload_moduli(d, gen, power):
 
     def mul(i, j):
         x = field.element(*keys[i]) * field.element(*keys[j])
-        return index[_reduce_mod(field, modulus, x)]
+        return index[modulus.residue(x)]
 
-    killed = [index[_reduce_mod(field, modulus, u)] for u in field.units]
+    killed = [index[modulus.residue(u)] for u in field.units]
     assert_presentation(
-        len(keys), mul, index[_reduce_mod(field, modulus, field.one)], killed
+        len(keys), mul, index[modulus.residue(field.one)], killed
     )
 
 

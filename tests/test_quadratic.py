@@ -389,6 +389,22 @@ class TestHecke:
         with pytest.raises(NotCoprime):
             hecke_eval(spec, ideal_from_generator(GAUSS.element(1, 1)))
 
+    @pytest.mark.parametrize("field,p", [(GAUSS, 5), (GAUSS, 3), (EISENSTEIN, 7)])
+    def test_one_coprimality_test_per_value(self, monkeypatch, field, p):
+        # primary_generator tests coprimality only when no associate matches
+        spec = canonical_weight_one_spec(field)
+        prime = factor_rational_prime(field, p).primes[0]
+        calls = []
+        is_coprime = QuadIdeal.is_coprime
+
+        def counted(self, other):
+            calls.append(other)
+            return is_coprime(self, other)
+
+        monkeypatch.setattr(QuadIdeal, "is_coprime", counted)
+        hecke_eval(spec, prime)
+        assert calls == [spec.conductor]
+
     def test_negative_infinity_type_rejected(self):
         with pytest.raises(CMError):
             HeckeCharacterSpec(

@@ -25,6 +25,7 @@ from cmcalc.groups import (
 )
 from cmcalc.serre import (
     Cocharacter,
+    _permute,
     check_cm_type_generation,
     check_norm_triangle,
     check_norm_weight_triangle,
@@ -111,7 +112,7 @@ def block_kernel_serre_basis(field):
     """Oracle: the kernel of all |G| blocks (g - 1)(iota + 1)."""
     acts = _perm_matrices(field)
     ident = la.identity_matrix(field.degree)
-    iota_plus = la.mat_add(acts[field.iota], ident)
+    iota_plus = la.freeze([[x + y for x, y in zip(r, e)] for r, e in zip(acts[field.iota], ident)])
     rows = []
     for p in acts:
         p_minus_1 = la.freeze([[x - y for x, y in zip(r, e)] for r, e in zip(p, ident)])
@@ -142,26 +143,24 @@ class TestFullLattice:
     def test_quadratic(self):
         lat = full_character_lattice(C2)
         assert lat.ambient_rank == 2 and lat.rank == 2
-        assert lat.action[1] == ((0, 1), (1, 0))
+        assert lat.action[1] == (1, 0)
 
     def test_c4_generator_is_four_cycle(self):
         lat = full_character_lattice(C4)
         p = lat.action[1]
         order = 1
         q = p
-        while q != la.identity_matrix(4):
-            q = la.mat_mul(q, p)
+        while q != tuple(range(4)):
+            q = tuple(p[c] for c in q)
             order += 1
         assert order == 4
 
     def test_actions_are_permutations(self):
         for field in GALOIS_FIELDS + [battery_field("D4")]:
             lat = full_character_lattice(field)
+            assert lat.action == field.act_table
             for p in lat.action:
-                for row in p:
-                    assert sum(row) == 1 and all(x in (0, 1) for x in row)
-                for col in la.transpose(p):
-                    assert sum(col) == 1
+                assert sorted(p) == list(range(field.degree))
 
     def test_action_is_homomorphism(self):
         for field in GALOIS_FIELDS:
@@ -169,7 +168,21 @@ class TestFullLattice:
             g = field.group
             for a in g.elements():
                 for b in g.elements():
-                    assert la.mat_mul(lat.action[a], lat.action[b]) == lat.action[g.mul(a, b)]
+                    pa, pb = lat.action[a], lat.action[b]
+                    assert tuple(pa[c] for c in pb) == lat.action[g.mul(a, b)]
+
+    def test_permute_matches_permutation_matrices(self):
+        # _permute against the coset_of-built matrices, on every basis vector
+        # and every element
+        fields = [battery_field(n) for n in BATTERY_NAMES]
+        fields += [closure_of(f) for f in fields] + [ORDER16, ORDER16.closure]
+        for field in fields:
+            n = field.degree
+            basis = la.identity_matrix(n)
+            for g, p in enumerate(_perm_matrices(field)):
+                perm = field.full_lattice.action[g]
+                for vec in basis:
+                    assert _permute(vec, perm) == la.mat_vec(p, vec)
 
 
 class TestSerreLattice:
@@ -314,8 +327,11 @@ class TestReflexNorm:
             for t in enumerate_cm_types(field):
                 m = reflex_norm_map(t, closure)
                 for g in field.group.elements():
-                    left = la.mat_mul(m.matrix, src.action[g])
-                    right = la.mat_mul(m.target.action[g], m.matrix)
+                    # matrix times P_g reads columns through g; P_g times
+                    # matrix moves rows along g
+                    perm = src.action[g]
+                    left = tuple(tuple(row[c] for c in perm) for row in m.matrix)
+                    right = _permute(m.matrix, m.target.action[g])
                     assert left == right
 
     def test_reflex_containment_required(self):
@@ -487,15 +503,15 @@ class TestReciprocity:
             reciprocity_cocharacter(lat, mu, wrong)
 
     def test_noncommuting_involution_rejected(self):
-        # action data whose matrix for some element fails to commute with
-        # the matrix assigned to the involution
+        # action data whose permutation for some element fails to commute
+        # with the permutation assigned to the involution
         from cmcalc.serre import CharLattice
 
         handle = battery_field("D4")
         d4 = handle.group
-        swap01 = la.freeze([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-        swap12 = la.freeze([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
-        ident = la.identity_matrix(3)
+        swap01 = (1, 0, 2)
+        swap12 = (0, 2, 1)
+        ident = (0, 1, 2)
         action = tuple(
             swap01 if g == handle.iota else (swap12 if g == 1 else ident)
             for g in d4.elements()

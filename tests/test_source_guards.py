@@ -32,3 +32,26 @@ def test_no_module_caches_in_galois_layers():
                     if label in names:
                         found.append(f"{name}:{node.lineno} {node.name}")
     assert found == []
+
+
+def test_serre_actions_are_not_matrices():
+    # lattice actions are the handle's coset permutations, applied by
+    # reindexing: no la.* call in serre.py takes an action as a matrix
+    path = SRC / "serre.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "la"
+        ):
+            continue
+        for arg in node.args + [kw.value for kw in node.keywords]:
+            if (
+                isinstance(arg, ast.Subscript)
+                and isinstance(arg.value, ast.Attribute)
+                and arg.value.attr in ("action", "act_table")
+            ):
+                found.append(f"serre.py:{node.lineno} la.{node.func.attr}")
+    assert found == []
