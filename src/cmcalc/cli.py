@@ -145,12 +145,19 @@ def cmd_check(args) -> int:
     return 0 if failures == 0 else 1
 
 
+# the largest sweeps accepted; a run at either bound finishes within tens of seconds
+MAX_PMAX = 10**5
+MAX_RES_SCALARS = 2000
+
+
 def cmd_zeta(args) -> int:
-    if args.pmax < 3:
-        raise InputError(f"--pmax must be >= 3, got {args.pmax}")
-    if args.res_scalars < 0 or args.res_scalars in (1, 2):
+    if not 3 <= args.pmax <= MAX_PMAX:
+        raise InputError(f"--pmax must be in 3..{MAX_PMAX}, got {args.pmax}")
+    if args.res_scalars < 0 or args.res_scalars in (1, 2) or args.res_scalars > MAX_RES_SCALARS:
         # 1 and 2 would check no odd prime
-        raise InputError(f"--res-scalars must be 0 (off) or >= 3, got {args.res_scalars}")
+        raise InputError(
+            f"--res-scalars must be 0 (off) or in 3..{MAX_RES_SCALARS}, got {args.res_scalars}"
+        )
     try:
         a4_s, a6_s = args.curve.split(",")
         a4, a6 = int(a4_s), int(a6_s)

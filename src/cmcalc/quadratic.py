@@ -284,9 +284,31 @@ def ideal_from_elements(field: QuadField, elements) -> QuadIdeal:
 
 
 def ideal_from_generator(x: QuadInt) -> QuadIdeal:
+    """The principal ideal (x) in closed form.
+
+    (x) has the Z-basis x = a + b omega and x omega = b t + (a + b s) omega.
+    Its Hermite basis is n, c + d omega with d = gcd(b, a + b s) = u b +
+    v (a + b s), c = u a + v b t modulo n, and n = N(x) / d.
+    """
     if x.is_zero():
         raise CMError("zero generates the zero ideal")
-    return ideal_from_elements(x.field, [x])
+    s, t = x.field.omega_relation
+    d, u, v = _xgcd(x.b, x.a + x.b * s)
+    n = x.norm() // d
+    return QuadIdeal(field=x.field, n=n, c=(u * x.a + v * x.b * t) % n, d=d)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with g = gcd(a, b) >= 0 and u a + v b = g."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    if a < 0:
+        return -a, -u0, -v0
+    return a, u0, v0
 
 
 def unit_ideal(field: QuadField) -> QuadIdeal:

@@ -7,12 +7,24 @@ The sweep compares the two exactly.  A second check reconstructs the
 degree-4 local factor of the scalar-restricted surface from point counts
 over F_p and F_{p^2} and compares it with the product of the per-place
 factors in T^{f_v}.
+
+Counts never look at the CM field.  Over F_q (q = p or p^2) the count N is
+one of the Hasse candidates q + 1 - h .. q + 1 + h, h = isqrt(4q).  A point
+(c x, c^2) with c = f(x) != 0 needs no square root: it lies on E when c is
+a square and on the quadratic twist, with 2q + 2 - N points, when not.
+Baby-step giant-step finds a multiple of its order in the interval, and
+dividing out prime factors gives the exact order, which strikes out every
+candidate whose count on that curve it does not divide (Shanks-Mestre;
+Cohen, GTM 138, 7.4).  Points alternate between E and its twist until one
+candidate is left; after _MAX_POINTS points the quadratic-symbol sum
+decides, and it must agree with the surviving candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import isqrt
 
 from .errors import (BadPrime, CMError, InternalInconsistency, NotCoprime,
                      RamifiedOrBadPrime, WeilBoundViolation)
@@ -46,18 +58,7 @@ class CurveSpec:
 
     @cached_property
     def bad_primes(self) -> tuple[int, ...]:
-        n = abs(self.discriminant)
-        out = []
-        f = 2
-        while f * f <= n:
-            if n % f == 0:
-                out.append(f)
-                while n % f == 0:
-                    n //= f
-            f += 1 if f == 2 else 2
-        if n > 1:
-            out.append(n)
-        return tuple(out)
+        return _prime_factors(abs(self.discriminant))
 
     def is_good(self, p: int) -> bool:
         return p not in self.bad_primes
@@ -95,6 +96,21 @@ class EulerFactor:
         return EulerFactor(tuple(out))
 
 
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
 def legendre_table(p: int) -> list[int]:
     """leg[x] for x in 0..p-1, built by marking squares."""
     table = [-1] * p
@@ -112,18 +128,218 @@ def _check_good_odd(curve: CurveSpec, p: int) -> None:
 
 
 def count_points(curve: CurveSpec, p: int) -> tuple[int, int]:
-    """(#E(F_p) including infinity, a_p) by a quadratic-symbol sum."""
+    """(#E(F_p) including infinity, a_p)."""
     _check_good_odd(curve, p)
-    return _count_fp(curve.a4 % p, curve.a6 % p, p)
+    count = count_fp(curve.a4, curve.a6, p)
+    return count, p + 1 - count
 
 
-def _count_fp(a4: int, a6: int, p: int) -> tuple[int, int]:
+def count_fp(a4: int, a6: int, p: int) -> int:
+    """#E(F_p) for y^2 = x^3 + a4 x + a6 with good reduction at the odd p."""
+    a4, a6 = a4 % p, a6 % p
+    return _hasse_count(_PrimeField(p), a4, a6, lambda: _count_fp(a4, a6, p))
+
+
+def _count_fp(a4: int, a6: int, p: int) -> int:
+    """#E(F_p) by the quadratic-symbol sum: the fallback and test oracle."""
     leg = legendre_table(p)
     total = 0
     for x in range(p):
         total += 1 + leg[(x * x % p * x + a4 * x + a6) % p]
-    count = total + 1
-    return count, p + 1 - count
+    return total + 1
+
+
+# --- point counts in the Hasse interval --------------------------------------
+
+# Points drawn before an ambiguous count falls back to the character sum.  On
+# E and its twist together, Mestre's theorem leaves no ambiguity past p = 229.
+_MAX_POINTS = 10
+
+
+class _PrimeField:
+    """F_p; elements are the integers 0..p-1."""
+
+    def __init__(self, p: int):
+        self.p = self.q = p
+        self.zero = 0
+
+    def add(self, x, y):
+        return (x + y) % self.p
+
+    def neg(self, x):
+        return -x % self.p
+
+    def mul(self, x, y):
+        return x * y % self.p
+
+    def is_square(self, x) -> bool:
+        return legendre(x, self.p) == 1
+
+    def abscissae(self):
+        return range(self.p)
+
+    def add_points(self, a, P, Q):
+        """P + Q on Y^2 = X^3 + a X + b (the law never reads b); None is the
+        point at infinity."""
+        if P is None:
+            return Q
+        if Q is None:
+            return P
+        p = self.p
+        (x1, y1), (x2, y2) = P, Q
+        if x1 == x2:
+            if y1 != y2 or y1 == 0:
+                return None
+            lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+        else:
+            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        x3 = (lam * lam - x1 - x2) % p
+        return (x3, (lam * (x1 - x3) - y1) % p)
+
+
+class _QuadraticExtension:
+    """F_{p^2} = F_p[theta], theta^2 = s theta + t; elements are pairs (u, v)
+    meaning u + v theta, with 0 <= u, v < p."""
+
+    def __init__(self, relation: tuple[int, int], p: int):
+        self.s, self.t = relation[0] % p, relation[1] % p
+        self.p, self.q = p, p * p
+        self.zero = (0, 0)
+
+    def add(self, x, y):
+        return ((x[0] + y[0]) % self.p, (x[1] + y[1]) % self.p)
+
+    def neg(self, x):
+        return (-x[0] % self.p, -x[1] % self.p)
+
+    def mul(self, x, y):
+        vv = x[1] * y[1]
+        return ((x[0] * y[0] + self.t * vv) % self.p,
+                (x[0] * y[1] + x[1] * y[0] + self.s * vv) % self.p)
+
+    def norm(self, x) -> int:
+        return (x[0] * x[0] + self.s * x[0] * x[1] - self.t * x[1] * x[1]) % self.p
+
+    def inv(self, x):
+        # the conjugate of u + v theta is (u + s v) - v theta
+        n = pow(self.norm(x), -1, self.p)
+        return ((x[0] + self.s * x[1]) * n % self.p, -x[1] * n % self.p)
+
+    def is_square(self, x) -> bool:
+        return legendre(self.norm(x), self.p) == 1
+
+    def abscissae(self):
+        # off F_p: for a curve over F_p every f(x) with x in F_p is a square
+        # in F_{p^2}, so only such x reach the twist
+        return ((u, 1) for u in range(self.p))
+
+    def add_points(self, a, P, Q):
+        """P + Q on Y^2 = X^3 + a X + b, as _PrimeField.add_points."""
+        if P is None:
+            return Q
+        if Q is None:
+            return P
+        (x1, y1), (x2, y2) = P, Q
+        if x1 == x2:
+            if y1 != y2 or y1 == self.zero:
+                return None
+            xx = self.mul(x1, x1)
+            lam = self.mul(self.add(self.add(xx, xx), self.add(xx, a)),
+                           self.inv(self.add(y1, y1)))
+        else:
+            lam = self.mul(self.add(y2, self.neg(y1)), self.inv(self.add(x2, self.neg(x1))))
+        x3 = self.add(self.mul(lam, lam), self.neg(self.add(x1, x2)))
+        return (x3, self.add(self.mul(lam, self.add(x1, self.neg(x3))), self.neg(y1)))
+
+
+def _mul(field, a, k: int, P):
+    """k P for k >= 0, by double-and-add."""
+    out = None
+    for bit in bin(k)[2:]:
+        out = field.add_points(a, out, out)
+        if bit == "1":
+            out = field.add_points(a, out, P)
+    return out
+
+
+def _point_order(field, a, b, P, lo: int, hi: int) -> int:
+    """The exact order of P on Y^2 = X^3 + a X + b, whose group order lies
+    in [lo, hi]: baby-step giant-step finds a multiple k there, then k loses
+    each prime factor that the order does not need."""
+    x, y = P
+    on_curve = field.mul(y, y) == field.add(
+        field.mul(field.add(field.mul(x, x), a), x), b)
+    k = _multiple_in_interval(field, a, P, lo, hi) if on_curve else None
+    if k is None or _mul(field, a, k, P) is not None:
+        raise InternalInconsistency("no multiple of the point in the Hasse interval",
+                                    witness=(field.q, P, k))
+    order = k
+    for ell in _prime_factors(k):
+        while order % ell == 0 and _mul(field, a, order // ell, P) is None:
+            order //= ell
+    return order
+
+
+def _multiple_in_interval(field, a, P, lo: int, hi: int):
+    """Some k in [lo, hi] with k P = O, or None: k = lo + i m + j with
+    j P = -(lo + i m) P, for baby steps j < m and giant steps i."""
+    m = isqrt(hi - lo) + 1
+    baby = {}
+    R = None
+    for j in range(m):
+        baby.setdefault(R, j)
+        R = field.add_points(a, R, P)
+    G = _mul(field, a, lo, P)
+    for start in range(lo, hi + 1, m):
+        j = baby.get(None if G is None else (G[0], field.neg(G[1])))
+        if j is not None and start + j <= hi:
+            return start + j
+        G = field.add_points(a, G, R)
+    return None
+
+
+def _hasse_count(field, a4, a6, fallback) -> int:
+    """#E(F_q) for y^2 = x^3 + a4 x + a6 nonsingular over the field.
+
+    The count N lies in the Hasse interval [q + 1 - h, q + 1 + h], h =
+    isqrt(4q).  For x with c = f(x) != 0, the point (c x, c^2) lies on
+    Y^2 = X^3 + a4 c^2 X + a6 c^3, which is E when c is a square and its
+    quadratic twist, with 2q + 2 - N points, when not.  The exact order of
+    each such point must divide the count of its curve, which strikes out
+    candidates until one is left.  After _MAX_POINTS points, ``fallback()``
+    counts by the character sum, and the result must be a candidate.
+    """
+    q = field.q
+    h = isqrt(4 * q)
+    lo, hi = q + 1 - h, q + 1 + h
+    candidates = range(lo, hi + 1)
+    drawn = 0
+    twist = False
+    for x in field.abscissae():
+        c = field.add(field.mul(field.add(field.mul(x, x), a4), x), a6)
+        # alternate between E and its twist: one curve alone can have too
+        # small an exponent to single out its count
+        if c == field.zero or field.is_square(c) == twist:
+            continue
+        c2 = field.mul(c, c)
+        a, b = field.mul(a4, c2), field.mul(a6, field.mul(c2, c))
+        order = _point_order(field, a, b, (field.mul(c, x), c2), lo, hi)
+        candidates = [n for n in candidates
+                      if (2 * q + 2 - n if twist else n) % order == 0]
+        twist = not twist
+        if len(candidates) == 1:
+            return candidates[0]
+        if not candidates:
+            raise InternalInconsistency("point orders exclude every Hasse candidate",
+                                        witness=(q, a4, a6))
+        drawn += 1
+        if drawn == _MAX_POINTS:
+            break
+    count = fallback()
+    if count not in candidates:
+        raise InternalInconsistency("character sum outside the point-order candidates",
+                                    witness=(q, a4, a6, count))
+    return count
 
 
 def count_points_naive(curve: CurveSpec, p: int) -> int:
@@ -242,11 +458,21 @@ def count_points_quadratic_extension(
     field: QuadField, a4: QuadInt, a6: QuadInt, p: int
 ) -> int:
     """#E(F_{p^2}) for an inert prime p, with F_{p^2} = F_p[omega]."""
-    return _count_fp2(field.omega_relation, (a4.a, a4.b), (a6.a, a6.b), p)
+    return count_fp2(field.omega_relation, (a4.a, a4.b), (a6.a, a6.b), p)
+
+
+def count_fp2(relation: tuple[int, int], a4: tuple[int, int], a6: tuple[int, int], p: int) -> int:
+    """#E(F_{p^2}) over F_{p^2} = F_p[theta], theta^2 = s theta + t irreducible,
+    for coefficients given as pairs (u, v) meaning u + v theta."""
+    a4 = (a4[0] % p, a4[1] % p)
+    a6 = (a6[0] % p, a6[1] % p)
+    field = _QuadraticExtension(relation, p)
+    return _hasse_count(field, a4, a6, lambda: _count_fp2(relation, a4, a6, p))
 
 
 def _count_fp2(relation: tuple[int, int], a4: tuple[int, int], a6: tuple[int, int], p: int) -> int:
-    """#E(F_{p^2}) over F_{p^2} = F_p[theta], theta^2 = s theta + t irreducible.
+    """#E(F_{p^2}) over F_p[theta] by the quadratic-symbol sum: the fallback
+    and test oracle.
 
     Coefficients are pairs (u, v) meaning u + v theta.  An element is a
     square exactly when its norm to F_p is, so one Legendre table over F_p
@@ -307,9 +533,9 @@ def verify_res_scalars(curve: CurveSpec, p_max: int) -> dict:
         if fac.kind == "split":
             # both places have residue field F_p, where the rational curve
             # reduces to the same curve: count it once and square
-            a4, a6 = curve.a4 % p, curve.a6 % p
-            count, a_p = _count_fp(a4, a6, p)
-            ext = _count_fp2((0, _non_residue(p)), (a4, 0), (a6, 0), p)
+            count = count_fp(curve.a4, curve.a6, p)
+            a_p = p + 1 - count
+            ext = count_fp2((0, _non_residue(p)), (curve.a4, 0), (curve.a6, 0), p)
             # the two independent counts must satisfy the quadratic lift
             lift_consistent = ext == p * p + 1 - (a_p * a_p - 2 * p)
             place = euler_from_counts(p, a_p)

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from cmcalc.cli import main
+from cmcalc.cli import MAX_PMAX, MAX_RES_SCALARS, main
 
 
 def run_main(capsys, *argv):
@@ -177,6 +177,19 @@ class TestZeta:
                 capsys, "zeta", "--curve", "-1,0", "--d", "-1", "--pmax", pmax
             )
             assert code == 2 and out == "" and "--pmax" in err
+
+    def test_pmax_above_bound(self, capsys):
+        code, out, err = run_main(
+            capsys, "zeta", "--curve", "-1,0", "--d", "-1", "--pmax", str(MAX_PMAX + 1)
+        )
+        assert code == 2 and out == "" and "--pmax" in err
+
+    def test_res_scalars_above_bound(self, capsys):
+        code, out, err = run_main(
+            capsys, "zeta", "--curve", "-1,0", "--d", "-1", "--pmax", "13",
+            "--res-scalars", str(MAX_RES_SCALARS + 1),
+        )
+        assert code == 2 and out == "" and "--res-scalars" in err
 
     def test_negative_res_scalars(self, capsys):
         code, out, err = run_main(

@@ -26,6 +26,11 @@ GOLDEN = {
          "--verbose"],
         "82d4c7cf2395b60967b66b517ab95cdc566e925e2ca34469ae25ca8ae6682f58",
     ),
+    "zeta_eisenstein_pmax_1e4": (
+        ["zeta", "--curve=0,16", "--d", "-3", "--pmax", "10000", "--res-scalars", "210",
+         "--verbose"],
+        "ce23fd71bbc9693ff9523eccf79c73404e9d58e29b1611adadceff3aa5d3e9a4",
+    ),
     "check": (
         ["check", "--suite", "all", "--battery", "all", "--seed", "7", "--trials", "20"],
         "9987cd74a36bb0bbca5002078c17debda8261b2996db2f0abdd9bcfd72e1279c",

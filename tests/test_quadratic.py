@@ -17,6 +17,7 @@ from cmcalc.quadratic import (
     factor_rational_prime,
     find_generator,
     hecke_eval,
+    ideal_from_elements,
     ideal_from_generator,
     infinity_type_lattice,
     is_rational_prime,
@@ -124,6 +125,16 @@ class TestIdeals:
                 q, r = divmod(y, a.d)
                 seen.add(((x - q * a.c) % a.n, r))
         assert len(seen) == a.norm
+
+    def test_closed_form_generator_matches_hnf_route(self):
+        # the generic Hermite reduction of {x, x omega} is the oracle
+        rng = random.Random(9)
+        for d in CLASS_NUMBER_ONE:
+            field = QuadField(d)
+            xs = [field.element(a, b) for a in range(-6, 7) for b in range(-6, 7) if a or b]
+            xs += [random_nonzero(field, rng, bound=10**6) for _ in range(200)]
+            for x in xs:
+                assert ideal_from_generator(x) == ideal_from_elements(field, [x]), x
 
     def test_multiplicativity_of_norm(self):
         rng = random.Random(3)

@@ -1,15 +1,20 @@
 """Point counts versus character values, and the scalar-restriction check."""
 
+import math
+
 import pytest
 
-from cmcalc.errors import BadPrime, CMError, RamifiedOrBadPrime, WeilBoundViolation
+from cmcalc.errors import (BadPrime, CMError, InternalInconsistency, RamifiedOrBadPrime,
+                           WeilBoundViolation)
 from cmcalc.quadratic import (
+    CLASS_NUMBER_ONE,
     HeckeCharacterSpec,
     QuadField,
     canonical_conductor,
     canonical_weight_one_spec,
     factor_rational_prime,
     ideal_from_generator,
+    is_rational_prime,
     ray_class_group,
 )
 from cmcalc.zeta import (
@@ -18,10 +23,15 @@ from cmcalc.zeta import (
     count_points,
     count_points_naive,
     count_points_quadratic_extension,
+    count_fp,
+    count_fp2,
     euler_from_counts,
     euler_from_hecke,
+    _count_fp,
     _count_fp2,
     _non_residue,
+    _point_order,
+    _PrimeField,
     verify_cm_zeta,
     verify_res_scalars,
 )
@@ -30,6 +40,13 @@ GAUSS = QuadField(-1)
 EISENSTEIN = QuadField(-3)
 CURVE = CurveSpec(a4=-1, a6=0, cm_field=GAUSS)
 CUBE_CURVE = CurveSpec(a4=0, a6=16, cm_field=EISENSTEIN)
+# (a4, a6): the two workload curves, then two without CM
+COUNT_CURVES = ((-1, 0), (0, 16), (1, 1), (3, 5))
+
+
+def good_odd_primes(a4, a6, p_max):
+    disc = 4 * a4**3 + 27 * a6**2
+    return [p for p in range(3, p_max + 1) if is_rational_prime(p) and disc % p]
 
 
 class TestCurveSpec:
@@ -69,6 +86,12 @@ class TestCounting:
             fast2, _ = count_points(CUBE_CURVE, p) if p != 3 else (None, None)
             if fast2 is not None:
                 assert fast2 == count_points_naive(CUBE_CURVE, p)
+
+    def test_naive_oracle_on_curves_without_cm(self):
+        for a4, a6 in COUNT_CURVES[2:]:
+            curve = CurveSpec(a4=a4, a6=a6, cm_field=GAUSS)
+            for p in good_odd_primes(a4, a6, 100):
+                assert count_points(curve, p)[0] == count_points_naive(curve, p)
 
     def test_extension_count_matches_lift(self):
         # #E(F_p^2) = p^2 + 1 - (a_p^2 - 2p) for a curve over F_p
@@ -125,6 +148,95 @@ class TestQuadraticExtensionCount:
             for a4, a6 in ((-1, 0), (0, 16), (3, 5)):
                 got = _count_fp2(relation, (a4, 0), (a6, 0), p)
                 assert got == naive_count_fp2(relation, (a4 % p, 0), (a6 % p, 0), p)
+
+
+class TestHasseCount:
+    """Point orders in the Hasse interval, on E and its twist, against the
+    character sums they replace."""
+
+    def test_matches_character_sum(self):
+        # the non-CM curves show the count never relies on CM
+        for a4, a6 in COUNT_CURVES:
+            for p in good_odd_primes(a4, a6, 2000):
+                assert count_fp(a4, a6, p) == _count_fp(a4 % p, a6 % p, p), (a4, a6, p)
+
+    def test_extension_matches_character_sum(self, monkeypatch):
+        import cmcalc.zeta as zeta
+
+        fallbacks = set()
+
+        def counting(relation, a4, a6, p):
+            fallbacks.add(p)
+            return _count_fp2(relation, a4, a6, p)
+
+        monkeypatch.setattr(zeta, "_count_fp2", counting)
+        for a4, a6 in COUNT_CURVES:
+            a4, a6 = (a4, 0), (a6, 0)
+            for p in range(3, 81):
+                if not is_rational_prime(p):
+                    continue
+                relations = [(0, _non_residue(p))] + [
+                    QuadField(d).omega_relation for d in CLASS_NUMBER_ONE
+                    if factor_rational_prime(QuadField(d), p).kind == "inert"
+                ]
+                for relation in relations:
+                    if self.nonsingular(relation, a4, a6, p):
+                        expected = _count_fp2(relation, a4, a6, p)
+                        assert count_fp2(relation, a4, a6, p) == expected, (a4, a6, p, relation)
+        # points off F_p reach the twist, so only fields with fewer such
+        # abscissae than the point budget fall back
+        assert fallbacks <= {3, 5, 7}
+
+    @staticmethod
+    def nonsingular(relation, a4, a6, p):
+        # 4 a4^3 + 27 a6^2 != 0 in F_p[theta]
+        s, t = relation
+
+        def mul(u, v):
+            return ((u[0] * v[0] + t * u[1] * v[1]) % p,
+                    (u[0] * v[1] + u[1] * v[0] + s * u[1] * v[1]) % p)
+
+        cube, square = mul(a4, mul(a4, a4)), mul(a6, a6)
+        return ((4 * cube[0] + 27 * square[0]) % p, (4 * cube[1] + 27 * square[1]) % p) != (0, 0)
+
+    def test_fallback_path(self, monkeypatch):
+        import cmcalc.zeta as zeta
+
+        fallbacks = []
+
+        def counting(a4, a6, p):
+            fallbacks.append(p)
+            return _count_fp(a4, a6, p)
+
+        monkeypatch.setattr(zeta, "_count_fp", counting)
+        for p in good_odd_primes(-1, 0, 300):
+            assert count_fp(-1, 0, p) == _count_fp(p - 1, 0, p)
+        # small fields leave several candidates after every point drawn
+        assert fallbacks == [3, 5, 7, 11, 29]
+
+    def test_point_off_the_curve_raises(self):
+        # (1, 1) is not on y^2 = x^3 - x over F_13; the chord-tangent law never
+        # reads a6, so only the on-curve test stops it
+        with pytest.raises(InternalInconsistency) as info:
+            _point_order(_PrimeField(13), 13 - 1, 0, (1, 1), 14 - 7, 14 + 7)
+        assert info.value.witness == (13, (1, 1), None)
+
+    @pytest.mark.parametrize("k", [None, 16])
+    def test_search_gate(self, monkeypatch, k):
+        import cmcalc.zeta as zeta
+
+        # (0, 4) has order 3 on y^2 = x^3 + 16 over F_13; a search that
+        # finds nothing, or a k that does not kill the point, is refused
+        monkeypatch.setattr(zeta, "_multiple_in_interval", lambda *args: k)
+        with pytest.raises(InternalInconsistency) as info:
+            _point_order(_PrimeField(13), 0, 16 % 13, (0, 4), 14 - 7, 14 + 7)
+        assert info.value.witness == (13, (0, 4), k)
+
+    def test_point_order_exact(self):
+        # (0, 4) has order 3 on y^2 = x^3 + 16 over every F_p with p > 3
+        for p in (5, 7, 11, 13, 97):
+            h = math.isqrt(4 * p)
+            assert _point_order(_PrimeField(p), 0, 16 % p, (0, 4), p + 1 - h, p + 1 + h) == 3
 
 
 class TestEulerFactors:
@@ -324,7 +436,7 @@ class TestPrimeArithmeticOnce:
         import cmcalc.zeta as zeta
 
         calls = []
-        for name in ("factor_rational_prime", "_count_fp", "_count_fp2"):
+        for name in ("factor_rational_prime", "count_fp", "count_fp2"):
             self.counting(monkeypatch, zeta, name, calls)
         rep = zeta.verify_res_scalars(CURVE, 60)
         assert rep["passed"]
@@ -334,8 +446,8 @@ class TestPrimeArithmeticOnce:
         factored = [args[1] for name, args in calls if name == "factor_rational_prime"]
         assert factored == list(kinds)
         # one F_p count per split prime, one F_{p^2} count per prime
-        assert [args[2] for name, args in calls if name == "_count_fp"] == split
-        assert [args[3] for name, args in calls if name == "_count_fp2"] == list(kinds)
+        assert [args[2] for name, args in calls if name == "count_fp"] == split
+        assert [args[3] for name, args in calls if name == "count_fp2"] == list(kinds)
 
     def test_factorization_calls_no_primary_generator(self, monkeypatch):
         import cmcalc.quadratic as quadratic
