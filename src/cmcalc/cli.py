@@ -145,7 +145,7 @@ def cmd_check(args) -> int:
     return 0 if failures == 0 else 1
 
 
-# the largest sweeps accepted; a run at either bound finishes within tens of seconds
+# the largest sweeps accepted; a run at either bound finishes in under ten seconds
 MAX_PMAX = 10**5
 MAX_RES_SCALARS = 2000
 

@@ -271,15 +271,8 @@ def abelianization(h: Subgroup) -> AbelianQuotient:
     """Compute H/[H,H] with canonical Smith-normal-form coordinates."""
     g = h.parent
     comm = commutator_subgroup(h)
-    # cosets of [H,H] inside H, labelled by minimal element
-    seen: set[int] = set()
-    cosets: list[tuple[int, ...]] = []
-    for x in h.elements:
-        if x in seen:
-            continue
-        coset = tuple(sorted(g.mul(x, c) for c in comm.elements))
-        cosets.append(coset)
-        seen.update(coset)
+    # cosets of [H,H] inside H, ordered by minimal element
+    cosets = [coset for coset in left_cosets(g, comm) if coset[0] in h]
     class_of = {x: i for i, coset in enumerate(cosets) for x in coset}
     reps = [c[0] for c in cosets]
     moduli, coords = present_abelian(

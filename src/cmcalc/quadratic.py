@@ -100,9 +100,7 @@ class QuadField:
     @cached_property
     def unit_root(self) -> "QuadInt":
         """A generator of the unit group."""
-        if self.d == -1:
-            return self.element(0, 1)
-        if self.d == -3:
+        if self.d in (-1, -3):
             return self.element(0, 1)
         return self.element(-1)
 
@@ -221,7 +219,9 @@ class QuadIdeal:
         return (self.field.element(self.n, 0), self.field.element(self.c, self.d))
 
     def conj(self) -> "QuadIdeal":
-        return ideal_from_elements(self.field, [x.conj() for x in self.basis_elements()])
+        # the conjugate of c + d omega is (c + d s) - d omega
+        s, _ = self.field.omega_relation
+        return QuadIdeal(self.field, self.n, (-self.c - self.d * s) % self.n, self.d)
 
     def __mul__(self, other: "QuadIdeal") -> "QuadIdeal":
         if self.field != other.field:
@@ -252,12 +252,6 @@ class QuadIdeal:
 
     def is_coprime(self, other: "QuadIdeal") -> bool:
         return (self + other).norm == 1
-
-    def divides_element(self, x: QuadInt) -> bool:
-        return x in self
-
-    def congruent(self, x: QuadInt, y: QuadInt) -> bool:
-        return (x - y) in self
 
     def to_json(self) -> dict:
         return {"n": self.n, "c": self.c, "d": self.d}
@@ -392,13 +386,15 @@ def primary_generator(ideal: QuadIdeal, conductor: QuadIdeal | None = None) -> Q
     NoPrimaryGenerator when no unique associate is congruent to 1 (the
     convention is then invalid for this modulus).
     """
+    return _primary_associate(ideal, find_generator(ideal), conductor)
+
+
+def _primary_associate(ideal: QuadIdeal, g: QuadInt, conductor: QuadIdeal | None = None) -> QuadInt:
+    """primary_generator's associate of the ideal's generator g, with its errors."""
     field = ideal.field
     if conductor is None:
         conductor = canonical_conductor(field)
-    g = find_generator(ideal)
-    matches = [
-        u * g for u in field.units if conductor.divides_element(u * g - field.one)
-    ]
+    matches = [u * g for u in field.units if (u * g - field.one) in conductor]
     # an associate congruent to 1 puts 1 in ideal + conductor, so only a
     # failure needs the coprimality test, to tell the two errors apart
     if not matches and not ideal.is_coprime(conductor):
@@ -412,18 +408,20 @@ def primary_generator(ideal: QuadIdeal, conductor: QuadIdeal | None = None) -> Q
 
 @dataclass(frozen=True)
 class PrimeFactorization:
-    """Decomposition of a rational prime: split, inert, or ramified."""
+    """Decomposition of a rational prime (split, inert or ramified) into
+    prime ideals, with ``generators[i]`` a generator of ``primes[i]``."""
 
     p: int
     kind: str
     primes: tuple[QuadIdeal, ...]
     residue_degrees: tuple[int, ...]
+    generators: tuple[QuadInt, ...]
 
 
 def factor_rational_prime(field: QuadField, p: int) -> PrimeFactorization:
     """Split/inert/ramified decision by the discriminant symbol, with
-    explicit prime ideals (class number one makes them principal).  A split
-    pair comes in Hermite order, ascending (n, c, d)."""
+    explicit prime ideals and their generators (class number one makes them
+    principal).  A split pair comes in Hermite order, ascending (n, c, d)."""
     if not is_rational_prime(p):
         raise NotPrime(f"{p} is not a rational prime")
     disc = field.discriminant
@@ -437,24 +435,24 @@ def factor_rational_prime(field: QuadField, p: int) -> PrimeFactorization:
             kind="inert",
             primes=(ideal_from_generator(field.element(p)),),
             residue_degrees=(2,),
+            generators=(field.element(p),),
         )
-    gen = next(
-        (x for x in _norm_form_solutions(field, p)), None
-    )
+    gen = next(_norm_form_solutions(field, p), None)
     if gen is None:
         raise InternalInconsistency(f"no element of norm {p} in a split case")
     first = ideal_from_generator(gen)
     second = first.conj()
+    if (first == second) != (symbol == 0):
+        raise InternalInconsistency(f"conjugate factors of {p} disagree with its symbol {symbol}")
     if symbol == 0:
-        if first != second:
-            raise InternalInconsistency("ramified prime with distinct factors")
         return PrimeFactorization(
-            p=p, kind="ramified", primes=(first,), residue_degrees=(1,)
+            p=p, kind="ramified", primes=(first,), residue_degrees=(1,), generators=(gen,)
         )
-    if first == second:
-        raise InternalInconsistency("split prime with equal factors")
-    pair = tuple(sorted((first, second), key=lambda q: (q.n, q.c, q.d)))
-    return PrimeFactorization(p=p, kind="split", primes=pair, residue_degrees=(1, 1))
+    primes, generators = zip(*sorted(((first, gen), (second, gen.conj())),
+                                     key=lambda pair: (pair[0].n, pair[0].c, pair[0].d)))
+    return PrimeFactorization(
+        p=p, kind="split", primes=primes, residue_degrees=(1, 1), generators=generators
+    )
 
 
 @dataclass(frozen=True)
@@ -598,15 +596,17 @@ def hecke_eval(spec: HeckeCharacterSpec, ideal: QuadIdeal) -> QuadInt:
 
     Exact ring value; multiplicative in the ideal argument.
     """
-    field = spec.field
-    if ideal.field != field:
+    if ideal.field != spec.field:
         raise CMError("ideal belongs to a different field")
     if not ideal.is_coprime(spec.conductor):
         raise NotCoprime("ideal is not coprime to the conductor")
-    alpha = primary_generator(ideal)
+    return _hecke_value(spec, primary_generator(ideal))
+
+
+def _hecke_value(spec: HeckeCharacterSpec, alpha: QuadInt) -> QuadInt:
+    """chi at the ideal (alpha), for alpha primary and coprime to the conductor."""
     n1, n2 = spec.infinity_type
-    value = alpha**n1 * alpha.conj() ** n2
-    return spec.twist_value(alpha) * value
+    return spec.twist_value(alpha) * alpha**n1 * alpha.conj() ** n2
 
 
 def canonical_weight_one_spec(field: QuadField) -> HeckeCharacterSpec:

@@ -26,15 +26,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
 
-from .errors import (BadPrime, CMError, InternalInconsistency, NotCoprime,
-                     RamifiedOrBadPrime, WeilBoundViolation)
+from .errors import (BadPrime, CMError, InternalInconsistency, RamifiedOrBadPrime,
+                     WeilBoundViolation)
 from .quadratic import (
     HeckeCharacterSpec,
     PrimeFactorization,
     QuadField,
     QuadInt,
+    _hecke_value,
+    _primary_associate,
     factor_rational_prime,
-    hecke_eval,
     is_rational_prime,
     legendre,
 )
@@ -120,23 +121,20 @@ def legendre_table(p: int) -> list[int]:
     return table
 
 
-def _check_good_odd(curve: CurveSpec, p: int) -> None:
+def count_points(curve: CurveSpec, p: int) -> tuple[int, int]:
+    """(#E(F_p) including infinity, a_p); count_fp refuses bad and even p."""
     if not is_rational_prime(p):
         raise BadPrime(f"{p} is not prime")
-    if p == 2 or not curve.is_good(p):
-        raise BadPrime(f"{p} is a bad or even prime for this curve")
-
-
-def count_points(curve: CurveSpec, p: int) -> tuple[int, int]:
-    """(#E(F_p) including infinity, a_p)."""
-    _check_good_odd(curve, p)
     count = count_fp(curve.a4, curve.a6, p)
     return count, p + 1 - count
 
 
 def count_fp(a4: int, a6: int, p: int) -> int:
-    """#E(F_p) for y^2 = x^3 + a4 x + a6 with good reduction at the odd p."""
+    """#E(F_p) for y^2 = x^3 + a4 x + a6 with good reduction at the odd
+    prime p; BadPrime when p = 2 or the curve is singular over F_p."""
     a4, a6 = a4 % p, a6 % p
+    if p == 2 or (4 * a4**3 + 27 * a6**2) % p == 0:
+        raise BadPrime(f"{p} is a bad or even prime for this curve")
     return _hasse_count(_PrimeField(p), a4, a6, lambda: _count_fp(a4, a6, p))
 
 
@@ -344,7 +342,8 @@ def _hasse_count(field, a4, a6, fallback) -> int:
 
 def count_points_naive(curve: CurveSpec, p: int) -> int:
     """Oracle: direct enumeration of all (x, y) pairs, plus infinity."""
-    _check_good_odd(curve, p)
+    if not is_rational_prime(p) or p == 2 or not curve.is_good(p):
+        raise BadPrime(f"{p} is not a good odd prime for this curve")
     a4, a6 = curve.a4 % p, curve.a6 % p
     count = 1
     for x in range(p):
@@ -366,17 +365,18 @@ def euler_from_hecke(spec: HeckeCharacterSpec, fac: PrimeFactorization) -> Euler
     """Local factor from character values at the primes of a factorization.
 
     Split p: (1 - chi(P) T)(1 - chi(P') T) with integer coefficients by
-    conjugate symmetry; inert p: 1 - chi((p)) T^2.  Ramified primes and
-    primes meeting the conductor are refused.
+    conjugate symmetry; inert p: 1 - chi((p)) T^2, chi read at the primary
+    associates of the factorization's generators.  Ramified primes and primes
+    meeting the conductor m (exactly when p divides N(m)) are refused.
     """
     if any(prime.field != spec.field for prime in fac.primes):
         raise CMError("factorization belongs to a different field")
     if fac.kind == "ramified":
         raise RamifiedOrBadPrime(f"{fac.p} ramifies in the CM field")
-    try:
-        values = [hecke_eval(spec, prime) for prime in fac.primes]
-    except NotCoprime as exc:
-        raise RamifiedOrBadPrime(f"{fac.p} meets the conductor") from exc
+    if spec.conductor.norm % fac.p == 0:
+        raise RamifiedOrBadPrime(f"{fac.p} meets the conductor")
+    values = [_hecke_value(spec, _primary_associate(prime, g))
+              for prime, g in zip(fac.primes, fac.generators)]
     if fac.kind == "inert":
         value = values[0]
         if value.b != 0:
@@ -463,10 +463,17 @@ def count_points_quadratic_extension(
 
 def count_fp2(relation: tuple[int, int], a4: tuple[int, int], a6: tuple[int, int], p: int) -> int:
     """#E(F_{p^2}) over F_{p^2} = F_p[theta], theta^2 = s theta + t irreducible,
-    for coefficients given as pairs (u, v) meaning u + v theta."""
+    for coefficients given as pairs (u, v) meaning u + v theta.  BadPrime when
+    p = 2, the relation is reducible mod p or the curve is singular over F_{p^2}."""
+    s, t = relation
+    if p == 2 or legendre(s * s + 4 * t, p) != -1:
+        raise BadPrime(f"{p} is even or theta^2 = {s} theta + {t} is reducible mod {p}")
+    field = _QuadraticExtension(relation, p)
     a4 = (a4[0] % p, a4[1] % p)
     a6 = (a6[0] % p, a6[1] % p)
-    field = _QuadraticExtension(relation, p)
+    cube, square = field.mul(field.mul(a4, a4), a4), field.mul(a6, a6)
+    if all((4 * x + 27 * y) % p == 0 for x, y in zip(cube, square)):
+        raise BadPrime(f"the curve is singular over F_{p}^2")
     return _hasse_count(field, a4, a6, lambda: _count_fp2(relation, a4, a6, p))
 
 

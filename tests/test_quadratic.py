@@ -136,6 +136,17 @@ class TestIdeals:
             for x in xs:
                 assert ideal_from_generator(x) == ideal_from_elements(field, [x]), x
 
+    def test_closed_form_conj_matches_hnf_route(self):
+        # the Hermite reduction of the conjugated basis is the oracle
+        for d in CLASS_NUMBER_ONE:
+            field = QuadField(d)
+            for a in range(-12, 13):
+                for b in range(-12, 13):
+                    if a or b:
+                        ideal = ideal_from_generator(field.element(a, b))
+                        conjugates = [x.conj() for x in ideal.basis_elements()]
+                        assert ideal.conj() == ideal_from_elements(field, conjugates), (a, b)
+
     def test_multiplicativity_of_norm(self):
         rng = random.Random(3)
         for _ in range(40):
@@ -224,6 +235,17 @@ class TestFactorization:
                     first, second = fac.primes
                     assert (first.n, first.c, first.d) < (second.n, second.c, second.d)
 
+    def test_generators_generate_their_primes(self):
+        for d in CLASS_NUMBER_ONE:
+            f = QuadField(d)
+            for p in range(2, 301):
+                if not is_rational_prime(p):
+                    continue
+                fac = factor_rational_prime(f, p)
+                assert len(fac.generators) == len(fac.primes), (d, p)
+                for g, prime in zip(fac.generators, fac.primes):
+                    assert ideal_from_generator(g) == prime, (d, p)
+
     def test_eisenstein_7_splits(self):
         fac = factor_rational_prime(EISENSTEIN, 7)
         assert fac.kind == "split"
@@ -257,9 +279,7 @@ class TestPrimary:
             if not a.is_coprime(cond):
                 continue
             g = primary_generator(a)
-            hits = [
-                u for u in GAUSS.units if cond.divides_element(u * g - GAUSS.one)
-            ]
+            hits = [u for u in GAUSS.units if (u * g - GAUSS.one) in cond]
             assert hits == [GAUSS.one]
 
     def test_multiplicative(self):

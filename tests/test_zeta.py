@@ -13,6 +13,7 @@ from cmcalc.quadratic import (
     canonical_conductor,
     canonical_weight_one_spec,
     factor_rational_prime,
+    hecke_eval,
     ideal_from_generator,
     is_rational_prime,
     ray_class_group,
@@ -47,6 +48,29 @@ COUNT_CURVES = ((-1, 0), (0, 16), (1, 1), (3, 5))
 def good_odd_primes(a4, a6, p_max):
     disc = 4 * a4**3 + 27 * a6**2
     return [p for p in range(3, p_max + 1) if is_rational_prime(p) and disc % p]
+
+
+def twisted_gauss_spec():
+    """Weight one over Z[i], twisted by the order-2 characters of the ray
+    class group modulo 3 (1+i)^3."""
+    conductor = canonical_conductor(GAUSS) * ideal_from_generator(GAUSS.element(3, 0))
+    rcg = ray_class_group(GAUSS, conductor)
+    exps = tuple(d // 2 if d % 2 == 0 else 0 for d in rcg.structure)
+    assert any(exps)
+    return HeckeCharacterSpec(
+        field=GAUSS, conductor=conductor, infinity_type=(1, 0), twist_exponents=exps
+    )
+
+
+def hecke_eval_factor(spec, fac):
+    """Oracle: the local factor from hecke_eval at each prime above p."""
+    values = [hecke_eval(spec, prime) for prime in fac.primes]
+    if fac.kind == "inert":
+        assert values[0].b == 0
+        return EulerFactor((1, 0, -values[0].a))
+    total, prod = values[0] + values[1], values[0] * values[1]
+    assert total.b == prod.b == 0
+    return EulerFactor((1, -total.a, prod.a))
 
 
 class TestCurveSpec:
@@ -148,6 +172,46 @@ class TestQuadraticExtensionCount:
             for a4, a6 in ((-1, 0), (0, 16), (3, 5)):
                 got = _count_fp2(relation, (a4, 0), (a6, 0), p)
                 assert got == naive_count_fp2(relation, (a4 % p, 0), (a6 % p, 0), p)
+
+
+class TestCounterGates:
+    """count_fp and count_fp2 refuse what their contracts exclude before
+    drawing any point."""
+
+    @pytest.fixture(autouse=True)
+    def no_points(self, monkeypatch):
+        import cmcalc.zeta as zeta
+
+        def refuse(*args):
+            raise AssertionError("a point was drawn")
+
+        monkeypatch.setattr(zeta, "_hasse_count", refuse)
+
+    def test_fp_even_prime(self):
+        with pytest.raises(BadPrime):
+            count_fp(-1, 0, 2)
+
+    def test_fp_singular(self):
+        # y^2 = x^3 is singular, with 8 points over F_7; a Hasse search says 7
+        with pytest.raises(BadPrime):
+            count_fp(0, 0, 7)
+
+    def test_fp2_even_prime(self):
+        with pytest.raises(BadPrime):
+            count_fp2((1, 1), (1, 0), (1, 0), 2)
+
+    def test_fp2_reducible_relation(self):
+        # theta^2 = 1 splits modulo 5, and so does omega^2 = -1: 5 splits in Z[i]
+        with pytest.raises(BadPrime):
+            count_fp2((0, 1), (1, 0), (1, 0), 5)
+        with pytest.raises(BadPrime):
+            count_points_quadratic_extension(GAUSS, GAUSS.element(-1), GAUSS.element(0), 5)
+
+    def test_fp2_singular(self):
+        # a4 = -3 c^2 and a6 = 2 c^3 with c = 1 + theta, theta^2 = -1, make
+        # 4 a4^3 + 27 a6^2 vanish over F_49; neither lies in F_7
+        with pytest.raises(BadPrime):
+            count_fp2((0, -1), (0, -6), (-4, 4), 7)
 
 
 class TestHasseCount:
@@ -274,6 +338,40 @@ class TestEulerFactors:
         with pytest.raises(RamifiedOrBadPrime, match="meets the conductor"):
             euler_from_hecke(spec, factor_rational_prime(GAUSS, 3))
 
+    def test_hecke_conductor_meeting_one_split_prime_refused(self):
+        # (2 + i) divides (1+i)^3 (2+i) and its conjugate does not
+        conductor = canonical_conductor(GAUSS) * ideal_from_generator(GAUSS.element(2, 1))
+        spec = HeckeCharacterSpec(field=GAUSS, conductor=conductor, infinity_type=(1, 0))
+        fac = factor_rational_prime(GAUSS, 5)
+        assert sorted(q.is_coprime(conductor) for q in fac.primes) == [False, True]
+        with pytest.raises(RamifiedOrBadPrime, match="meets the conductor"):
+            euler_from_hecke(spec, fac)
+
+    @pytest.mark.parametrize("make_spec,expected", [
+        (lambda: canonical_weight_one_spec(GAUSS), 429),
+        (lambda: canonical_weight_one_spec(EISENSTEIN), 429),
+        (twisted_gauss_spec, 428),
+    ], ids=["gauss", "eisenstein", "twisted"])
+    def test_generators_against_hecke_eval(self, make_spec, expected):
+        # hecke_eval searches each generator afresh and tests coprimality by
+        # an ideal sum; euler_from_hecke must agree at every good p <= 3000
+        # and refuse exactly the others
+        spec = make_spec()
+        checked = 0
+        for p in range(2, 3001):
+            if not is_rational_prime(p):
+                continue
+            fac = factor_rational_prime(spec.field, p)
+            if fac.kind == "ramified" or not all(
+                q.is_coprime(spec.conductor) for q in fac.primes
+            ):
+                with pytest.raises(RamifiedOrBadPrime):
+                    euler_from_hecke(spec, fac)
+                continue
+            assert euler_from_hecke(spec, fac) == hecke_eval_factor(spec, fac), p
+            checked += 1
+        assert checked == expected
+
     def test_hecke_foreign_factorization_refused(self):
         spec = canonical_weight_one_spec(GAUSS)
         with pytest.raises(CMError, match="different field"):
@@ -327,19 +425,7 @@ class TestZetaSweep:
         assert rep["summary"]["mismatches"] == rep["summary"]["checked"]
 
     def test_twisted_character_mismatches(self):
-        conductor = canonical_conductor(GAUSS) * ideal_from_generator(
-            GAUSS.element(3, 0)
-        )
-        rcg = ray_class_group(GAUSS, conductor)
-        exps = tuple(d // 2 if d % 2 == 0 else 0 for d in rcg.structure)
-        assert any(exps)
-        spec = HeckeCharacterSpec(
-            field=GAUSS,
-            conductor=conductor,
-            infinity_type=(1, 0),
-            twist_exponents=exps,
-        )
-        rep = verify_cm_zeta(CURVE, spec, 100)
+        rep = verify_cm_zeta(CURVE, twisted_gauss_spec(), 100)
         assert not rep["passed"]
         assert 0 < rep["summary"]["mismatches"] < rep["summary"]["checked"]
         witness = rep["mismatch_witnesses"][0]
@@ -421,16 +507,23 @@ class TestPrimeArithmeticOnce:
         import cmcalc.quadratic as quadratic
         import cmcalc.zeta as zeta
 
+        specs = [(curve, canonical_weight_one_spec(curve.cm_field))
+                 for curve in (CURVE, CUBE_CURVE)]
         calls = []
-        for module, name in ((zeta, "factor_rational_prime"), (zeta, "hecke_eval"),
-                             (quadratic, "primary_generator")):
+        for module, name in ((zeta, "factor_rational_prime"),
+                             (quadratic, "find_generator"),
+                             (quadratic, "ideal_from_elements"),
+                             (quadratic.QuadIdeal, "is_coprime")):
             self.counting(monkeypatch, module, name, calls)
-        rep = zeta.verify_cm_zeta(CURVE, canonical_weight_one_spec(GAUSS), 500)
-        names = [name for name, _ in calls]
-        # every prime past the bad-reduction and conductor tests is factored once
-        factored = [args[1] for name, args in calls if name == "factor_rational_prime"]
-        assert factored == [e["p"] for e in rep["primes"]]
-        assert names.count("primary_generator") == names.count("hecke_eval") > 0
+        for curve, spec in specs:
+            calls.clear()
+            rep = zeta.verify_cm_zeta(curve, spec, 500)
+            assert rep["passed"]
+            # every prime past the bad-reduction and conductor tests is
+            # factored once; the character is read off its generators
+            factored = [args[1] for name, args in calls if name == "factor_rational_prime"]
+            assert factored == [e["p"] for e in rep["primes"]]
+            assert len(calls) == len(factored), curve
 
     def test_res_scalars(self, monkeypatch):
         import cmcalc.zeta as zeta
