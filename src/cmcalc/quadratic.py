@@ -26,18 +26,8 @@ CLASS_NUMBER_ONE = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
 
 
 def is_rational_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    """Trial division by 2 and the odd numbers up to isqrt(p)."""
+    return p > 1 and (p < 4 or p % 2 == 1 and all(p % f for f in range(3, math.isqrt(p) + 1, 2)))
 
 
 def legendre(a: int, p: int) -> int:
@@ -87,15 +77,8 @@ class QuadField:
 
     @cached_property
     def units(self) -> tuple["QuadInt", ...]:
-        if self.d == -1:
-            return tuple(self.element(a, b) for a, b in ((1, 0), (0, 1), (-1, 0), (0, -1)))
-        if self.d == -3:
-            # powers of the primitive sixth root of unity omega
-            out = [self.one]
-            for _ in range(5):
-                out.append(out[-1] * self.element(0, 1))
-            return tuple(out)
-        return (self.element(1), self.element(-1))
+        """The powers of unit_root, from 1: i over Q(i), omega over Q(sqrt(-3))."""
+        return tuple(self.unit_root**k for k in range({-1: 4, -3: 6}.get(self.d, 2)))
 
     @cached_property
     def unit_root(self) -> "QuadInt":
@@ -391,19 +374,27 @@ def primary_generator(ideal: QuadIdeal, conductor: QuadIdeal | None = None) -> Q
 
 def _primary_associate(ideal: QuadIdeal, g: QuadInt, conductor: QuadIdeal | None = None) -> QuadInt:
     """primary_generator's associate of the ideal's generator g, with its errors."""
-    field = ideal.field
     if conductor is None:
-        conductor = canonical_conductor(field)
-    matches = [u * g for u in field.units if (u * g - field.one) in conductor]
+        conductor = canonical_conductor(ideal.field)
+    units = _primary_units(conductor).get(conductor.residue(g), ())
     # an associate congruent to 1 puts 1 in ideal + conductor, so only a
     # failure needs the coprimality test, to tell the two errors apart
-    if not matches and not ideal.is_coprime(conductor):
+    if not units and not ideal.is_coprime(conductor):
         raise NotCoprime("ideal is not coprime to the convention conductor")
-    if len(matches) != 1:
+    if len(units) != 1:
         raise NoPrimaryGenerator(
-            f"{len(matches)} associates congruent to 1 modulo the conductor"
+            f"{len(units)} associates congruent to 1 modulo the conductor"
         )
-    return matches[0]
+    return units[0] * g
+
+
+@lru_cache(maxsize=16)
+def _primary_units(conductor: QuadIdeal) -> dict:
+    """Residue of g modulo the conductor -> the units u with u g = 1 there.
+    That holds exactly when g = conj(u), so there is one key per unit residue."""
+    units = conductor.field.units
+    keys = [conductor.residue(u.conj()) for u in units]
+    return {key: tuple(u for u, k in zip(units, keys) if k == key) for key in keys}
 
 
 @dataclass(frozen=True)

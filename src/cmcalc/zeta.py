@@ -12,18 +12,19 @@ Counts never look at the CM field.  Over F_q (q = p or p^2) the count N is
 one of the Hasse candidates q + 1 - h .. q + 1 + h, h = isqrt(4q).  A point
 (c x, c^2) with c = f(x) != 0 needs no square root: it lies on E when c is
 a square and on the quadratic twist, with 2q + 2 - N points, when not.
-Baby-step giant-step finds a multiple of its order in the interval, and
-dividing out prime factors gives the exact order, which strikes out every
-candidate whose count on that curve it does not divide (Shanks-Mestre;
-Cohen, GTM 138, 7.4).  Points alternate between E and its twist until one
-candidate is left; after _MAX_POINTS points the quadratic-symbol sum
-decides, and it must agree with the surviving candidates.
+One baby-step giant-step pass finds every multiple k of its order in the
+interval; the candidates left are those whose count on that curve is such
+a k (Shanks-Mestre; Cohen, GTM 138, 7.4).  Points alternate between E and
+its twist until one candidate is left; after _MAX_POINTS points the
+quadratic-symbol sum decides, and it must agree with the surviving
+candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from math import isqrt
 
 from .errors import (BadPrime, CMError, InternalInconsistency, RamifiedOrBadPrime,
@@ -70,10 +71,6 @@ class EulerFactor:
     """Local factor as polynomial coefficients in T, ascending degree."""
 
     coefficients: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
     def __mul__(self, other: "EulerFactor") -> "EulerFactor":
         a, b = self.coefficients, other.coefficients
@@ -163,9 +160,6 @@ class _PrimeField:
 
     def add(self, x, y):
         return (x + y) % self.p
-
-    def neg(self, x):
-        return -x % self.p
 
     def mul(self, x, y):
         return x * y % self.p
@@ -260,52 +254,65 @@ def _mul(field, a, k: int, P):
     return out
 
 
-def _point_order(field, a, b, P, lo: int, hi: int) -> int:
-    """The exact order of P on Y^2 = X^3 + a X + b, whose group order lies
-    in [lo, hi]: baby-step giant-step finds a multiple k there, then k loses
-    each prime factor that the order does not need."""
+def _point_multiples(field, a, b, P, lo: int, hi: int) -> list[int]:
+    """Every k in [lo, hi] with k P = O, ascending, for P on Y^2 = X^3 + a X
+    + b, whose group order lies in [lo, hi]; the first is checked directly."""
     x, y = P
     on_curve = field.mul(y, y) == field.add(
         field.mul(field.add(field.mul(x, x), a), x), b)
-    k = _multiple_in_interval(field, a, P, lo, hi) if on_curve else None
-    if k is None or _mul(field, a, k, P) is not None:
+    ks = _multiple_in_interval(field, a, P, lo, hi) if on_curve else []
+    if not ks or _mul(field, a, ks[0], P) is not None:
         raise InternalInconsistency("no multiple of the point in the Hasse interval",
-                                    witness=(field.q, P, k))
-    order = k
-    for ell in _prime_factors(k):
-        while order % ell == 0 and _mul(field, a, order // ell, P) is None:
-            order //= ell
-    return order
+                                    witness=(field.q, P, ks[0] if ks else None))
+    return ks
 
 
-def _multiple_in_interval(field, a, P, lo: int, hi: int):
-    """Some k in [lo, hi] with k P = O, or None: k = lo + i m + j with
-    j P = -(lo + i m) P, for baby steps j < m and giant steps i."""
-    m = isqrt(hi - lo) + 1
+def _multiple_in_interval(field, a, P, lo: int, hi: int) -> list[int]:
+    """Every k in [lo, hi] with k P = O, ascending, by baby-step giant-step.
+    Baby steps j P, 1 <= j <= m, are keyed by x: c P = +-j P gives k = c -+ j.
+    A step at O, with y = 0 or at the x of step j' gives the order n = j, 2j
+    or j + j' <= 2m; else n > 2m, and each [c - m, c + m] holds at most one k."""
+    m = isqrt((hi - lo) // 2) + 1
     baby = {}
     R = None
-    for j in range(m):
-        baby.setdefault(R, j)
+    for j in range(1, m + 1):
         R = field.add_points(a, R, P)
-    G = _mul(field, a, lo, P)
-    for start in range(lo, hi + 1, m):
-        j = baby.get(None if G is None else (G[0], field.neg(G[1])))
-        if j is not None and start + j <= hi:
-            return start + j
-        G = field.add_points(a, G, R)
-    return None
+        if R is None:
+            n = j
+        elif R[1] == field.zero:
+            n = 2 * j
+        elif R[0] in baby:
+            n = j + baby[R[0]][0]
+        else:
+            baby[R[0]] = (j, R[1])
+            continue
+        return list(range(-(-lo // n) * n, hi + 1, n))
+    step = field.add_points(a, field.add_points(a, R, R), P)  # (2m + 1) P
+    out = []
+    G = _mul(field, a, lo + m, P)
+    for c in range(lo + m, hi + m + 1, 2 * m + 1):
+        if G is None:
+            k = c
+        elif G[0] in baby:
+            j, y = baby[G[0]]
+            k = c - j if G[1] == y else c + j
+        else:
+            k = None
+        if k is not None and lo <= k <= hi:
+            out.append(k)
+        G = field.add_points(a, G, step)
+    return out
 
 
 def _hasse_count(field, a4, a6, fallback) -> int:
     """#E(F_q) for y^2 = x^3 + a4 x + a6 nonsingular over the field.
 
-    The count N lies in the Hasse interval [q + 1 - h, q + 1 + h], h =
-    isqrt(4q).  For x with c = f(x) != 0, the point (c x, c^2) lies on
-    Y^2 = X^3 + a4 c^2 X + a6 c^3, which is E when c is a square and its
-    quadratic twist, with 2q + 2 - N points, when not.  The exact order of
-    each such point must divide the count of its curve, which strikes out
-    candidates until one is left.  After _MAX_POINTS points, ``fallback()``
-    counts by the character sum, and the result must be a candidate.
+    The count N lies in [lo, hi] = [q + 1 - h, q + 1 + h], h = isqrt(4q).
+    For x with c = f(x) != 0, the point (c x, c^2) lies on Y^2 = X^3 + a4 c^2
+    X + a6 c^3: E when c is a square, else its twist, with 2q + 2 - N points.
+    That curve's count is among every multiple in [lo, hi] that kills the
+    point, which strikes out the other candidates.  After _MAX_POINTS points
+    ``fallback()`` counts by the character sum; it must be a candidate.
     """
     q = field.q
     h = isqrt(4 * q)
@@ -321,12 +328,12 @@ def _hasse_count(field, a4, a6, fallback) -> int:
             continue
         c2 = field.mul(c, c)
         a, b = field.mul(a4, c2), field.mul(a6, field.mul(c2, c))
-        order = _point_order(field, a, b, (field.mul(c, x), c2), lo, hi)
-        candidates = [n for n in candidates
-                      if (2 * q + 2 - n if twist else n) % order == 0]
+        ks = _point_multiples(field, a, b, (field.mul(c, x), c2), lo, hi)
+        counts = map((2 * q + 2).__sub__, ks) if twist else ks
+        candidates = candidates.intersection(counts) if drawn else set(counts)
         twist = not twist
         if len(candidates) == 1:
-            return candidates[0]
+            return candidates.pop()
         if not candidates:
             raise InternalInconsistency("point orders exclude every Hasse candidate",
                                         witness=(q, a4, a6))
@@ -394,13 +401,15 @@ def euler_from_hecke(spec: HeckeCharacterSpec, fac: PrimeFactorization) -> Euler
 def _sweep_primes(curve: CurveSpec, p_max: int, excluded: list, conductor_norm: int = 1):
     """Yield (p, factorization) for the primes p <= p_max that a sweep checks.
 
-    Each other prime is appended to ``excluded`` with the first reason that
-    applies: bad_reduction (p = 2 or bad for the curve), conductor (p divides
-    ``conductor_norm``; 1 excludes none), ramified (in the CM field).
+    One sieve finds the primes.  Each prime not checked goes to ``excluded``
+    with the first reason that applies: bad_reduction (p = 2 or bad for the
+    curve), conductor (p divides ``conductor_norm``; 1 excludes none), ramified.
     """
-    for p in range(2, p_max + 1):
-        if not is_rational_prime(p):
-            continue
+    sieve = bytearray(2) + bytearray([1]) * (p_max - 1)
+    for f in range(2, isqrt(max(p_max, 0)) + 1):
+        if sieve[f]:
+            sieve[f * f::f] = bytes(len(sieve[f * f::f]))
+    for p in compress(range(p_max + 1), sieve):
         if p == 2 or not curve.is_good(p):
             excluded.append({"p": p, "reason": "bad_reduction"})
             continue

@@ -7,6 +7,7 @@ import pytest
 from cmcalc.cmtypes import CMFieldHandle
 from cmcalc.errors import CMError, NoPrimaryGenerator, NotCoprime, NotPrime
 from cmcalc.groups import cyclic_group
+import cmcalc.quadratic as quadratic
 from cmcalc.quadratic import (
     CLASS_NUMBER_ONE,
     HeckeCharacterSpec,
@@ -303,6 +304,72 @@ class TestPrimary:
         victim = ideal_from_generator(GAUSS.element(1, 2))
         with pytest.raises(NoPrimaryGenerator):
             primary_generator(victim, conductor=bad_conductor)
+
+    @staticmethod
+    def scanned_associate(ideal, g, conductor):
+        """Oracle: the scan over all units that the residue lookup replaced."""
+        field = ideal.field
+        matches = [u * g for u in field.units if (u * g - field.one) in conductor]
+        if not matches and not ideal.is_coprime(conductor):
+            raise NotCoprime("ideal is not coprime to the convention conductor")
+        if len(matches) != 1:
+            raise NoPrimaryGenerator(f"{len(matches)} associates")
+        return matches[0]
+
+    @staticmethod
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except (NotCoprime, NoPrimaryGenerator) as exc:
+            return type(exc)
+
+    @staticmethod
+    def lifts(field, conductor):
+        """Nonzero g = r + (a multiple of the conductor) for every residue r:
+        a table keyed by g itself rather than its residue misses the lifts."""
+        n0, c0 = conductor.basis_elements()
+        for b in range(conductor.d):
+            for a in range(conductor.n):
+                for x, y in ((0, 0), (1, 0), (-2, 1), (3, -2), (5, 7)):
+                    g = field.element(a, b) + field.element(x) * n0 + field.element(y) * c0
+                    if not g.is_zero():
+                        yield g
+
+    @pytest.mark.parametrize("field", [GAUSS, EISENSTEIN], ids=["gauss", "eisenstein"])
+    def test_associate_lookup_against_unit_scan(self, field):
+        cond = canonical_conductor(field)
+        found = set()
+        for g in self.lifts(field, cond):
+            ideal = ideal_from_generator(g)
+            got = self.outcome(quadratic._primary_associate, ideal, g)
+            assert got == self.outcome(self.scanned_associate, ideal, g, cond), g
+            if ideal.is_coprime(cond):
+                assert got - field.one in cond and ideal_from_generator(got) == ideal
+                found.add(cond.residue(g))
+            else:
+                # a residue meeting the conductor
+                assert got is NotCoprime, g
+        # every residue unit has its associate: the units fill (O/m)^x
+        assert len(found) == len(field.units)
+        assert quadratic._primary_units.cache_info().maxsize is not None
+
+    def test_associate_lookup_explicit_conductors(self):
+        # explicit conductors, with and without a bijection from the units
+        # onto the residue units; (2) over Z[i] sends 1 and -1 to one residue
+        for field, gen in ((GAUSS, (2, 0)), (GAUSS, (3, 0)), (EISENSTEIN, (2, 0)),
+                           (EISENSTEIN, (2, 1))):
+            cond = ideal_from_generator(field.element(*gen))
+            for g in self.lifts(field, cond):
+                ideal = ideal_from_generator(g)
+                got = self.outcome(quadratic._primary_associate, ideal, g, cond)
+                assert got == self.outcome(self.scanned_associate, ideal, g, cond), (gen, g)
+        two = ideal_from_generator(GAUSS.element(2, 0))
+        for g in (GAUSS.element(1, 0), GAUSS.element(1, 2), GAUSS.element(0, 3)):
+            with pytest.raises(NoPrimaryGenerator):
+                quadratic._primary_associate(ideal_from_generator(g), g, two)
+        with pytest.raises(NotCoprime):
+            g = GAUSS.element(3, 1)  # norm 10, so (g) meets (2)
+            quadratic._primary_associate(ideal_from_generator(g), g, two)
 
     def test_conjugation_preserves_primarity(self):
         for f in (GAUSS, EISENSTEIN):

@@ -1,6 +1,8 @@
 """Point counts versus character values, and the scalar-restriction check."""
 
+import bisect
 import math
+from collections import Counter
 
 import pytest
 
@@ -30,9 +32,11 @@ from cmcalc.zeta import (
     euler_from_hecke,
     _count_fp,
     _count_fp2,
+    _multiple_in_interval,
     _non_residue,
-    _point_order,
+    _point_multiples,
     _PrimeField,
+    _QuadraticExtension,
     verify_cm_zeta,
     verify_res_scalars,
 )
@@ -282,7 +286,7 @@ class TestHasseCount:
         # (1, 1) is not on y^2 = x^3 - x over F_13; the chord-tangent law never
         # reads a6, so only the on-curve test stops it
         with pytest.raises(InternalInconsistency) as info:
-            _point_order(_PrimeField(13), 13 - 1, 0, (1, 1), 14 - 7, 14 + 7)
+            _point_multiples(_PrimeField(13), 13 - 1, 0, (1, 1), 14 - 7, 14 + 7)
         assert info.value.witness == (13, (1, 1), None)
 
     @pytest.mark.parametrize("k", [None, 16])
@@ -290,17 +294,106 @@ class TestHasseCount:
         import cmcalc.zeta as zeta
 
         # (0, 4) has order 3 on y^2 = x^3 + 16 over F_13; a search that
-        # finds nothing, or a k that does not kill the point, is refused
-        monkeypatch.setattr(zeta, "_multiple_in_interval", lambda *args: k)
+        # finds nothing, or a first k that does not kill the point, is refused
+        monkeypatch.setattr(zeta, "_multiple_in_interval",
+                            lambda *args: [] if k is None else [k, 18])
         with pytest.raises(InternalInconsistency) as info:
-            _point_order(_PrimeField(13), 0, 16 % 13, (0, 4), 14 - 7, 14 + 7)
+            _point_multiples(_PrimeField(13), 0, 16 % 13, (0, 4), 14 - 7, 14 + 7)
         assert info.value.witness == (13, (0, 4), k)
 
     def test_point_order_exact(self):
         # (0, 4) has order 3 on y^2 = x^3 + 16 over every F_p with p > 3
         for p in (5, 7, 11, 13, 97):
             h = math.isqrt(4 * p)
-            assert _point_order(_PrimeField(p), 0, 16 % p, (0, 4), p + 1 - h, p + 1 + h) == 3
+            lo, hi = p + 1 - h, p + 1 + h
+            assert _point_multiples(_PrimeField(p), 0, 16 % p, (0, 4), lo, hi) == [
+                k for k in range(lo, hi + 1) if k % 3 == 0]
+
+
+class TestMultiplesInInterval:
+    """_multiple_in_interval against a naive scan by repeated addition, for
+    every point of a curve over small fields."""
+
+    @staticmethod
+    def naive(field, a, P, lo, hi):
+        """(order of P, every k in [lo, hi] with k P = O) by adding P to itself."""
+        order, out, Q = None, [], None
+        for k in range(1, hi + 1):
+            Q = field.add_points(a, Q, P)
+            if Q is None:
+                order = order or k
+                if k >= lo:
+                    out.append(k)
+        return order, out
+
+    def check_every_point(self, field, elements, a4, a6):
+        """The orders seen, each against m as _multiple_in_interval picks it."""
+        q = field.q
+        h = math.isqrt(4 * q)
+        lo, hi = q + 1 - h, q + 1 + h
+        m = math.isqrt((hi - lo) // 2) + 1
+        roots = {}
+        for y in elements:
+            roots.setdefault(field.mul(y, y), []).append(y)
+        seen = Counter()
+        for x in elements:
+            rhs = field.add(field.mul(field.add(field.mul(x, x), a4), x), a6)
+            ys = roots.get(rhs, ())
+            if not ys:
+                continue
+            # k P = O exactly when k (-P) = O: one scan serves both points
+            order, expected = self.naive(field, a4, (x, ys[0]), lo, hi)
+            for y in ys:
+                assert _multiple_in_interval(field, a4, (x, y), lo, hi) == expected, (q, x, y)
+                seen["n <= m" if order <= m else "m < n <= 2m" if order <= 2 * m else "n > 2m"] += 1
+                seen[order - 2 * m] += 1
+        return seen
+
+    def test_prime_fields(self):
+        seen = Counter()
+        for a4, a6 in COUNT_CURVES:
+            for p in good_odd_primes(a4, a6, 200):
+                seen += self.check_every_point(_PrimeField(p), range(p), a4 % p, a6 % p)
+        # orders below m, between m and 2m (where x alone finds the order)
+        # and above 2m, with both edges of the giant-step window
+        assert seen["n <= m"] and seen["m < n <= 2m"] and seen["n > 2m"]
+        assert seen[0] and seen[1]
+
+    def test_quadratic_extensions(self):
+        # 7 is inert in Z[i], 5 in Z[omega]; theta^2 = 2 is irreducible mod 13
+        seen = Counter()
+        for relation, p in (((0, -1), 7), ((1, -1), 5), ((0, 2), 13)):
+            field = _QuadraticExtension(relation, p)
+            elements = [(u, v) for u in range(p) for v in range(p)]
+            for a4, a6 in COUNT_CURVES:
+                a4, a6 = (a4 % p, 0), (a6 % p, 0)
+                if TestHasseCount.nonsingular(relation, a4, a6, p):
+                    seen += self.check_every_point(field, elements, a4, a6)
+        assert seen["n <= m"] and seen["m < n <= 2m"] and seen["n > 2m"]
+
+    def test_work_per_point(self, monkeypatch):
+        import cmcalc.zeta as zeta
+
+        calls = Counter()
+        for name in ("_mul", "_point_multiples", "_prime_factors"):
+            original = getattr(zeta, name)
+
+            def wrapper(*args, original=original, name=name):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(zeta, name, wrapper)
+        drawn = 0
+        for a4, a6 in COUNT_CURVES:
+            for p in good_odd_primes(a4, a6, 2000):
+                calls.clear()
+                count_fp(a4, a6, p)
+                # one giant-step start and one direct check per point drawn;
+                # no order is reduced, so no count is factored
+                assert calls["_mul"] <= 2 * calls["_point_multiples"], (a4, a6, p, calls)
+                assert calls["_prime_factors"] == 0, (a4, a6, p)
+                drawn += calls["_point_multiples"]
+        assert drawn > 1000
 
 
 class TestEulerFactors:
@@ -453,6 +546,41 @@ class TestZetaSweep:
             {"p": 2, "reason": "bad_reduction"},
             {"p": 3, "reason": "ramified"},
         ]
+
+    def test_sieve_against_trial_division(self, monkeypatch):
+        import cmcalc.zeta as zeta
+
+        def refuse(p):
+            raise AssertionError("the sweep tested a prime by trial division")
+
+        monkeypatch.setattr(zeta, "is_rational_prime", refuse)
+        top = 3000
+        primes = [p for p in range(2, top + 1)
+                  if all(p % f for f in range(2, math.isqrt(p) + 1))]
+        for curve in (CURVE, CUBE_CURVE, CurveSpec(a4=-1, a6=0, cm_field=EISENSTEIN)):
+            # each prime is factored once, so that every pmax stays cheap
+            facs = {p: factor_rational_prime(curve.cm_field, p) for p in primes}
+            monkeypatch.setattr(zeta, "factor_rational_prime", lambda field, p: facs[p])
+            # the sieve is the same for every conductor norm: every pmax
+            # runs with none, the full range also with the convention's
+            for norm, p_maxes in ((1, range(top + 1)),
+                                  (canonical_conductor(curve.cm_field).norm, [top])):
+                checked, excluded = [], []
+                for p in primes:
+                    reason = ("bad_reduction" if p == 2 or curve.discriminant % p == 0
+                              else "conductor" if norm % p == 0
+                              else "ramified" if facs[p].kind == "ramified" else None)
+                    if reason:
+                        excluded.append({"p": p, "reason": reason})
+                    else:
+                        checked.append((p, facs[p]))
+                checked_ps = [p for p, _ in checked]
+                excluded_ps = [e["p"] for e in excluded]
+                for p_max in p_maxes:
+                    got_excluded = []
+                    got = list(zeta._sweep_primes(curve, p_max, got_excluded, norm))
+                    assert got == checked[:bisect.bisect(checked_ps, p_max)], (curve, p_max)
+                    assert got_excluded == excluded[:bisect.bisect(excluded_ps, p_max)]
 
     def test_secondary_target_eisenstein(self):
         # frozen convention: generator congruent to 1 mod (3), no twist
