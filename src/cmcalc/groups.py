@@ -56,21 +56,6 @@ class FiniteGroup:
             out = self.mul(out, a)
         return out
 
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != self.identity:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
-    @cached_property
-    def is_abelian(self) -> bool:
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
-
     def is_central(self, a: int) -> bool:
         return all(self.table[a][b] == self.table[b][a] for b in range(self.order))
 
@@ -164,9 +149,6 @@ class Subgroup:
 
     def __contains__(self, a: int) -> bool:
         return a in self._members
-
-    def index_in_parent(self) -> int:
-        return self.parent.order // self.order
 
     def is_normal(self) -> bool:
         g = self.parent

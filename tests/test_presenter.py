@@ -10,6 +10,7 @@ killed elements onto the product of the cyclic factors.
 import pytest
 
 from cmcalc import intlinalg as la
+from cmcalc import quadratic
 from cmcalc.battery import BATTERY_NAMES, battery_field
 from cmcalc.groups import commutator_subgroup, cyclic_group, subgroup_generated
 from cmcalc.quadratic import (
@@ -129,7 +130,7 @@ def test_every_battery_subgroup_abelianization(name):
 @pytest.mark.parametrize("d,gen,power", RAYCLASS_MODULI)
 def test_rayclass_workload_moduli(d, gen, power):
     field = QuadField(d)
-    modulus = ideal_from_generator(field.element(*gen)) ** power
+    modulus = ideal_from_generator(field.element(*gen) ** power)
     keys = sorted(set(_unit_residues(field, modulus)))
     index = {k: i for i, k in enumerate(keys)}
 
@@ -150,13 +151,25 @@ def test_ray_class_group_dlog_multiplicative(d, gen, power):
     # the all-pairs audit of the discrete-log table; the library certifies
     # the table at n*k cost instead (present_abelian)
     field = QuadField(d)
-    modulus = ideal_from_generator(field.element(*gen)) ** power
+    modulus = ideal_from_generator(field.element(*gen) ** power)
     rcg = ray_class_group(field, modulus)
     elements = [field.element(*k) for k in sorted(set(_unit_residues(field, modulus)))]
     logs = [rcg.dlog(x) for x in elements]
     for x, dx in zip(elements, logs):
         for y, dy in zip(elements, logs):
             assert rcg.dlog(x * y) == rcg.add(dx, dy), (x, y)
+
+
+def test_ray_class_group_builds_no_hermite_form(monkeypatch):
+    # residue units are found by closed-form coprimality, not ideal sums
+    def refuse(*args):
+        raise AssertionError("ray_class_group built a Hermite form")
+
+    monkeypatch.setattr(la, "hermite_normal_form", refuse)
+    monkeypatch.setattr(quadratic, "ideal_from_elements", refuse)
+    for d, gen, power in RAYCLASS_MODULI:
+        field = QuadField(d)
+        ray_class_group(field, ideal_from_generator(field.element(*gen) ** power))
 
 
 def test_trivial_group_and_killed_everything():

@@ -10,6 +10,7 @@ from cmcalc.groups import cyclic_group
 import cmcalc.quadratic as quadratic
 from cmcalc.quadratic import (
     CLASS_NUMBER_ONE,
+    MAX_IDEAL_NORM,
     HeckeCharacterSpec,
     QuadField,
     QuadIdeal,
@@ -25,7 +26,6 @@ from cmcalc.quadratic import (
     parse_ideal,
     primary_generator,
     ray_class_group,
-    unit_ideal,
 )
 from cmcalc.serre import serre_character_lattice, weight_cocharacter
 
@@ -38,6 +38,31 @@ def random_nonzero(field, rng, bound=15):
         x = field.element(rng.randint(-bound, bound), rng.randint(-bound, bound))
         if not x.is_zero():
             return x
+
+
+def hermite_basis(ideal):
+    """The Z-basis n, c + d*omega of the ideal."""
+    return (ideal.field.element(ideal.n), ideal.field.element(ideal.c, ideal.d))
+
+
+def hnf_product(a, b):
+    """Oracle: the Hermite reduction of the four basis products."""
+    return ideal_from_elements(a.field, [x * y for x in hermite_basis(a) for y in hermite_basis(b)])
+
+
+def hnf_sum(a, b):
+    """Oracle: the Hermite reduction of both bases."""
+    return ideal_from_elements(a.field, hermite_basis(a) + hermite_basis(b))
+
+
+def spans_ideal(field, n, c, d):
+    """Oracle: omega times each basis vector n, c + d*omega lies in the module."""
+    omega = field.element(0, 1)
+    for x in (field.element(n) * omega, field.element(c, d) * omega):
+        q, r = divmod(x.b, d)
+        if r or (x.a - q * c) % n:
+            return False
+    return True
 
 
 class TestField:
@@ -117,7 +142,7 @@ class TestIdeals:
 
     def test_norm_is_index(self):
         # residues {x + y omega : 0 <= x < n, 0 <= y < d} are a transversal
-        a = ideal_from_generator(GAUSS.element(1, 1)) ** 3
+        a = ideal_from_generator(GAUSS.element(1, 1) ** 3)
         assert a.norm == 8
         assert a.n * a.d == 8
         seen = set()
@@ -145,7 +170,7 @@ class TestIdeals:
                 for b in range(-12, 13):
                     if a or b:
                         ideal = ideal_from_generator(field.element(a, b))
-                        conjugates = [x.conj() for x in ideal.basis_elements()]
+                        conjugates = [x.conj() for x in hermite_basis(ideal)]
                         assert ideal.conj() == ideal_from_elements(field, conjugates), (a, b)
 
     def test_multiplicativity_of_norm(self):
@@ -153,7 +178,8 @@ class TestIdeals:
         for _ in range(40):
             x, y = random_nonzero(GAUSS, rng), random_nonzero(GAUSS, rng)
             a, b = ideal_from_generator(x), ideal_from_generator(y)
-            assert (a * b).norm == a.norm * b.norm
+            assert ideal_from_generator(x * y).norm == a.norm * b.norm
+            assert ideal_from_generator(x * y) == hnf_product(a, b)
 
     def test_containment(self):
         a = ideal_from_generator(GAUSS.element(1, 1))
@@ -165,7 +191,59 @@ class TestIdeals:
         three = ideal_from_generator(GAUSS.element(3, 0))
         assert two.is_coprime(three)
         assert not two.is_coprime(two)
-        assert (two + three) == unit_ideal(GAUSS)
+
+    def test_ideal_test_matches_span_oracle(self):
+        # every canonical (n, c, d) with n <= 60: one norm against the
+        # membership of both omega multiples
+        spans = triples = 0
+        for field in map(QuadField, CLASS_NUMBER_ONE):
+            for n in range(1, 61):
+                for d in (d for d in range(1, n + 1) if n % d == 0):
+                    for c in range(0, n, d):
+                        triples += 1
+                        if spans_ideal(field, n, c, d):
+                            spans += 1
+                            assert QuadIdeal(field, n, c, d).norm == n * d
+                        else:
+                            with pytest.raises(CMError, match="does not span an ideal"):
+                                QuadIdeal(field, n, c, d)
+        assert 0 < spans < triples == 27126
+
+    @staticmethod
+    def sample_ideals(field):
+        """Small principal ideals, the first split pair (equal norms, yet
+        coprime), and the convention conductor where the field has one."""
+        ideals = {ideal_from_generator(field.element(a, b))
+                  for a in range(-3, 4) for b in range(4) if a or b}
+        split = next(fac for fac in (factor_rational_prime(field, p)
+                                     for p in range(2, 100) if is_rational_prime(p))
+                     if fac.kind == "split")
+        ideals.update(split.primes)
+        if field.d in (-1, -3):
+            ideals.add(canonical_conductor(field))
+        return ideals, split.primes
+
+    def test_coprimality_matches_hnf_sum(self):
+        for field in map(QuadField, CLASS_NUMBER_ONE):
+            ideals, (first, second) = self.sample_ideals(field)
+            for a in ideals:
+                for b in ideals:
+                    assert a.is_coprime(b) == (hnf_sum(a, b).norm == 1), (a, b)
+            assert first.norm == second.norm and first.is_coprime(second)
+
+    def test_generator_powers_match_hnf_products(self):
+        for field in map(QuadField, CLASS_NUMBER_ONE):
+            for a, b in ((1, 1), (0, 1), (2, 1), (3, 0), (1, -2)):
+                base = ideal_from_elements(field, [field.element(a, b)])
+                power, k = base, 1
+                while base.norm > 1 and power.norm * base.norm <= MAX_IDEAL_NORM:
+                    power, k = hnf_product(power, base), k + 1
+                    assert parse_ideal(field, f"gen:{a},{b}^{k}") == power, (field.d, a, b, k)
+        one_plus_i = ideal_from_elements(GAUSS, [GAUSS.element(1, 1)])
+        cube = hnf_product(hnf_product(one_plus_i, one_plus_i), one_plus_i)
+        assert canonical_conductor(GAUSS) == cube
+        assert canonical_conductor(EISENSTEIN) == ideal_from_elements(
+            EISENSTEIN, [EISENSTEIN.element(3)])
 
     def test_find_generator_roundtrip(self):
         rng = random.Random(4)
@@ -179,7 +257,7 @@ class TestIdeals:
 
     def test_parse_ideal(self):
         a = parse_ideal(GAUSS, "gen:1,1^3")
-        assert a == ideal_from_generator(GAUSS.element(1, 1)) ** 3
+        assert a == ideal_from_generator(GAUSS.element(1, 1) ** 3)
         b = parse_ideal(GAUSS, "gen:3,0")
         assert b == ideal_from_generator(GAUSS.element(3, 0))
         c = parse_ideal(GAUSS, {"gen": [2, 1]})
@@ -222,9 +300,9 @@ class TestFactorization:
                 fac = factor_rational_prime(f, p)
                 product = fac.primes[0]
                 for extra in fac.primes[1:]:
-                    product = product * extra
+                    product = hnf_product(product, extra)
                 if fac.kind == "ramified":
-                    product = product * fac.primes[0]
+                    product = hnf_product(product, fac.primes[0])
                 assert product == ideal_from_generator(f.element(p))
 
     def test_split_pairs_in_hermite_order(self):
@@ -291,7 +369,8 @@ class TestPrimary:
             a, b = ideal_from_generator(x), ideal_from_generator(y)
             if not (a.is_coprime(cond) and b.is_coprime(cond)):
                 continue
-            assert primary_generator(a * b) == primary_generator(a) * primary_generator(b)
+            ab = ideal_from_generator(x * y)
+            assert primary_generator(ab) == primary_generator(a) * primary_generator(b)
 
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
@@ -327,7 +406,7 @@ class TestPrimary:
     def lifts(field, conductor):
         """Nonzero g = r + (a multiple of the conductor) for every residue r:
         a table keyed by g itself rather than its residue misses the lifts."""
-        n0, c0 = conductor.basis_elements()
+        n0, c0 = hermite_basis(conductor)
         for b in range(conductor.d):
             for a in range(conductor.n):
                 for x, y in ((0, 0), (1, 0), (-2, 1), (3, -2), (5, 7)):
@@ -392,7 +471,7 @@ class TestRayClass:
         assert rcg.order == 2 and rcg.structure == (2,)
 
     def test_unit_modulus(self):
-        rcg = ray_class_group(GAUSS, unit_ideal(GAUSS))
+        rcg = ray_class_group(GAUSS, QuadIdeal(GAUSS, 1, 0, 1))
         assert rcg.order == 1
 
     def test_eisenstein_three_trivial(self):
@@ -409,7 +488,7 @@ class TestRayClass:
                     for x in range(m.n)
                     for y in range(m.d)
                     if not f.element(x, y).is_zero()
-                    and (ideal_from_generator(f.element(x, y)) + m).norm == 1
+                    and hnf_sum(ideal_from_generator(f.element(x, y)), m).norm == 1
                 )
                 assert residue_units % rcg.order == 0
 
@@ -470,9 +549,10 @@ class TestHecke:
 
     def test_multiplicative(self):
         spec = canonical_weight_one_spec(GAUSS)
-        a = ideal_from_generator(GAUSS.element(2, 1))
-        b = ideal_from_generator(GAUSS.element(3, 2))
-        assert hecke_eval(spec, a * b) == hecke_eval(spec, a) * hecke_eval(spec, b)
+        x, y = GAUSS.element(2, 1), GAUSS.element(3, 2)
+        a, b = ideal_from_generator(x), ideal_from_generator(y)
+        ab = ideal_from_generator(x * y)
+        assert hecke_eval(spec, ab) == hecke_eval(spec, a) * hecke_eval(spec, b)
 
     def test_weight_one_absolute_value(self):
         spec = canonical_weight_one_spec(GAUSS)
@@ -513,9 +593,7 @@ class TestHecke:
 
     def test_twisted_character(self):
         # quadratic twist by the nontrivial class modulo 3*(1+i)^3
-        conductor = canonical_conductor(GAUSS) * ideal_from_generator(
-            GAUSS.element(3, 0)
-        )
+        conductor = ideal_from_generator(GAUSS.element(1, 1) ** 3 * GAUSS.element(3, 0))
         rcg = ray_class_group(GAUSS, conductor)
         assert any(d % 2 == 0 for d in rcg.structure)
         exps = tuple(d // 2 if d % 2 == 0 else 0 for d in rcg.structure)

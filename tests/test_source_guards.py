@@ -55,3 +55,32 @@ def test_serre_actions_are_not_matrices():
             ):
                 found.append(f"serre.py:{node.lineno} la.{node.func.attr}")
     assert found == []
+
+
+def test_quadratic_ideals_come_from_generators():
+    # ideals are built in closed form: only the Hermite oracle and the ray
+    # class presenter reach intlinalg, no library code calls the oracle, and
+    # ideals carry no general sum, product or power
+    path = SRC / "quadratic.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    callers = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "la"
+                ):
+                    callers.add(fn.name)
+    assert callers == {"ideal_from_elements", "ray_class_group"}
+    ideal = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "QuadIdeal")
+    methods = {n.name for n in ideal.body if isinstance(n, ast.FunctionDef)}
+    assert not methods & {"__add__", "__mul__", "__pow__"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ideal_from_elements":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
