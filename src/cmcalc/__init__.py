@@ -74,7 +74,6 @@ from .zeta import (
     CurveSpec,
     EulerFactor,
     count_points,
-    count_points_naive,
     euler_from_counts,
     euler_from_hecke,
     verify_cm_zeta,

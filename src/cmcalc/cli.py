@@ -54,7 +54,10 @@ def _load_field_file(path: str) -> CMFieldHandle:
                 raise InputError(f"cannot read {group_spec}: {exc}") from exc
         group = make_group(group_spec["table"], names=group_spec.get("names"))
         fixer = group.subgroup(data["H"])
-        return CMFieldHandle(group=group, iota=int(data["iota"]), fixer=fixer)
+        iota = data["iota"]
+        if type(iota) is not int:
+            raise InputError(f"invalid field data in {path}: iota {iota!r} is not an integer")
+        return CMFieldHandle(group=group, iota=iota, fixer=fixer)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed field file {path}: {exc}") from exc
     except CMError as exc:

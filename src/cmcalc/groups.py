@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InternalInconsistency, NotAGroup, NotASubgroup
-from .intlinalg import freeze, present_abelian
+from .intlinalg import present_abelian
 
 _FULL_CHECK_ORDER = 64
 _SAMPLED_TRIPLES = 4096
@@ -48,14 +48,6 @@ class FiniteGroup:
         """g x g^-1."""
         return self.mul(self.mul(g, x), self.inv(g))
 
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(a), -k)
-        out = self.identity
-        for _ in range(k):
-            out = self.mul(out, a)
-        return out
-
     def is_central(self, a: int) -> bool:
         return all(self.table[a][b] == self.table[b][a] for b in range(self.order))
 
@@ -63,23 +55,26 @@ class FiniteGroup:
         return range(self.order)
 
     def subgroup(self, elements) -> "Subgroup":
-        return Subgroup(self, tuple(sorted(set(elements))))
+        elements = tuple(elements)
+        # Subgroup refuses what is not an int; a set would first merge a
+        # True or a 1.0 into a 1 listed beside it
+        if all(type(a) is int for a in elements):
+            elements = tuple(sorted(set(elements)))
+        return Subgroup(self, elements)
 
     def trivial_subgroup(self) -> "Subgroup":
         return self.subgroup((self.identity,))
-
-    def full_subgroup(self) -> "Subgroup":
-        return self.subgroup(range(self.order))
 
 
 def make_group(table, names=None) -> FiniteGroup:
     """Validate a Cayley table and wrap it as a FiniteGroup.
 
-    Raises NotAGroup with an offending witness on identity, inverse, or
-    associativity failure.  Associativity is checked exhaustively up to
+    Raises NotAGroup on an entry that is not an int in 0..n-1 (a float is
+    not truncated, and a bool is refused), and with an offending witness on
+    identity, inverse, or associativity failure.  Associativity is checked exhaustively up to
     order 64 and on a deterministic sample of triples above that.
     """
-    tbl = freeze(table)
+    tbl = tuple(tuple(row) for row in table)
     n = len(tbl)
     if n == 0:
         raise NotAGroup("empty table")
@@ -87,6 +82,8 @@ def make_group(table, names=None) -> FiniteGroup:
         if len(row) != n:
             raise NotAGroup(f"row {i} has length {len(row)}, expected {n}")
         for x in row:
+            if type(x) is not int:
+                raise NotAGroup(f"entry {x!r} in row {i} is not an integer")
             if not 0 <= x < n:
                 raise NotAGroup(f"entry {x} out of range in row {i}")
     identity = None
@@ -134,6 +131,8 @@ class Subgroup:
         members = frozenset(self.elements)
         object.__setattr__(self, "_members", members)
         for a in self.elements:
+            if type(a) is not int:
+                raise NotASubgroup(f"element {a!r} is not an integer")
             if not 0 <= a < self.parent.order:
                 raise NotASubgroup(f"element {a} out of range")
         if self.parent.identity not in members:

@@ -143,23 +143,6 @@ class QuadInt:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_unit(self) -> bool:
-        return self.norm() == 1
-
-    def exact_div(self, divisor: "QuadInt"):
-        """self / divisor when it lies in the ring, else None."""
-        self._match(divisor)
-        n = divisor.norm()
-        if n == 0:
-            return None
-        num = self * divisor.conj()
-        if num.a % n or num.b % n:
-            return None
-        return QuadInt(self.field, num.a // n, num.b // n)
-
-    def __str__(self) -> str:
-        return f"{self.a}{self.b:+}w"
-
 
 @dataclass(frozen=True)
 class QuadIdeal:

@@ -16,8 +16,10 @@ One baby-step giant-step pass finds every multiple k of its order in the
 interval; the candidates left are those whose count on that curve is such
 a k (Shanks-Mestre; Cohen, GTM 138, 7.4).  Points alternate between E and
 its twist until one candidate is left; after _MAX_POINTS points the
-quadratic-symbol sum decides, and it must agree with the surviving
-candidates.
+symbol sum q + 1 + sum chi(f(x)) decides, written once over the same
+field arithmetic, and it must be one of the surviving candidates.  The
+hand-expanded sums and the naive enumeration are test oracles
+(tests/zeta_oracle.py).
 """
 
 from __future__ import annotations
@@ -80,12 +82,6 @@ class EulerFactor:
                 out[i + j] += x * y
         return EulerFactor(tuple(out))
 
-    def evaluate(self, t: int) -> int:
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * t + c
-        return acc
-
     def in_t_power(self, k: int) -> "EulerFactor":
         """Substitute T^k for T."""
         out = [0] * ((len(self.coefficients) - 1) * k + 1)
@@ -109,15 +105,6 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def legendre_table(p: int) -> list[int]:
-    """leg[x] for x in 0..p-1, built by marking squares."""
-    table = [-1] * p
-    table[0] = 0
-    for x in range(1, p):
-        table[x * x % p] = 1
-    return table
-
-
 def count_points(curve: CurveSpec, p: int) -> tuple[int, int]:
     """(#E(F_p) including infinity, a_p); count_fp refuses bad and even p."""
     if not is_rational_prime(p):
@@ -132,16 +119,7 @@ def count_fp(a4: int, a6: int, p: int) -> int:
     a4, a6 = a4 % p, a6 % p
     if p == 2 or (4 * a4**3 + 27 * a6**2) % p == 0:
         raise BadPrime(f"{p} is a bad or even prime for this curve")
-    return _hasse_count(_PrimeField(p), a4, a6, lambda: _count_fp(a4, a6, p))
-
-
-def _count_fp(a4: int, a6: int, p: int) -> int:
-    """#E(F_p) by the quadratic-symbol sum: the fallback and test oracle."""
-    leg = legendre_table(p)
-    total = 0
-    for x in range(p):
-        total += 1 + leg[(x * x % p * x + a4 * x + a6) % p]
-    return total + 1
+    return _hasse_count(_PrimeField(p), a4, a6)
 
 
 # --- point counts in the Hasse interval --------------------------------------
@@ -166,6 +144,9 @@ class _PrimeField:
 
     def is_square(self, x) -> bool:
         return legendre(x, self.p) == 1
+
+    def elements(self):
+        return range(self.p)
 
     def abscissae(self):
         return range(self.p)
@@ -220,6 +201,9 @@ class _QuadraticExtension:
     def is_square(self, x) -> bool:
         return legendre(self.norm(x), self.p) == 1
 
+    def elements(self):
+        return ((u, v) for u in range(self.p) for v in range(self.p))
+
     def abscissae(self):
         # off F_p: for a curve over F_p every f(x) with x in F_p is a square
         # in F_{p^2}, so only such x reach the twist
@@ -258,8 +242,7 @@ def _point_multiples(field, a, b, P, lo: int, hi: int) -> list[int]:
     """Every k in [lo, hi] with k P = O, ascending, for P on Y^2 = X^3 + a X
     + b, whose group order lies in [lo, hi]; the first is checked directly."""
     x, y = P
-    on_curve = field.mul(y, y) == field.add(
-        field.mul(field.add(field.mul(x, x), a), x), b)
+    on_curve = field.mul(y, y) == _cubic(field, a, b, x)
     ks = _multiple_in_interval(field, a, P, lo, hi) if on_curve else []
     if not ks or _mul(field, a, ks[0], P) is not None:
         raise InternalInconsistency("no multiple of the point in the Hasse interval",
@@ -304,7 +287,23 @@ def _multiple_in_interval(field, a, P, lo: int, hi: int) -> list[int]:
     return out
 
 
-def _hasse_count(field, a4, a6, fallback) -> int:
+def _cubic(field, a, b, x):
+    """x^3 + a x + b in the field."""
+    return field.add(field.mul(field.add(field.mul(x, x), a), x), b)
+
+
+def _symbol_sum(field, a4, a6) -> int:
+    """#E(F_q) = q + 1 + sum over x in F_q of chi(x^3 + a4 x + a6), with chi
+    the quadratic character of F_q and chi(0) = 0."""
+    total = field.q + 1
+    for x in field.elements():
+        c = _cubic(field, a4, a6, x)
+        if c != field.zero:
+            total += 1 if field.is_square(c) else -1
+    return total
+
+
+def _hasse_count(field, a4, a6) -> int:
     """#E(F_q) for y^2 = x^3 + a4 x + a6 nonsingular over the field.
 
     The count N lies in [lo, hi] = [q + 1 - h, q + 1 + h], h = isqrt(4q).
@@ -312,7 +311,7 @@ def _hasse_count(field, a4, a6, fallback) -> int:
     X + a6 c^3: E when c is a square, else its twist, with 2q + 2 - N points.
     That curve's count is among every multiple in [lo, hi] that kills the
     point, which strikes out the other candidates.  After _MAX_POINTS points
-    ``fallback()`` counts by the character sum; it must be a candidate.
+    _symbol_sum counts over the same field; it must be a candidate.
     """
     q = field.q
     h = isqrt(4 * q)
@@ -321,7 +320,7 @@ def _hasse_count(field, a4, a6, fallback) -> int:
     drawn = 0
     twist = False
     for x in field.abscissae():
-        c = field.add(field.mul(field.add(field.mul(x, x), a4), x), a6)
+        c = _cubic(field, a4, a6, x)
         # alternate between E and its twist: one curve alone can have too
         # small an exponent to single out its count
         if c == field.zero or field.is_square(c) == twist:
@@ -340,24 +339,10 @@ def _hasse_count(field, a4, a6, fallback) -> int:
         drawn += 1
         if drawn == _MAX_POINTS:
             break
-    count = fallback()
+    count = _symbol_sum(field, a4, a6)
     if count not in candidates:
         raise InternalInconsistency("character sum outside the point-order candidates",
                                     witness=(q, a4, a6, count))
-    return count
-
-
-def count_points_naive(curve: CurveSpec, p: int) -> int:
-    """Oracle: direct enumeration of all (x, y) pairs, plus infinity."""
-    if not is_rational_prime(p) or p == 2 or not curve.is_good(p):
-        raise BadPrime(f"{p} is not a good odd prime for this curve")
-    a4, a6 = curve.a4 % p, curve.a6 % p
-    count = 1
-    for x in range(p):
-        rhs = (x * x % p * x + a4 * x + a6) % p
-        for y in range(p):
-            if y * y % p == rhs:
-                count += 1
     return count
 
 
@@ -483,36 +468,7 @@ def count_fp2(relation: tuple[int, int], a4: tuple[int, int], a6: tuple[int, int
     cube, square = field.mul(field.mul(a4, a4), a4), field.mul(a6, a6)
     if all((4 * x + 27 * y) % p == 0 for x, y in zip(cube, square)):
         raise BadPrime(f"the curve is singular over F_{p}^2")
-    return _hasse_count(field, a4, a6, lambda: _count_fp2(relation, a4, a6, p))
-
-
-def _count_fp2(relation: tuple[int, int], a4: tuple[int, int], a6: tuple[int, int], p: int) -> int:
-    """#E(F_{p^2}) over F_p[theta] by the quadratic-symbol sum: the fallback
-    and test oracle.
-
-    Coefficients are pairs (u, v) meaning u + v theta.  An element is a
-    square exactly when its norm to F_p is, so one Legendre table over F_p
-    suffices.
-    """
-    s, t = relation
-    leg = legendre_table(p)
-    a4a, a4b = a4[0] % p, a4[1] % p
-    a6a, a6b = a6[0] % p, a6[1] % p
-    total = 0
-    for xa in range(p):
-        ca = xa * xa % p
-        ra0 = a4a * xa + a6a
-        rb0 = a4b * xa + a6b
-        for xb in range(p):
-            # x = xa + xb theta: x^2 = qa + qb theta, then x^3 + a4 x + a6
-            bb = xb * xb
-            qa = (ca + t * bb) % p
-            qb = (2 * xa * xb + s * bb) % p
-            sb = s * xb + xa
-            ra = (qa * xa + t * qb * xb + ra0 + t * a4b * xb) % p
-            rb = (qa * xb + qb * sb + a4a * xb + a4b * s * xb + rb0) % p
-            total += leg[(ra * ra + s * ra * rb - t * rb * rb) % p]
-    return p * p + total + 1
+    return _hasse_count(field, a4, a6)
 
 
 def _weil_quartic_from_counts(p: int, n1: int, n2: int) -> EulerFactor:
@@ -549,8 +505,7 @@ def verify_res_scalars(curve: CurveSpec, p_max: int) -> dict:
         if fac.kind == "split":
             # both places have residue field F_p, where the rational curve
             # reduces to the same curve: count it once and square
-            count = count_fp(curve.a4, curve.a6, p)
-            a_p = p + 1 - count
+            count, a_p = count_points(curve, p)
             ext = count_fp2((0, _non_residue(p)), (curve.a4, 0), (curve.a6, 0), p)
             # the two independent counts must satisfy the quadratic lift
             lift_consistent = ext == p * p + 1 - (a_p * a_p - 2 * p)

@@ -99,15 +99,21 @@ class TestEnumerate:
         assert time.perf_counter() - start < 1.0
 
     def test_invalid_field_data(self, tmp_path, capsys):
-        payload = {
-            "group": {"table": [[0, 1], [1, 0]]},
-            "iota": 0,  # identity cannot be the conjugation
-            "H": [0],
-        }
+        c2 = [[0, 1], [1, 0]]
+        cases = [
+            (c2, 0, "iota must differ from the identity"),
+            # non-integers are refused, not truncated or read as 0 and 1
+            ([[0, 1.7], [1, 0.2]], 1, "entry 1.7 in row 0 is not an integer"),
+            ([[0, True], [True, 0]], 1, "entry True in row 0 is not an integer"),
+            (c2, 1.9, "iota 1.9 is not an integer"),
+            (c2, True, "iota True is not an integer"),
+        ]
         path = tmp_path / "bad_field.json"
-        path.write_text(json.dumps(payload))
-        code, _, err = run_main(capsys, "enumerate", str(path))
-        assert code == 2 and "invalid field data" in err
+        for table, iota, message in cases:
+            path.write_text(json.dumps({"group": {"table": table}, "iota": iota, "H": [0]}))
+            code, _, err = run_main(capsys, "enumerate", str(path))
+            assert code == 2 and "invalid field data" in err, (table, iota)
+            assert message in err, err
 
 
 class TestCheck:
@@ -299,12 +305,21 @@ class TestTransferAndSerre:
         assert "--element 99 out of range" in err
 
     def test_field_file_subgroup_out_of_range(self, tmp_path, capsys):
-        payload = {"group": {"table": [[0, 1], [1, 0]]}, "iota": 1, "H": [0, 5]}
         path = tmp_path / "field.json"
-        path.write_text(json.dumps(payload))
-        code, out, err = run_main(capsys, "transfer", str(path))
-        assert code == 2 and out == ""
-        assert "element 5 out of range" in err
+        for elements, message in (([0, 5], "element 5 out of range"),
+                                  ([0, True], "element True is not an integer"),
+                                  ([0, 1, True], "element True is not an integer"),
+                                  ([0, 1.0], "element 1.0 is not an integer")):
+            payload = {"group": {"table": [[0, 1], [1, 0]]}, "iota": 1, "H": elements}
+            path.write_text(json.dumps(payload))
+            code, out, err = run_main(capsys, "transfer", str(path))
+            assert code == 2 and out == ""
+            assert message in err
+            # the same elements as --subgroup
+            code, out, err = run_main(capsys, "transfer", "--battery", "C2",
+                                      "--subgroup", json.dumps(elements))
+            assert code == 2 and out == ""
+            assert message in err
 
     def test_serre_galois_field(self, capsys):
         code, out, _ = run_main(capsys, "serre", "--battery", "C2")
@@ -352,6 +367,8 @@ class TestDeterminism:
         assert self._invoke("1") == self._invoke("16")
 
     def test_reports_contain_no_floats(self):
+        # flags are dict values; list entries are indices and coefficients,
+        # so a bool there is an integer read wrongly
         def walk(node):
             assert not isinstance(node, float), node
             if isinstance(node, dict):
@@ -360,6 +377,7 @@ class TestDeterminism:
                     walk(v)
             elif isinstance(node, list):
                 for v in node:
+                    assert not isinstance(v, bool), node
                     walk(v)
 
         walk(json.loads(self._invoke()))

@@ -19,6 +19,7 @@ from cmcalc.cocycle import (
 from cmcalc.errors import CMError, FactorNotInH
 from cmcalc.groups import cyclic_group, transfer
 
+from test_groups import power
 from test_serre import ORDER16
 
 GOLDEN = json.loads(
@@ -156,7 +157,7 @@ class TestIdentities:
             m = field.degree
             for tau in g.elements():
                 assert transfer(g, field.fixer, tau, quotient=q) == q.project(
-                    g.power(tau, m)
+                    power(g, tau, m)
                 )
 
     def test_product_order_immaterial(self):

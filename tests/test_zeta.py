@@ -24,22 +24,22 @@ from cmcalc.zeta import (
     CurveSpec,
     EulerFactor,
     count_points,
-    count_points_naive,
     count_points_quadratic_extension,
     count_fp,
     count_fp2,
     euler_from_counts,
     euler_from_hecke,
-    _count_fp,
-    _count_fp2,
     _multiple_in_interval,
     _non_residue,
     _point_multiples,
     _PrimeField,
     _QuadraticExtension,
+    _symbol_sum,
     verify_cm_zeta,
     verify_res_scalars,
 )
+
+from zeta_oracle import character_sum_fp, character_sum_fp2, count_points_naive, naive_count_fp2
 
 GAUSS = QuadField(-1)
 EISENSTEIN = QuadField(-3)
@@ -64,6 +64,14 @@ def twisted_gauss_spec():
     return HeckeCharacterSpec(
         field=GAUSS, conductor=conductor, infinity_type=(1, 0), twist_exponents=exps
     )
+
+
+def evaluate(factor, t):
+    """The factor's polynomial at T = t, by Horner's rule."""
+    acc = 0
+    for c in reversed(factor.coefficients):
+        acc = acc * t + c
+    return acc
 
 
 def hecke_eval_factor(spec, fac):
@@ -131,29 +139,6 @@ class TestCounting:
             assert ext == p * p + 1 - (a_p * a_p - 2 * p)
 
 
-def naive_count_fp2(relation, a4, a6, p):
-    """Oracle: #E(F_p[theta]) with theta^2 = s theta + t, by tabulating
-    every square y^2 and matching it against every x^3 + a4 x + a6."""
-    s, t = relation
-
-    def mul(u, v):
-        return ((u[0] * v[0] + t * u[1] * v[1]) % p,
-                (u[0] * v[1] + u[1] * v[0] + s * u[1] * v[1]) % p)
-
-    field = [(u, v) for u in range(p) for v in range(p)]
-    roots = {}
-    for y in field:
-        sq = mul(y, y)
-        roots[sq] = roots.get(sq, 0) + 1
-    count = 1
-    for x in field:
-        x3 = mul(mul(x, x), x)
-        ax = mul(a4, x)
-        rhs = ((x3[0] + ax[0] + a6[0]) % p, (x3[1] + ax[1] + a6[1]) % p)
-        count += roots.get(rhs, 0)
-    return count
-
-
 class TestQuadraticExtensionCount:
     # (d, inert primes): F_{p^2} = F_p[omega] for the ring of integers
     INERT = ((-1, (3, 7, 11)), (-2, (5, 7, 13)), (-3, (5, 11, 17)), (-7, (3, 5, 13)))
@@ -174,8 +159,9 @@ class TestQuadraticExtensionCount:
         for p in (5, 7, 13, 17):
             relation = (0, _non_residue(p))
             for a4, a6 in ((-1, 0), (0, 16), (3, 5)):
-                got = _count_fp2(relation, (a4, 0), (a6, 0), p)
-                assert got == naive_count_fp2(relation, (a4 % p, 0), (a6 % p, 0), p)
+                expected = naive_count_fp2(relation, (a4 % p, 0), (a6 % p, 0), p)
+                assert count_fp2(relation, (a4, 0), (a6, 0), p) == expected
+                assert character_sum_fp2(relation, (a4, 0), (a6, 0), p) == expected
 
 
 class TestCounterGates:
@@ -226,34 +212,54 @@ class TestHasseCount:
         # the non-CM curves show the count never relies on CM
         for a4, a6 in COUNT_CURVES:
             for p in good_odd_primes(a4, a6, 2000):
-                assert count_fp(a4, a6, p) == _count_fp(a4 % p, a6 % p, p), (a4, a6, p)
+                assert count_fp(a4, a6, p) == character_sum_fp(a4 % p, a6 % p, p), (a4, a6, p)
 
-    def test_extension_matches_character_sum(self, monkeypatch):
+    @staticmethod
+    def spy_on_symbol_sum(monkeypatch, fallbacks):
+        """Record the characteristic of each field that falls back to the sum."""
         import cmcalc.zeta as zeta
 
-        fallbacks = set()
+        def counting(field, a4, a6):
+            fallbacks.append(field.p)
+            return _symbol_sum(field, a4, a6)
 
-        def counting(relation, a4, a6, p):
-            fallbacks.add(p)
-            return _count_fp2(relation, a4, a6, p)
+        monkeypatch.setattr(zeta, "_symbol_sum", counting)
 
-        monkeypatch.setattr(zeta, "_count_fp2", counting)
+    @staticmethod
+    def relations(p):
+        """theta^2 = n with n a non-residue, and every inert omega relation."""
+        return [(0, _non_residue(p))] + [
+            QuadField(d).omega_relation for d in CLASS_NUMBER_ONE
+            if factor_rational_prime(QuadField(d), p).kind == "inert"
+        ]
+
+    def test_symbol_sum_matches_oracle_sums(self):
+        for a4, a6 in COUNT_CURVES:
+            for p in good_odd_primes(a4, a6, 299):
+                got = _symbol_sum(_PrimeField(p), a4 % p, a6 % p)
+                assert got == character_sum_fp(a4 % p, a6 % p, p), (a4, a6, p)
+            for p in good_odd_primes(a4, a6, 13):
+                for relation in self.relations(p):
+                    field = _QuadraticExtension(relation, p)
+                    got = _symbol_sum(field, (a4 % p, 0), (a6 % p, 0))
+                    expected = character_sum_fp2(relation, (a4, 0), (a6, 0), p)
+                    assert got == expected, (a4, a6, p, relation)
+
+    def test_extension_matches_character_sum(self, monkeypatch):
+        fallbacks = []
+        self.spy_on_symbol_sum(monkeypatch, fallbacks)
         for a4, a6 in COUNT_CURVES:
             a4, a6 = (a4, 0), (a6, 0)
             for p in range(3, 81):
                 if not is_rational_prime(p):
                     continue
-                relations = [(0, _non_residue(p))] + [
-                    QuadField(d).omega_relation for d in CLASS_NUMBER_ONE
-                    if factor_rational_prime(QuadField(d), p).kind == "inert"
-                ]
-                for relation in relations:
+                for relation in self.relations(p):
                     if self.nonsingular(relation, a4, a6, p):
-                        expected = _count_fp2(relation, a4, a6, p)
+                        expected = character_sum_fp2(relation, a4, a6, p)
                         assert count_fp2(relation, a4, a6, p) == expected, (a4, a6, p, relation)
         # points off F_p reach the twist, so only fields with fewer such
         # abscissae than the point budget fall back
-        assert fallbacks <= {3, 5, 7}
+        assert set(fallbacks) <= {3, 5, 7}
 
     @staticmethod
     def nonsingular(relation, a4, a6, p):
@@ -268,19 +274,22 @@ class TestHasseCount:
         return ((4 * cube[0] + 27 * square[0]) % p, (4 * cube[1] + 27 * square[1]) % p) != (0, 0)
 
     def test_fallback_path(self, monkeypatch):
-        import cmcalc.zeta as zeta
-
         fallbacks = []
-
-        def counting(a4, a6, p):
-            fallbacks.append(p)
-            return _count_fp(a4, a6, p)
-
-        monkeypatch.setattr(zeta, "_count_fp", counting)
+        self.spy_on_symbol_sum(monkeypatch, fallbacks)
         for p in good_odd_primes(-1, 0, 300):
-            assert count_fp(-1, 0, p) == _count_fp(p - 1, 0, p)
+            assert count_fp(-1, 0, p) == character_sum_fp(p - 1, 0, p)
         # small fields leave several candidates after every point drawn
         assert fallbacks == [3, 5, 7, 11, 29]
+
+    def test_fallback_gate(self, monkeypatch):
+        import cmcalc.zeta as zeta
+
+        # over F_3 the points leave several candidates in [1, 7]; a sum that
+        # lands outside them is refused with its inputs
+        monkeypatch.setattr(zeta, "_symbol_sum", lambda field, a4, a6: 8)
+        with pytest.raises(InternalInconsistency) as info:
+            count_fp(-1, 0, 3)
+        assert info.value.witness == (3, 2, 0, 8)
 
     def test_point_off_the_curve_raises(self):
         # (1, 1) is not on y^2 = x^3 - x over F_13; the chord-tangent law never
@@ -474,7 +483,7 @@ class TestEulerFactors:
         f = EulerFactor((1, 2, 5))
         g = EulerFactor((1, 0, 3))
         assert (f * g).coefficients == (1, 2, 8, 6, 15)
-        assert f.evaluate(1) == 8
+        assert evaluate(f, 1) == 8
         assert g.in_t_power(2).coefficients == (1, 0, 0, 0, 3)
 
 
@@ -605,7 +614,7 @@ class TestScalarRestriction:
         assert len(entry["induced"]) == 5
         # the quartic evaluated at 1 equals the product of the two counts
         f = EulerFactor(tuple(entry["induced"]))
-        assert f.evaluate(1) == 8 * 8
+        assert evaluate(f, 1) == 8 * 8
 
     def test_inert_factor_in_t_squared(self):
         rep = verify_res_scalars(CURVE, 20)
