@@ -13,7 +13,9 @@ instead, and a failed certificate raises InternalInconsistency:
   * kernels and solves reuse that elimination on [M^T | I]: M @ k == 0 and
     rank M + len(kernel) == cols, and M @ x == b;
   * Smith form: only D (diagonal, d_i | d_{i+1}, d_i >= 0) and V are built,
-    and present_abelian certifies the presentation it reads from them;
+    and present_abelian certifies the presentation it reads from them; it
+    presents a finite abelian group on k generators as Z^k modulo the
+    relations of one Cayley-graph walk, so the Smith form has k columns;
   * linear maps act on column vectors, lattices are spanned by basis rows.
 """
 
@@ -152,15 +154,10 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, tuple, Matrix]:
 
     t = 0
     while t < min(nr, nc):
-        # prefer a unit pivot (common in the incidence systems built here)
-        rows, cols = range(t, nr), range(t, nc)
-        pivot = next(((i, j) for i in rows for j in cols if abs(a[i][j]) == 1), None)
-        if pivot is None:
-            nonzero = [(abs(a[i][j]), i, j) for i in rows for j in cols if a[i][j]]
-            if not nonzero:
-                break
-            pivot = min(nonzero)[1:]
-        pi, pj = pivot
+        nonzero = [(abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]]
+        if not nonzero:
+            break
+        _, pi, pj = min(nonzero)
         a[t], a[pi] = a[pi], a[t]
         for row in a + v:
             row[t], row[pj] = row[pj], row[t]
@@ -179,12 +176,11 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, tuple, Matrix]:
         if redo:
             continue
         p = a[t][t]
-        if abs(p) != 1:  # a unit pivot divides every remaining entry
-            rest = range(t + 1, nc)
-            bad = next((i for i in range(t + 1, nr) for j in rest if a[i][j] % p), None)
-            if bad is not None:
-                row_sub(t, -1, bad)  # adds row `bad` into row t
-                continue
+        rest = range(t + 1, nc)
+        bad = next((i for i in range(t + 1, nr) for j in rest if a[i][j] % p), None)
+        if bad is not None:
+            row_sub(t, -1, bad)  # adds row `bad` into row t
+            continue
         if p < 0:
             a[t] = [-x for x in a[t]]
         t += 1
@@ -195,10 +191,12 @@ def present_abelian(n: int, mul, identity: int, killed=()):
     """(moduli, coords) of the abelian group 0..n-1 under ``mul`` modulo
     ``killed``: invariant factors > 1 and each element's coordinates.
 
-    Rows: e_identity, e_x + e_g - e_{xg} for each x and each g of a greedy
-    generating set, and e_k per killed k.  Along these Cayley-graph edges
-    each e_x reduces to a word in the generators and the graph's cycles span
-    the kernel, so n*k + 1 + len(killed) rows replace n(n+1)/2 pair rows.
+    A breadth-first walk from the identity along a greedy generating set
+    g_1..g_k gives each element x a word w_x in Z^k, with w_{x g_j} = w_x + e_j
+    along the walk's tree.  The group is Z^k modulo the rows
+    w_x + e_j - w_{x g_j} of the edges off the tree and w_y per killed y
+    (Cohen, GTM 138, 2.4.3), so the Smith form has one column per generator.
+    Each greedy generator at least doubles the subgroup reached, so 2^k <= n.
     """
     gens: list[int] = []
     reached = {identity}
@@ -213,22 +211,29 @@ def present_abelian(n: int, mul, identity: int, killed=()):
                 if z not in reached:
                     reached.add(z)
                     frontier.append(z)
-    rows = [[int(i == identity) for i in range(n)]]
-    for x in range(n):
-        for g in gens:
-            row = [0] * n
-            row[x] += 1
-            row[g] += 1
-            row[mul(x, g)] -= 1
-            rows.append(row)
-    rows += [[int(i == k) for i in range(n)] for k in killed]
+    k = len(gens)
+    words = {identity: (0,) * k}
+    queue, rows = [identity], []
+    for y in queue:  # grows while it is walked: breadth first
+        for j, g in enumerate(gens):
+            z, step = mul(y, g), list(words[y])
+            step[j] += 1
+            if z not in words:
+                words[z] = tuple(step)
+                queue.append(z)
+            elif any(row := [a - b for a, b in zip(step, words[z])]):  # off the tree
+                rows.append(row)
+    rows += [words[y] for y in killed]
     d, _, v = smith_normal_form(freeze(rows))
-    diag = [d[i][i] for i in range(n)]
-    if 0 in diag:
+    diag = [row[i] for i, row in zip(range(k), d)]
+    if len(diag) < k or 0 in diag:
         raise InternalInconsistency("presented group is infinite", witness=diag)
-    kept = [i for i in range(n) if diag[i] > 1]
+    kept = [i for i in range(k) if diag[i] > 1]
+    coords = [
+        tuple(sum(w * v[j][i] for j, w in enumerate(words[x])) % diag[i] for i in kept)
+        for x in range(n)
+    ]
     moduli = tuple(diag[i] for i in kept)
-    coords = [tuple(v[x][i] % diag[i] for i in kept) for x in range(n)]
     _certify_presentation(n, mul, identity, killed, gens, moduli, coords)
     return moduli, coords
 

@@ -568,10 +568,11 @@ def canonical_weight_one_spec(field: QuadField) -> HeckeCharacterSpec:
     )
 
 
-# keeps cm rayclass within seconds: in-process over Z[i] on a 2-core host,
-# Python 3.11, (23) (norm 529) takes about 2.6 s, hnf:24,0,24 0.7 s and
-# gen:2,2^3 0.4 s, mostly in the Smith form of the residue-unit presentation
-MAX_IDEAL_NORM = 600
+# keeps cm rayclass within seconds: in-process on a 2-core host, Python 3.11,
+# (97) (norm 9409) takes about 1.0 s over Z[i] and 1.2 s over Z[w],
+# gen:82,57 (norm 9973) 0.45 s and (100) 0.4 s, mostly in the residue
+# arithmetic of the Cayley-graph walk
+MAX_IDEAL_NORM = 10**4
 
 
 def parse_ideal(field: QuadField, data) -> QuadIdeal:

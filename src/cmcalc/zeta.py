@@ -25,7 +25,6 @@ hand-expanded sums and the naive enumeration are test oracles
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from math import isqrt
 
@@ -60,12 +59,9 @@ class CurveSpec:
     def discriminant(self) -> int:
         return -16 * (4 * self.a4**3 + 27 * self.a6**2)
 
-    @cached_property
-    def bad_primes(self) -> tuple[int, ...]:
-        return _prime_factors(abs(self.discriminant))
-
     def is_good(self, p: int) -> bool:
-        return p not in self.bad_primes
+        """Whether the prime p does not divide the discriminant."""
+        return self.discriminant % p != 0
 
 
 @dataclass(frozen=True)
@@ -88,21 +84,6 @@ class EulerFactor:
         for i, c in enumerate(self.coefficients):
             out[i * k] = c
         return EulerFactor(tuple(out))
-
-
-def _prime_factors(n: int) -> tuple[int, ...]:
-    """The distinct prime factors of n >= 1, ascending, by trial division."""
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return tuple(out)
 
 
 def count_points(curve: CurveSpec, p: int) -> tuple[int, int]:

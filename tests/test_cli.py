@@ -232,6 +232,15 @@ class TestZeta:
         rep = json.loads(out)
         assert rep["passed"] and not rep["scalar_restriction"]["passed"]
 
+    def test_large_prime_coefficient_returns_at_once(self, capsys):
+        # bad primes are read from the discriminant modulo each swept prime,
+        # never by factoring 16 * 27 * (10^9 + 7)^2
+        start = time.perf_counter()
+        code, _, _ = run_main(
+            capsys, "zeta", "--curve=0,1000000007", "--d", "-3", "--pmax", "50"
+        )
+        assert code in (0, 1) and time.perf_counter() - start < 1.0
+
     def test_res_scalars_zero_means_off(self, capsys):
         code, out, _ = run_main(
             capsys, "zeta", "--curve", "-1,0", "--d", "-1", "--pmax", "13",
@@ -274,8 +283,9 @@ class TestRayclass:
         assert got == code and time.perf_counter() - start < 1.0
 
     def test_norm_above_bound(self, capsys):
-        code, out, err = run_main(capsys, "rayclass", "--d", "-1", "--modulus", "gen:31,0")
-        assert code == 2 and out == "" and "norm exceeds 600" in err
+        # (101) has norm 10201, just above the bound of 10^4
+        code, out, err = run_main(capsys, "rayclass", "--d", "-1", "--modulus", "gen:101,0")
+        assert code == 2 and out == "" and "norm exceeds 10000" in err
 
     @pytest.mark.parametrize("p, structure", [(11, [30]), (13, [3, 12])])
     def test_primes_below_bound(self, capsys, p, structure):

