@@ -370,9 +370,7 @@ def subgroups_containing(group: FiniteGroup, sub: Subgroup) -> tuple[Subgroup, .
         for x in group.elements():
             if x in current:
                 continue
-            bigger = subgroup_generated(
-                group, tuple(current.elements) + (x,)
-            )
+            bigger = subgroup_generated(group, current.generators + (x,))
             if bigger.elements not in found:
                 found[bigger.elements] = bigger
                 frontier.append(bigger)

@@ -208,20 +208,13 @@ def check_transfer_identity(field: CMFieldHandle) -> dict:
 
 
 def _orbits_under(sub: Subgroup, field: CMFieldHandle, cosets) -> list[list[int]]:
-    """Orbits of a coset set under left translation by a subgroup."""
+    """Orbits of a coset set under left translation by a subgroup S: the
+    orbit of c is {s c : s in S}."""
     remaining = set(cosets)
     orbits = []
     while remaining:
         start = min(remaining)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            c = frontier.pop()
-            for s in sub.elements:
-                d = field.act(s, c)
-                if d not in orbit:
-                    orbit.add(d)
-                    frontier.append(d)
+        orbit = {field.act(s, start) for s in sub.elements}
         if not orbit <= remaining:
             raise InternalInconsistency("orbit escaped the type")
         remaining -= orbit
@@ -244,21 +237,19 @@ def check_reflex_compatibility(cm_type: CMType) -> dict:
     wsys = field.canonical_w_system
     stab = stabilizer(cm_type)
     stab_group, to_sub, to_parent = stab.as_group()
-    orbits = _orbits_under(stab, field, cm_type.cosets)
     h_members = set(field.fixer.elements)
+    # per orbit: its base point sigma and M = S meet sigma H sigma^-1
+    orbits = []
+    for orbit in _orbits_under(stab, field, cm_type.cosets):
+        sigma = field.cosets[orbit[0]][0]
+        m = [to_sub[s] for s in stab.elements if g.conj(g.inv(sigma), s) in h_members]
+        orbits.append((orbit, sigma, stab_group.subgroup(m)))
     failures = []
     count = 0
     for tau in stab.elements:
-        for orbit in orbits:
-            sigma = field.cosets[orbit[0]][0]
+        for orbit, sigma, m_sub in orbits:
             partial_value = wsys.value(tau, orbit)
-            # conjugated transfer into S meet sigma H sigma^-1
-            m_elements = [
-                s
-                for s in stab.elements
-                if g.mul(g.mul(g.inv(sigma), s), sigma) in h_members
-            ]
-            m_sub = stab_group.subgroup([to_sub[s] for s in m_elements])
+            # conjugated transfer into M
             ver = transfer_product(stab_group, m_sub, to_sub[tau])
             conj = g.mul(g.mul(g.inv(sigma), to_parent[ver]), sigma)
             if conj not in h_members:

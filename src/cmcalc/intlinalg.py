@@ -14,7 +14,8 @@ instead, and a failed certificate raises InternalInconsistency:
     rank M + len(kernel) == cols, and M @ x == b;
   * Smith form: only D (diagonal, d_i | d_{i+1}, d_i >= 0) and V are built,
     and present_abelian certifies the presentation it reads from them; it
-    presents a finite abelian group on k generators as Z^k modulo the
+    presents a finite abelian group on its k greedy generators (the one
+    closure walk of the package, also used by groups) as Z^k modulo the
     relations of one Cayley-graph walk, so the Smith form has k columns;
   * linear maps act on column vectors, lattices are spanned by basis rows.
 """
@@ -187,6 +188,33 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, tuple, Matrix]:
     return freeze(a), (), freeze(v)
 
 
+def closure(mul, reached: set, gens) -> set:
+    """Grow ``reached`` in place to its closure under y -> mul(y, g) for g in
+    ``gens``, and return it."""
+    frontier = list(reached)
+    while frontier:
+        y = frontier.pop()
+        for z in [mul(y, g) for g in gens]:
+            if z not in reached:
+                reached.add(z)
+                frontier.append(z)
+    return reached
+
+
+def generating_set(elements, mul, identity: int) -> list[int]:
+    """Greedy generators of ``elements``: each one, in the given order, that
+    the earlier ones do not reach from the identity, so each is a product of
+    generators (also under a ``mul`` not known to be associative).  Each
+    generator at least doubles the subgroup reached, so 2^k <= its order."""
+    gens: list[int] = []
+    reached = {identity}
+    for x in elements:
+        if x not in reached:
+            gens.append(x)
+            closure(mul, reached, gens)
+    return gens
+
+
 def present_abelian(n: int, mul, identity: int, killed=()):
     """(moduli, coords) of the abelian group 0..n-1 under ``mul`` modulo
     ``killed``: invariant factors > 1 and each element's coordinates.
@@ -196,21 +224,8 @@ def present_abelian(n: int, mul, identity: int, killed=()):
     along the walk's tree.  The group is Z^k modulo the rows
     w_x + e_j - w_{x g_j} of the edges off the tree and w_y per killed y
     (Cohen, GTM 138, 2.4.3), so the Smith form has one column per generator.
-    Each greedy generator at least doubles the subgroup reached, so 2^k <= n.
     """
-    gens: list[int] = []
-    reached = {identity}
-    for x in range(n):
-        if x in reached:
-            continue
-        gens.append(x)
-        frontier = list(reached)
-        while frontier:
-            y = frontier.pop()
-            for z in [mul(y, g) for g in gens]:
-                if z not in reached:
-                    reached.add(z)
-                    frontier.append(z)
+    gens = generating_set(range(n), mul, identity)
     k = len(gens)
     words = {identity: (0,) * k}
     queue, rows = [identity], []
@@ -244,13 +259,7 @@ def _certify_presentation(n, mul, identity, killed, gens, moduli, coords) -> Non
     every generator edge (so a homomorphism, by induction on word length),
     kills <killed>, reaches prod d_i points, and n / prod d_i = |<killed>|."""
     order = prod(moduli)
-    sub, frontier = {identity}, [identity]
-    while frontier:
-        y = frontier.pop()
-        for z in [mul(y, k) for k in killed]:
-            if z not in sub:
-                sub.add(z)
-                frontier.append(z)
+    sub = closure(mul, {identity}, killed)
     if (
         any(d < 2 for d in moduli)
         or any(b % a for a, b in zip(moduli, moduli[1:]))

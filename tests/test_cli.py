@@ -115,6 +115,18 @@ class TestEnumerate:
             assert code == 2 and "invalid field data" in err, (table, iota)
             assert message in err, err
 
+    @pytest.mark.parametrize("command", ["enumerate", "transfer", "serre"])
+    def test_non_group_above_order_64(self, tmp_path, capsys, command):
+        # C200 with one entry changed: associativity fails at (3, 4, 1) only
+        table = [[(a + b) % 200 for b in range(200)] for a in range(200)]
+        table[3][5] = 9
+        path = tmp_path / "field.json"
+        payload = {"group": {"table": table}, "iota": 100, "H": list(range(0, 200, 8))}
+        path.write_text(json.dumps(payload))
+        code, out, err = run_main(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert "associativity fails" in err
+
 
 class TestCheck:
     def test_single_battery_cocycle(self, capsys):

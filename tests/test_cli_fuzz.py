@@ -76,6 +76,12 @@ GROUP_TABLES = [_table(n, _cyclic(n)) for n in (1, 2, 3, 4, 6, 8)] + [
 ]
 
 
+# C200 with one entry changed: not associative, above the order at which
+# make_group once switched to sampling triples
+BROKEN_C200 = _table(200, _cyclic(200))
+BROKEN_C200[3][5] = 9
+
+
 def _cyclic_subgroup(table, x):
     seen, y = [0], x
     while y not in seen:
@@ -139,6 +145,11 @@ malformed = st.fixed_dictionaries(
 @example(  # JSON Infinity: int() raises OverflowError, not ValueError
     data={"group": {"table": GROUP_TABLES[1]}, "iota": float("inf"), "H": [0]},
     command="serre",
+    element=None,
+)
+@example(
+    data={"group": {"table": BROKEN_C200}, "iota": 100, "H": list(range(0, 200, 8))},
+    command="enumerate",
     element=None,
 )
 def test_field_files_keep_the_contract(data, command, element):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from cmcalc.battery import BATTERY_NAMES, battery_field
 from cmcalc.errors import InternalInconsistency, NotAGroup, NotASubgroup
 from cmcalc.groups import (
     abelianization,
@@ -82,6 +83,72 @@ class TestMakeGroup:
         g = dihedral_group(4)
         assert g.order == 8
         assert g.is_central(2)  # the half turn
+
+
+# C200 with one entry changed: above order 64, where make_group once sampled
+BROKEN_C200 = [[(a + b) % 200 for b in range(200)] for a in range(200)]
+BROKEN_C200[3][5] = 9
+# identity 0, every element its own inverse; the greedy generators are 1 and
+# 2, and (ab)1 == a(b1) for all a, b, so only the second exposes the failure
+SECOND_GENERATOR_TABLE = [[0, 1, 2, 3], [1, 0, 2, 3], [2, 3, 0, 1], [3, 2, 1, 0]]
+GENERATOR_CHECK_GROUPS = [battery_field(name).group for name in BATTERY_NAMES] + [
+    direct_product(dihedral_group(4), cyclic_group(2))
+]
+
+
+def associative(table):
+    """Oracle: (ab)c == a(bc) over all n^3 triples."""
+    n = len(table)
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
+class TestGeneratorChecks:
+    """Checks on the greedy generators against their all-elements definitions."""
+
+    def test_light_test_matches_all_triples(self):
+        tables = [g.table for g in GENERATOR_CHECK_GROUPS]
+        tables += [BROKEN_C200, SECOND_GENERATOR_TABLE]
+        for table in tables:
+            try:
+                make_group(table)
+                verdict = True
+            except NotAGroup as err:
+                assert str(err) == "associativity fails"
+                a, b, c = err.witness
+                assert table[table[a][b]][c] != table[a][table[b][c]]
+                verdict = False
+            assert verdict == associative(table), len(table)
+
+    def test_definitions_on_every_subgroup(self):
+        for g in GENERATOR_CHECK_GROUPS:
+            elements = g.elements()
+            for a in elements:
+                assert g.is_central(a) == all(g.mul(a, b) == g.mul(b, a) for b in elements)
+            for h in _all_subgroups(g):
+                members = set(h.elements)
+                conjugates = [{g.conj(x, y) for y in members} for x in elements]
+                for x in elements:
+                    assert h.normalizes(x) == (conjugates[x] <= members)
+                assert h.is_normal() == all(c <= members for c in conjugates)
+                outside = [x for x in elements if x not in members]
+                candidates = [members | {x} for x in outside]
+                candidates += [members - {x} for x in members if x != g.identity]
+                # H and a coset xH are closed under every generator in H: a
+                # later generator has to find the escape
+                candidates += [members | {g.mul(x, y) for y in members} for x in outside]
+                for candidate in candidates:
+                    closed = all(g.mul(a, b) in candidate for a in candidate for b in candidate)
+                    try:
+                        g.subgroup(candidate)
+                        built = True
+                    except NotASubgroup:
+                        built = False
+                    assert built == closed, (g.order, sorted(candidate))
 
 
 class TestSubgroups:

@@ -21,7 +21,6 @@ from cmcalc.groups import (
     dihedral_group,
     direct_product,
     left_cosets,
-    subgroup_generated,
 )
 from cmcalc.serre import (
     Cocharacter,
@@ -67,15 +66,6 @@ def _perm_matrices(field):
     return out
 
 
-def _generators(group):
-    gens, have = [], {group.identity}
-    for x in group.elements():
-        if x not in have:
-            gens.append(x)
-            have = set(subgroup_generated(group, gens).elements)
-    return gens
-
-
 def solved_reflex_matrix(cm_type, e_field):
     """Oracle: the reflex norm as the integer solution of equivariance on a
     generating set plus the evaluation row at the identity coset of E, or
@@ -84,7 +74,7 @@ def solved_reflex_matrix(cm_type, e_field):
     n_k, n_e = field.degree, e_field.degree
     acts_k, acts_e = _perm_matrices(field), _perm_matrices(e_field)
     rows, rhs = [], []
-    for g in _generators(field.group):
+    for g in field.group.generators:
         pe, pk = acts_e[g], acts_k[g]
         for r in range(n_e):
             for c in range(n_k):

@@ -107,3 +107,21 @@ def test_zeta_has_one_point_counter():
     assert callers == {"_symbol_sum"}
     hasse = next(fn for fn in functions if fn.name == "_hasse_count")
     assert ast.unparse(hasse.args) == "field, a4, a6"
+
+
+def test_one_closure_walk():
+    # every finite-group closure goes through intlinalg.closure: no other
+    # function in these modules binds a frontier of its own
+    found = set()
+    for name in ("groups.py", "intlinalg.py", "cocycle.py"):
+        path = SRC / name
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if (
+                        isinstance(node, ast.Name)
+                        and node.id == "frontier"
+                        and isinstance(node.ctx, ast.Store)
+                    ):
+                        found.add(f"{name}:{fn.name}")
+    assert found == {"intlinalg.py:closure"}
