@@ -30,13 +30,8 @@ class FiniteGroup:
 
     @cached_property
     def inverses(self) -> tuple[int, ...]:
-        inv = [-1] * self.order
-        for a in range(self.order):
-            for b in range(self.order):
-                if self.table[a][b] == self.identity and self.table[b][a] == self.identity:
-                    inv[a] = b
-                    break
-        return tuple(inv)
+        # in a group the right inverse is the only one
+        return tuple(row.index(self.identity) for row in self.table)
 
     def inv(self, a: int) -> int:
         return self.inverses[a]
@@ -96,10 +91,12 @@ def make_group(table, names=None) -> FiniteGroup:
             break
     if identity is None:
         raise NotAGroup("no two-sided identity")
-    for a in range(n):
-        if not any(
-            tbl[a][b] == identity and tbl[b][a] == identity for b in range(n)
-        ):
+    for a, row in enumerate(tbl):
+        # the first right inverse, else a scan: before associativity is
+        # known it need not be the two-sided one
+        if identity in row and tbl[row.index(identity)][a] == identity:
+            continue
+        if not any(row[b] == identity and tbl[b][a] == identity for b in range(n)):
             raise NotAGroup(f"element {a} has no two-sided inverse", witness=(a,))
     for g in generating_set(range(n), lambda a, b: tbl[a][b], identity):
         right = [row[g] for row in tbl]  # right[x] = xg

@@ -61,7 +61,7 @@ class QuadField:
     def discriminant(self) -> int:
         return self.d if self.uses_half_generator else 4 * self.d
 
-    @property
+    @cached_property
     def omega_relation(self) -> tuple[int, int]:
         """(s, t) with omega^2 = s*omega + t."""
         if self.uses_half_generator:
@@ -118,17 +118,18 @@ class QuadInt:
     def __pow__(self, k: int) -> "QuadInt":
         if k < 0:
             raise ValueError("negative powers leave the ring of integers")
-        out = self.field.one
-        base = self
+        # square-and-multiply with no product by 1 and no square past the top bit
+        out, base = None, self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if k:
+                base = base * base
+        return self.field.one if out is None else out
 
     def _match(self, other: "QuadInt") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise CMError("elements of different fields")
 
     def conj(self) -> "QuadInt":
@@ -552,9 +553,13 @@ def hecke_eval(spec: HeckeCharacterSpec, ideal: QuadIdeal) -> QuadInt:
 
 
 def _hecke_value(spec: HeckeCharacterSpec, alpha: QuadInt) -> QuadInt:
-    """chi at the ideal (alpha), for alpha primary and coprime to the conductor."""
+    """chi at the ideal (alpha), for alpha primary and coprime to the conductor;
+    only the factors other than 1 are multiplied."""
     n1, n2 = spec.infinity_type
-    return spec.twist_value(alpha) * alpha**n1 * alpha.conj() ** n2
+    factors = ([alpha**n1] if n1 else []) + ([alpha.conj() ** n2] if n2 else [])
+    if any(spec.twist_exponents):
+        factors.append(spec.twist_value(alpha))
+    return math.prod(factors[1:], start=factors[0]) if factors else spec.field.one
 
 
 def canonical_weight_one_spec(field: QuadField) -> HeckeCharacterSpec:

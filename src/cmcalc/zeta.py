@@ -11,14 +11,16 @@ factors in T^{f_v}.
 Counts never look at the CM field.  Over F_q (q = p or p^2) the count N is
 one of the Hasse candidates q + 1 - h .. q + 1 + h, h = isqrt(4q).  A point
 (c x, c^2) with c = f(x) != 0 needs no square root: it lies on E when c is
-a square and on the quadratic twist, with 2q + 2 - N points, when not.
-One baby-step giant-step pass finds every multiple k of its order in the
-interval; the candidates left are those whose count on that curve is such
-a k (Shanks-Mestre; Cohen, GTM 138, 7.4).  Points alternate between E and
-its twist until one candidate is left; after _MAX_POINTS points the
-symbol sum q + 1 + sum chi(f(x)) decides, written once over the same
-field arithmetic, and it must be one of the surviving candidates.  The
-hand-expanded sums and the naive enumeration are test oracles
+a square and on the quadratic twist, with 2q + 2 - N points, when not; on
+a4 = 0 curves x = 0 is skipped, its point having order 3.  One baby-step
+giant-step pass finds every multiple k of its order in the interval, with
+scalar multiples over F_p in Jacobian coordinates (one inversion each); the
+candidates left are those whose count on that curve is such a k
+(Shanks-Mestre; Cohen, GTM 138, 7.4).  Points alternate between E and its
+twist until one candidate is left; after _MAX_POINTS points the symbol sum
+q + 1 + sum chi(f(x)) decides, written once over the same field arithmetic,
+and it must be one of the surviving candidates.  The hand-expanded sums,
+the naive enumeration and the affine point laws are test oracles
 (tests/zeta_oracle.py).
 """
 
@@ -150,6 +152,49 @@ class _PrimeField:
         x3 = (lam * lam - x1 - x2) % p
         return (x3, (lam * (x1 - x3) - y1) % p)
 
+    def multiply(self, a, k, P):
+        """k P for k >= 0, by double-and-add in Jacobian coordinates: (X, Y, Z)
+        is (X/Z^2, Y/Z^3), Z = 0 the point at infinity.  One inversion at the
+        end, none when k P = O."""
+        p = self.p
+        x, y = P
+        X, Y, Z = (x, y, 1) if k else (1, 1, 0)
+        for bit in bin(k)[3:]:
+            # 2 R; Z = 0 stays 0, and Y = 0 (order 2) gives Z = 0
+            YY = Y * Y % p
+            S = 4 * X * YY % p
+            ZZ = Z * Z % p
+            M = (3 * X * X + a * ZZ * ZZ) % p
+            Z = 2 * Y * Z % p
+            X = (M * M - 2 * S) % p
+            Y = (M * (S - X) - 8 * YY * YY) % p
+            if bit == "1":
+                # R + P, P affine
+                if not Z:
+                    X, Y, Z = x, y, 1
+                    continue
+                ZZ = Z * Z % p
+                H = (x * ZZ - X) % p
+                r = (y * ZZ * Z - Y) % p
+                if not H:
+                    if r:  # R = -P
+                        Z = 0
+                    else:  # R = P
+                        Q = self.add_points(a, P, P)
+                        X, Y, Z = (*Q, 1) if Q else (1, 1, 0)
+                    continue
+                HH = H * H % p
+                HHH = H * HH % p
+                V = X * HH % p
+                X = (r * r - HHH - 2 * V) % p
+                Y = (r * (V - X) - Y * HHH) % p
+                Z = Z * H % p
+        if not Z:
+            return None
+        w = pow(Z, -1, p)
+        ww = w * w % p
+        return (X * ww % p, Y * ww * w % p)
+
 
 class _QuadraticExtension:
     """F_{p^2} = F_p[theta], theta^2 = s theta + t; elements are pairs (u, v)
@@ -163,9 +208,6 @@ class _QuadraticExtension:
     def add(self, x, y):
         return ((x[0] + y[0]) % self.p, (x[1] + y[1]) % self.p)
 
-    def neg(self, x):
-        return (-x[0] % self.p, -x[1] % self.p)
-
     def mul(self, x, y):
         vv = x[1] * y[1]
         return ((x[0] * y[0] + self.t * vv) % self.p,
@@ -173,11 +215,6 @@ class _QuadraticExtension:
 
     def norm(self, x) -> int:
         return (x[0] * x[0] + self.s * x[0] * x[1] - self.t * x[1] * x[1]) % self.p
-
-    def inv(self, x):
-        # the conjugate of u + v theta is (u + s v) - v theta
-        n = pow(self.norm(x), -1, self.p)
-        return ((x[0] + self.s * x[1]) * n % self.p, -x[1] * n % self.p)
 
     def is_square(self, x) -> bool:
         return legendre(self.norm(x), self.p) == 1
@@ -191,32 +228,51 @@ class _QuadraticExtension:
         return ((u, 1) for u in range(self.p))
 
     def add_points(self, a, P, Q):
-        """P + Q on Y^2 = X^3 + a X + b, as _PrimeField.add_points."""
+        """P + Q on Y^2 = X^3 + a X + b, as _PrimeField.add_points, written
+        out on the pair integers."""
         if P is None:
             return Q
         if Q is None:
             return P
+        p, s, t = self.p, self.s, self.t
         (x1, y1), (x2, y2) = P, Q
         if x1 == x2:
-            if y1 != y2 or y1 == self.zero:
+            if y1 != y2 or y1 == (0, 0):
                 return None
-            xx = self.mul(x1, x1)
-            lam = self.mul(self.add(self.add(xx, xx), self.add(xx, a)),
-                           self.inv(self.add(y1, y1)))
+            # slope (3 x1^2 + a) / (2 y1)
+            u, v = x1
+            vv = v * v
+            nu, nv = 3 * (u * u + t * vv) + a[0], 3 * (2 * u * v + s * vv) + a[1]
+            du, dv = 2 * y1[0], 2 * y1[1]
         else:
-            lam = self.mul(self.add(y2, self.neg(y1)), self.inv(self.add(x2, self.neg(x1))))
-        x3 = self.add(self.mul(lam, lam), self.neg(self.add(x1, x2)))
-        return (x3, self.add(self.mul(lam, self.add(x1, self.neg(x3))), self.neg(y1)))
+            nu, nv = y2[0] - y1[0], y2[1] - y1[1]
+            du, dv = x2[0] - x1[0], x2[1] - x1[1]
+        # n / d = n conj(d) / N(d), the conjugate of u + v theta being
+        # (u + s v) - v theta
+        w = pow((du * du + s * du * dv - t * dv * dv) % p, -1, p)
+        cu, cv = (du + s * dv) * w % p, -dv * w % p
+        vv = nv * cv
+        lu, lv = (nu * cu + t * vv) % p, (nu * cv + nv * cu + s * vv) % p
+        vv = lv * lv
+        x3 = ((lu * lu + t * vv - x1[0] - x2[0]) % p,
+              (2 * lu * lv + s * vv - x1[1] - x2[1]) % p)
+        eu, ev = x1[0] - x3[0], x1[1] - x3[1]
+        vv = lv * ev
+        return x3, ((lu * eu + t * vv - y1[0]) % p, (lu * ev + lv * eu + s * vv - y1[1]) % p)
+
+    def multiply(self, a, k, P):
+        """k P for k >= 0, by affine double-and-add."""
+        out = None
+        for bit in bin(k)[2:]:
+            out = self.add_points(a, out, out)
+            if bit == "1":
+                out = self.add_points(a, out, P)
+        return out
 
 
 def _mul(field, a, k: int, P):
-    """k P for k >= 0, by double-and-add."""
-    out = None
-    for bit in bin(k)[2:]:
-        out = field.add_points(a, out, out)
-        if bit == "1":
-            out = field.add_points(a, out, P)
-    return out
+    """k P for k >= 0, by the field's double-and-add."""
+    return field.multiply(a, k, P)
 
 
 def _point_multiples(field, a, b, P, lo: int, hi: int) -> list[int]:
@@ -303,8 +359,9 @@ def _hasse_count(field, a4, a6) -> int:
     for x in field.abscissae():
         c = _cubic(field, a4, a6, x)
         # alternate between E and its twist: one curve alone can have too
-        # small an exponent to single out its count
-        if c == field.zero or field.is_square(c) == twist:
+        # small an exponent to single out its count.  With a4 = 0, x = 0
+        # gives the inflection point (0, c^2) of order 3, which decides nothing
+        if c == field.zero or a4 == x == field.zero or field.is_square(c) == twist:
             continue
         c2 = field.mul(c, c)
         a, b = field.mul(a4, c2), field.mul(a6, field.mul(c2, c))

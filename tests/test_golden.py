@@ -31,6 +31,14 @@ GOLDEN = {
          "--verbose"],
         "ce23fd71bbc9693ff9523eccf79c73404e9d58e29b1611adadceff3aa5d3e9a4",
     ),
+    "zeta_gauss_pmax_1e5": (
+        ["zeta", "--curve=-1,0", "--d", "-1", "--pmax", "100000"],
+        "6a1e0dedf0358b0b65f01016ff2bc6eb674b9f323b4c8b6322606a6fc0e75dff",
+    ),
+    "zeta_eisenstein_pmax_1e5": (
+        ["zeta", "--curve=0,16", "--d", "-3", "--pmax", "100000"],
+        "25c760c69c46144ab334b5a7cb395ddf8e6d5e5b1ccc3fc73f12d656414a3274",
+    ),
     "check": (
         ["check", "--suite", "all", "--battery", "all", "--seed", "7", "--trials", "20"],
         "9987cd74a36bb0bbca5002078c17debda8261b2996db2f0abdd9bcfd72e1279c",

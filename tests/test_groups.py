@@ -91,9 +91,22 @@ BROKEN_C200[3][5] = 9
 # identity 0, every element its own inverse; the greedy generators are 1 and
 # 2, and (ab)1 == a(b1) for all a, b, so only the second exposes the failure
 SECOND_GENERATOR_TABLE = [[0, 1, 2, 3], [1, 0, 2, 3], [2, 3, 0, 1], [3, 2, 1, 0]]
+# identity 0; the first right inverse of 1 is 2, but 2 * 1 = 3, so only a
+# scan finds its two-sided inverse 3
+ONE_SIDED_FIRST = [[0, 1, 2, 3], [1, 3, 0, 0], [2, 3, 0, 1], [3, 0, 1, 2]]
+# identity 0; 2 * 1 = 0 but 1 * 2 = 2, and 2 has no other inverse
+NO_INVERSE = [[0, 1, 2], [1, 0, 2], [2, 0, 1]]
 GENERATOR_CHECK_GROUPS = [battery_field(name).group for name in BATTERY_NAMES] + [
     direct_product(dihedral_group(4), cyclic_group(2))
 ]
+
+
+def inverse_scan(table):
+    """Oracle: for each a the first b with ab = ba = 0 by a pairwise scan,
+    None where there is none (every table here has identity 0)."""
+    n = len(table)
+    return [next((b for b in range(n) if table[a][b] == table[b][a] == 0), None)
+            for a in range(n)]
 
 
 def associative(table):
@@ -123,6 +136,23 @@ class TestGeneratorChecks:
                 assert table[table[a][b]][c] != table[a][table[b][c]]
                 verdict = False
             assert verdict == associative(table), len(table)
+
+    def test_inverses_match_pairwise_scan(self):
+        tables = [g.table for g in GENERATOR_CHECK_GROUPS]
+        tables += [BROKEN_C200, SECOND_GENERATOR_TABLE, ONE_SIDED_FIRST, NO_INVERSE]
+        for table in tables:
+            expected = inverse_scan(table)
+            missing = [a for a, b in enumerate(expected) if b is None]
+            try:
+                group = make_group(table)
+            except NotAGroup as err:
+                if "inverse" in str(err):
+                    assert err.witness == (missing[0],), table
+                    continue
+                group = None
+            assert not missing, table
+            if group is not None:
+                assert group.inverses == tuple(expected)
 
     def test_definitions_on_every_subgroup(self):
         for g in GENERATOR_CHECK_GROUPS:

@@ -139,6 +139,32 @@ class TestElements:
         assert q is not None and (q * y) == x
         assert exact_div(GAUSS.element(1, 0), GAUSS.element(1, 1)) is None
 
+    def test_arithmetic_across_fields_refused(self):
+        # the same field built twice is equal but not identical, so the
+        # identity shortcut alone would refuse it
+        x = GAUSS.element(2, 1)
+        assert x + QuadField(-1).element(1, 1) == GAUSS.element(3, 2)
+        for other in (QuadField(-3), QuadField(-7)):
+            y = other.element(2, 1)
+            for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
+                with pytest.raises(CMError, match="different fields"):
+                    op(x, y)
+                with pytest.raises(CMError, match="different fields"):
+                    op(y, x)
+
+    def test_power_is_repeated_product(self):
+        rng = random.Random(3)
+        for d in (-1, -2, -3, -7):
+            f = QuadField(d)
+            for _ in range(10):
+                x = random_nonzero(f, rng)
+                expected = f.one
+                for k in range(6):
+                    assert x**k == expected, (d, x, k)
+                    expected = expected * x
+        with pytest.raises(ValueError):
+            GAUSS.element(1, 1) ** -1
+
 
 class TestIdeals:
     def test_canonical_forms_equal(self):

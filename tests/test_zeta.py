@@ -1,6 +1,7 @@
 """Point counts versus character values, and the scalar-restriction check."""
 
 import bisect
+import functools
 import math
 from collections import Counter
 
@@ -19,6 +20,8 @@ from cmcalc.quadratic import (
     ideal_from_generator,
     is_rational_prime,
     ray_class_group,
+    _hecke_value,
+    _primary_associate,
 )
 from cmcalc.zeta import (
     CurveSpec,
@@ -34,12 +37,14 @@ from cmcalc.zeta import (
     _point_multiples,
     _PrimeField,
     _QuadraticExtension,
+    _cubic,
     _symbol_sum,
     verify_cm_zeta,
     verify_res_scalars,
 )
 
-from zeta_oracle import character_sum_fp, character_sum_fp2, count_points_naive, naive_count_fp2
+from zeta_oracle import (add_points_fp, add_points_fp2, character_sum_fp, character_sum_fp2,
+                         count_points_naive, multiply_fp, naive_count_fp2)
 
 GAUSS = QuadField(-1)
 EISENSTEIN = QuadField(-3)
@@ -282,6 +287,33 @@ class TestHasseCount:
         # small fields leave several candidates after every point drawn
         assert fallbacks == [3, 5, 7, 11, 29]
 
+    def test_no_order_three_draw(self, monkeypatch):
+        # with a4 = 0, x = 0 gives the inflection point (0, c^2) of order 3
+        import cmcalc.zeta as zeta
+
+        fallbacks, drawn = [], []
+        self.spy_on_symbol_sum(monkeypatch, fallbacks)
+        original = zeta._point_multiples
+
+        def spy(field, a, b, P, lo, hi):
+            drawn.append(P)
+            return original(field, a, b, P, lo, hi)
+
+        monkeypatch.setattr(zeta, "_point_multiples", spy)
+        fell_back = set()
+        for a6 in (1, 2, 3, 5, 7, 16, -432):
+            for p in good_odd_primes(0, a6, 2999):
+                fallbacks.clear()
+                count_fp(0, a6, p)
+                if fallbacks:
+                    fell_back.add((p, a6 % p))
+        assert len(drawn) > 3000 and all(x != 0 for x, _ in drawn)
+        # the same small fields fall back as when x = 0 was drawn
+        assert fell_back == {(5, 2), (7, 1), (11, 7)}
+        for p in good_odd_primes(0, 16, 29999):
+            count_fp(0, 16, p)
+        assert fallbacks == []
+
     def test_fallback_gate(self, monkeypatch):
         import cmcalc.zeta as zeta
 
@@ -405,6 +437,68 @@ class TestMultiplesInInterval:
         assert drawn > 1000
 
 
+def points(p, a4, a6):
+    """Every affine point of y^2 = x^3 + a4 x + a6 over F_p."""
+    roots = {}
+    for y in range(p):
+        roots.setdefault(y * y % p, []).append(y)
+    return [(x, y) for x in range(p) for y in roots.get((x * x * x + a4 * x + a6) % p, ())]
+
+
+@functools.lru_cache(maxsize=None)
+def addition_cases(k, order):
+    """What R = j P is before each addition of P in the double-and-add for
+    k P, with P of the given order."""
+    cases, j = [], 1
+    for bit in bin(k)[3:]:
+        j *= 2
+        if bit == "1":
+            r = j % order
+            cases.append("R = O" if r == 0 else "R = P" if r == 1 else
+                         "R = -P" if r == order - 1 else "R = j P")
+            j += 1
+    return tuple(cases)
+
+
+class TestPointArithmetic:
+    """The Jacobian scalar multiples over F_p and the F_{p^2} chord law on
+    the pair integers, against the affine laws of tests/zeta_oracle.py."""
+
+    def test_jacobian_multiply(self):
+        seen = Counter()
+        for a4, a6 in COUNT_CURVES:
+            for p in good_odd_primes(a4, a6, 60):
+                field, a = _PrimeField(p), a4 % p
+                for P in points(p, a, a6 % p):
+                    order, Q = 1, P
+                    while Q is not None:
+                        order, Q = order + 1, add_points_fp(p, a, Q, P)
+                    seen["y = 0"] += P[1] == 0
+                    for k in range(2 * p + 3):
+                        assert field.multiply(a, k, P) == multiply_fp(p, a, k, P), (p, a, P, k)
+                        seen["k P = O"] += k > 0 and k % order == 0
+                        seen.update(addition_cases(k, order))
+        assert all(seen[case] for case in ("y = 0", "k P = O", "R = O", "R = P", "R = -P"))
+
+    def test_inline_fp2_law(self):
+        # 7 is inert in Z[i], 5 in Z[omega]; theta^2 = 2 is irreducible mod 13
+        seen = Counter()
+        for relation, p in (((0, -1), 7), ((1, -1), 5), ((0, 2), 13)):
+            field = _QuadraticExtension(relation, p)
+            elements = [(u, v) for u in range(p) for v in range(p)]
+            for a4, a6 in COUNT_CURVES:
+                a4, a6 = (a4 % p, 0), (a6 % p, 0)
+                rhs = {x: _cubic(field, a4, a6, x) for x in elements}
+                pts = [None] + [(x, y) for x in elements for y in elements
+                                if field.mul(y, y) == rhs[x]]
+                for P in pts:
+                    for Q in pts:
+                        got = field.add_points(a4, P, Q)
+                        assert got == add_points_fp2(relation, p, a4, P, Q), (relation, p, P, Q)
+                        seen["P = Q" if P == Q else "O" if got is None else "chord"] += 1
+        assert seen["P = Q"] and seen["O"] and seen["chord"]
+
+
 class TestEulerFactors:
     def test_zero_trace(self):
         assert euler_from_counts(7, 0).coefficients == (1, 0, 7)
@@ -473,6 +567,34 @@ class TestEulerFactors:
             assert euler_from_hecke(spec, fac) == hecke_eval_factor(spec, fac), p
             checked += 1
         assert checked == expected
+
+    @pytest.mark.parametrize("make_spec", [
+        lambda: canonical_weight_one_spec(GAUSS),
+        lambda: canonical_weight_one_spec(EISENSTEIN),
+        lambda: HeckeCharacterSpec(field=GAUSS, conductor=canonical_conductor(GAUSS),
+                                   infinity_type=(0, 1)),
+        lambda: HeckeCharacterSpec(field=EISENSTEIN, conductor=canonical_conductor(EISENSTEIN),
+                                   infinity_type=(2, 1)),
+        lambda: HeckeCharacterSpec(field=GAUSS, conductor=canonical_conductor(GAUSS),
+                                   infinity_type=(0, 0)),
+        twisted_gauss_spec,
+    ], ids=["gauss", "eisenstein", "conjugate", "weight-three", "trivial", "twisted"])
+    def test_value_is_naive_product(self, make_spec):
+        # twist * alpha^n1 * conj(alpha)^n2 by repeated products from the twist
+        spec = make_spec()
+        n1, n2 = spec.infinity_type
+        for p in range(3, 400):
+            if not is_rational_prime(p) or spec.conductor.norm % p == 0:
+                continue
+            fac = factor_rational_prime(spec.field, p)
+            if fac.kind == "ramified":
+                continue
+            for prime, g in zip(fac.primes, fac.generators):
+                alpha = _primary_associate(prime, g)
+                expected = spec.twist_value(alpha)
+                for factor in [alpha] * n1 + [alpha.conj()] * n2:
+                    expected = expected * factor
+                assert _hecke_value(spec, alpha) == expected, (p, alpha)
 
     def test_hecke_foreign_factorization_refused(self):
         spec = canonical_weight_one_spec(GAUSS)
