@@ -161,6 +161,25 @@ class CMFieldHandle:
             for pick in itertools.product((0, 1), repeat=len(self.iota_pairs))
         )
 
+    @cached_property
+    def type_translation(self) -> tuple[tuple[int, ...], ...]:
+        """type_translation[tau][i] is the index of tau*cm_types[i].  Bit g-1-k of i
+        picks the member of iota-pair k, and as iota is central, tau permutes the
+        pairs, so a row is a bit permutation of i XORed with a flip mask."""
+        pairs, g = self.iota_pairs, len(self.iota_pairs)
+        where = {c: (g - 1 - k, s) for k, pair in enumerate(pairs) for s, c in enumerate(pair)}
+        table = []
+        for tau, row in enumerate(self.act_table):
+            perm, mask = [0], 0
+            for c, d in reversed(pairs):  # pair weights from low to high
+                bit, side = where[row[c]]
+                if row[d] != pairs[g - 1 - bit][1 - side]:
+                    raise InternalInconsistency("translation split an iota-pair", witness=(tau, c))
+                perm += [x | 1 << bit for x in perm]
+                mask |= side << bit
+            table.append(tuple(x ^ mask for x in perm))
+        return tuple(table)
+
     def coset_index(self, g_elt: int) -> int:
         return self.coset_table[g_elt]
 
@@ -209,10 +228,6 @@ class CMType:
 
     def coset_set(self) -> frozenset[int]:
         return frozenset(self.cosets)
-
-    def complement(self) -> "CMType":
-        members = self.coset_set()
-        return CMType(self.field, tuple(c for c in range(self.field.degree) if c not in members))
 
 
 def validate_cm_type(field: CMFieldHandle, subset) -> CMType:

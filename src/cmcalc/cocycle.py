@@ -9,7 +9,10 @@ representative system holds one factor table, and every value below is a
 sum read from it.  The value does not depend on the representative
 system, satisfies the cocycle law in the type argument, and combines with
 the complementary type to the transfer homomorphism.  Those three facts
-are the checkable identities this module sweeps.
+are the checkable identities this module sweeps, on integer tables: each
+class of H/[H,H] has a code with a sum table, type i is field.cm_types[i],
+field.type_translation[tau][i] is the index of tau*phi_i, and each system
+keeps its value row of codes per type, so every identity compares rows.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cmtypes import CMFieldHandle, CMType, enumerate_cm_types, stabilizer, translate_left
+from .cmtypes import CMFieldHandle, CMType, enumerate_cm_types
 from .errors import CMError, FactorNotInH, InternalInconsistency
 from .groups import Subgroup, transfer, transfer_product
 
@@ -74,6 +77,21 @@ class WSystem:
         moduli = self.field.quotient.moduli
         return tuple(sum(row[c][i] for c in cosets) % d for i, d in enumerate(moduli))
 
+    def value_rows(self, choices) -> list[list[int]]:
+        """Code rows (AbelianQuotient.code, one per tau) of the factor sums over each
+        pick of one coset per choice, in binary order, first choice highest."""
+        code, sums = self.field.quotient.code, self.field.quotient.sum_table
+        rows = [[0] * self.field.group.order]
+        for choice in choices:
+            members = [[code[row[c]] for row in self.factors] for c in choice]
+            rows = [[sums[a][b] for a, b in zip(r, m)] for r in rows for m in members]
+        return rows
+
+    @cached_property
+    def type_rows(self) -> list[list[int]]:
+        """type_rows[i][tau] codes the value of field.cm_types[i] at tau."""
+        return self.value_rows(self.field.iota_pairs)
+
 
 def choose_w_system(field: CMFieldHandle, seed: int | None = None) -> WSystem:
     """Pick representatives on one coset per iota-pair and extend by iota.
@@ -93,18 +111,9 @@ def choose_w_system(field: CMFieldHandle, seed: int | None = None) -> WSystem:
 
 def taniyama_cocycle(cm_type: CMType, tau: int, wsys: WSystem) -> CocycleValue:
     """Value of the type cocycle at tau, in H/[H,H] coordinates."""
-    if wsys.field != cm_type.field:
+    if wsys.field is not cm_type.field and wsys.field != cm_type.field:
         raise CMError("w-system belongs to a different field")
     return wsys.value(tau, cm_type.cosets)
-
-
-def _value_table(field: CMFieldHandle, types) -> dict:
-    """F[phi][tau], keyed by the cosets of phi, from the canonical system."""
-    wsys = field.canonical_w_system
-    return {
-        t.cosets: tuple(taniyama_cocycle(t, tau, wsys) for tau in field.group.elements())
-        for t in types
-    }
 
 
 def check_rep_independence(
@@ -118,62 +127,63 @@ def check_rep_independence(
     ``extra_system`` joins the comparison; passing a corrupted system (one
     violating the conjugation pairing) is the intended negative control.
     """
-    systems = _random_systems(cm_type.field, trials, seed, extra_system)
-    return _rep_independence(cm_type, trials, systems)
+    field, single = cm_type.field, [(c,) for c in cm_type.cosets]
+    systems = _random_systems(field, trials, seed, extra_system)
+    return _rep_independence(field, [cm_type], trials, systems, lambda w: w.value_rows(single))[0]
 
 
-def _random_systems(field: CMFieldHandle, trials: int, seed: int, extra_system) -> list:
-    """(trial, system) pairs; the extra system, if any, is trial -1."""
-    systems = [(k, choose_w_system(field, seed=seed * 100003 + k)) for k in range(trials)]
+def _random_systems(field: CMFieldHandle, trials: int, seed: int, extra_system):
+    """(trial, system) pairs, drawn lazily; the extra system, if any, is trial -1."""
+    for k in range(trials):
+        yield k, choose_w_system(field, seed=seed * 100003 + k)
     if extra_system is not None:
-        systems.append((-1, extra_system))
-    return systems
+        yield -1, extra_system
 
 
-def _rep_independence(cm_type: CMType, trials: int, systems) -> dict:
-    field = cm_type.field
-    canonical = field.canonical_w_system
-    baseline = [taniyama_cocycle(cm_type, tau, canonical) for tau in field.group.elements()]
-    failures = []
+def _rep_independence(field: CMFieldHandle, types, trials: int, systems, rows_of) -> list[dict]:
+    """One report per type, comparing each system's value rows, rows_of(system),
+    with the canonical ones; only a row that differs is walked for its tau."""
+    values = list(field.quotient.code)
+    baseline = rows_of(field.canonical_w_system)
+    failures = [[] for _ in types]
     for k, wsys in systems:
-        for tau in field.group.elements():
-            value = taniyama_cocycle(cm_type, tau, wsys)
-            if value != baseline[tau]:
-                failures.append({"tau": tau, "trial": k, "value": list(value)})
-    return {
-        "law": "cocycle_rep_independence",
-        "type": list(cm_type.cosets),
-        "trials": trials,
-        "failures": failures,
-        "passed": not failures,
-    }
+        if wsys.field is not field and wsys.field != field:
+            raise CMError("w-system belongs to a different field")
+        for base, row, found in zip(baseline, rows_of(wsys), failures):
+            if row != base:
+                found += (
+                    {"tau": tau, "trial": k, "value": list(values[v])}
+                    for tau, (v, b) in enumerate(zip(row, base)) if v != b
+                )
+    return [
+        {"law": "cocycle_rep_independence", "type": list(t.cosets), "trials": trials,
+         "failures": found, "passed": not found}
+        for t, found in zip(types, failures)
+    ]
 
 
 def check_cocycle_law(field: CMFieldHandle) -> dict:
-    """F_phi(sigma tau) == F_{tau phi}(sigma) + F_phi(tau), exhaustively."""
-    quotient = field.quotient
+    """F_phi(sigma tau) == F_{tau phi}(sigma) + F_phi(tau), exhaustively: per
+    (phi, tau), one comparison of two value rows over all sigma."""
     g = field.group
     types = enumerate_cm_types(field)
-    table = _value_table(field, types)
+    left, sums = field.type_translation, field.quotient.sum_table
+    rows = field.canonical_w_system.type_rows
+    columns = list(zip(*g.table))  # columns[tau][sigma] = sigma tau
     failures = []
-    count = 0
-    for cm_type in types:
-        values = table[cm_type.cosets]
-        for tau in g.elements():
-            moved = table[translate_left(tau, cm_type).cosets]
-            for sigma in g.elements():
-                count += 1
-                if values[g.mul(sigma, tau)] != quotient.add(moved[sigma], values[tau]):
-                    failures.append(
-                        {
-                            "type": list(cm_type.cosets),
-                            "sigma": sigma,
-                            "tau": tau,
-                        }
-                    )
+    for i, values in enumerate(rows):
+        for tau, column in enumerate(columns):
+            lhs = [values[x] for x in column]
+            shift = sums[values[tau]]
+            rhs = [shift[m] for m in rows[left[tau][i]]]
+            if lhs != rhs:
+                failures += (
+                    {"type": list(types[i].cosets), "sigma": sigma, "tau": tau}
+                    for sigma in g.elements() if lhs[sigma] != rhs[sigma]
+                )
     return {
         "law": "cocycle_law",
-        "checked": count,
+        "checked": len(rows) * g.order**2,
         "failures": failures,
         "passed": not failures,
     }
@@ -184,24 +194,26 @@ def check_transfer_identity(field: CMFieldHandle) -> dict:
 
     The complementary type contributes the remaining cosets, so the combined
     product runs over a full representative system: exactly the transfer.
+    The complement of type i is type i XOR (2^g - 1).
     """
     quotient = field.quotient
     g = field.group
     types = enumerate_cm_types(field)
-    table = _value_table(field, types)
-    transfers = [transfer(g, field.fixer, tau, quotient=quotient) for tau in g.elements()]
+    rows, sums = field.canonical_w_system.type_rows, quotient.sum_table
+    transfers = [
+        quotient.code[transfer(g, field.fixer, tau, quotient=quotient)] for tau in g.elements()
+    ]
     failures = []
-    count = 0
-    for cm_type in types:
-        values = table[cm_type.cosets]
-        comp = table[cm_type.complement().cosets]
-        for tau in g.elements():
-            count += 1
-            if quotient.add(values[tau], comp[tau]) != transfers[tau]:
-                failures.append({"type": list(cm_type.cosets), "tau": tau})
+    for i, values in enumerate(rows):
+        combined = [sums[a][b] for a, b in zip(values, rows[i ^ (len(rows) - 1)])]
+        if combined != transfers:
+            failures += (
+                {"type": list(types[i].cosets), "tau": tau}
+                for tau in g.elements() if combined[tau] != transfers[tau]
+            )
     return {
         "law": "transfer_identity",
-        "checked": count,
+        "checked": len(rows) * g.order,
         "failures": failures,
         "passed": not failures,
     }
@@ -222,21 +234,24 @@ def _orbits_under(sub: Subgroup, field: CMFieldHandle, cosets) -> list[list[int]
     return orbits
 
 
-def check_reflex_compatibility(cm_type: CMType) -> dict:
+def check_reflex_compatibility(cm_type: CMType, transfers: dict | None = None) -> dict:
     """Orbitwise transfer description of the cocycle on the reflex stabilizer.
 
     For tau fixing the type, the sum of the cocycle factors over each
     stabilizer orbit equals a conjugated transfer: with S the stabilizer,
     base point sigma_j in the orbit, and M_j = S meet sigma_j H sigma_j^-1,
     the orbit sum is sigma_j^-1 Ver_{S -> M_j}(tau) sigma_j projected to
-    H/[H,H]; the orbit sums add up to the full cocycle value.
+    H/[H,H]; the orbit sums add up to the full cocycle value.  ``transfers``
+    keeps each Ver by the elements of (S, M_j, tau) across a report's types.
     """
     field = cm_type.field
     g = field.group
     quotient = field.quotient
     wsys = field.canonical_w_system
-    stab = stabilizer(cm_type)
+    i = sum(1 << k for k, (_, d) in enumerate(reversed(field.iota_pairs)) if d in cm_type.cosets)
+    stab = g.subgroup(tau for tau, row in enumerate(field.type_translation) if row[i] == i)
     stab_group, to_sub, to_parent = stab.as_group()
+    transfers = {} if transfers is None else transfers
     h_members = set(field.fixer.elements)
     # per orbit: its base point sigma and M = S meet sigma H sigma^-1
     orbits = []
@@ -250,18 +265,16 @@ def check_reflex_compatibility(cm_type: CMType) -> dict:
         for orbit, sigma, m_sub in orbits:
             partial_value = wsys.value(tau, orbit)
             # conjugated transfer into M
-            ver = transfer_product(stab_group, m_sub, to_sub[tau])
-            conj = g.mul(g.mul(g.inv(sigma), to_parent[ver]), sigma)
+            key = (stab.elements, m_sub.elements, tau)
+            if key not in transfers:
+                transfers[key] = to_parent[transfer_product(stab_group, m_sub, to_sub[tau])]
+            conj = g.mul(g.mul(g.inv(sigma), transfers[key]), sigma)
             if conj not in h_members:
-                raise InternalInconsistency(
-                    "conjugated transfer left the fixing subgroup"
-                )
+                raise InternalInconsistency("conjugated transfer left the fixing subgroup")
             transfer_value = quotient.project(conj)
             count += 1
             if partial_value != transfer_value:
-                failures.append(
-                    {"tau": tau, "orbit": orbit, "kind": "orbit_transfer"}
-                )
+                failures.append({"tau": tau, "orbit": orbit, "kind": "orbit_transfer"})
     return {
         "law": "reflex_orbit_transfer",
         "type": list(cm_type.cosets),
@@ -283,11 +296,13 @@ def cocycle_report(
     ``extra_system`` is forwarded to the independence check (fault injection).
     The random systems do not depend on the type, so all types share them.
     """
-    systems = _random_systems(field, trials, seed, extra_system)
+    types = enumerate_cm_types(field)
     reports = [check_cocycle_law(field), check_transfer_identity(field)]
-    for cm_type in enumerate_cm_types(field):
-        reports.append(_rep_independence(cm_type, trials, systems))
-        reports.append(check_reflex_compatibility(cm_type))
+    systems = _random_systems(field, trials, seed, extra_system)
+    independence = _rep_independence(field, types, trials, systems, lambda w: w.type_rows)
+    transfers = {}
+    for cm_type, same in zip(types, independence):
+        reports += [same, check_reflex_compatibility(cm_type, transfers)]
     return {
         "degree": field.degree,
         "checks": reports,

@@ -9,6 +9,7 @@ only.  All values are immutable after construction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -232,6 +233,17 @@ class AbelianQuotient:
 
     def add(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((x + y) % d for x, y, d in zip(u, v, self.moduli))
+
+    @cached_property
+    def code(self) -> dict[tuple[int, ...], int]:
+        """The code of a class: its index among all classes in lexicographic order."""
+        return {u: i for i, u in enumerate(itertools.product(*map(range, self.moduli)))}
+
+    @cached_property
+    def sum_table(self) -> tuple[tuple[int, ...], ...]:
+        """sum_table[a][b] is the code of the sum of the classes coded a and b."""
+        values = list(self.code)
+        return tuple(tuple(self.code[self.add(u, v)] for v in values) for u in values)
 
 
 def abelianization(h: Subgroup) -> AbelianQuotient:

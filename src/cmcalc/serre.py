@@ -25,7 +25,6 @@ from .cmtypes import (
     enumerate_cm_types,
     require_enumerable,
     stabilizer,
-    translate_left,
 )
 from .errors import (
     InternalInconsistency,
@@ -419,11 +418,12 @@ def check_translation_compatibility(field: CMFieldHandle) -> dict:
 
     For every type and every tau, the matrix of the translated type is the
     original matrix with its rows permuted by right translation [x] |->
-    [x tau^-1] of the closure's embedding cosets.
+    [x tau^-1] of the closure's embedding cosets.  The translated type is
+    read from the field's type translation table.
     """
     group, closure = field.group, field.closure
     types = enumerate_cm_types(field)
-    matrices = {t.cosets: reflex_norm_map(t, closure).matrix for t in types}
+    matrices = [reflex_norm_map(t, closure).matrix for t in types]
     right = [
         tuple(
             closure.coset_index(group.mul(closure.coset_rep(c), group.inv(tau)))
@@ -431,12 +431,12 @@ def check_translation_compatibility(field: CMFieldHandle) -> dict:
         )
         for tau in group.elements()
     ]
+    left = field.type_translation
     failures = []
-    for cm_type in types:
-        base = matrices[cm_type.cosets]
+    for i, cm_type in enumerate(types):
+        base = matrices[i]
         for tau in group.elements():
-            moved = matrices[translate_left(tau, cm_type).cosets]
-            if moved != _permute(base, right[tau]):
+            if matrices[left[tau][i]] != _permute(base, right[tau]):
                 failures.append({"type": list(cm_type.cosets), "tau": tau})
     return {
         "law": "reflex_norm_translation",

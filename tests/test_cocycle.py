@@ -5,8 +5,15 @@ import pathlib
 
 import pytest
 
+import cocycle_oracle as oracle
 from cmcalc.battery import BATTERY_NAMES, battery_field
-from cmcalc.cmtypes import CMFieldHandle, enumerate_cm_types, stabilizer, validate_cm_type
+from cmcalc.cmtypes import (
+    CMFieldHandle,
+    enumerate_cm_types,
+    stabilizer,
+    translate_left,
+    validate_cm_type,
+)
 from cmcalc.cocycle import (
     WSystem,
     check_cocycle_law,
@@ -14,9 +21,10 @@ from cmcalc.cocycle import (
     check_reflex_compatibility,
     check_transfer_identity,
     choose_w_system,
+    cocycle_report,
     taniyama_cocycle,
 )
-from cmcalc.errors import CMError, FactorNotInH
+from cmcalc.errors import CMError, FactorNotInH, InternalInconsistency
 from cmcalc.groups import cyclic_group, transfer
 
 from test_groups import power
@@ -254,3 +262,117 @@ class TestRightTranslationConjugation:
                         )
                         conj = g.mul(g.mul(tau, rep_elt), g.inv(tau))
                         assert taniyama_cocycle(moved, sigma, w) == q.project(conj)
+
+
+def _contexts():
+    """The battery fields and their closures, c12_field(), ORDER16 and its closure."""
+    fields = [battery_field(n) for n in BATTERY_NAMES]
+    return fields + [f.closure for f in fields] + [c12_field(), ORDER16, ORDER16.closure]
+
+
+CONTEXTS = _contexts()
+CONTEXT_IDS = [
+    f"{n}{suffix}" for suffix in ("", "-closure") for n in BATTERY_NAMES
+] + ["c12", "order16", "order16-closure"]
+
+
+def _fresh(field):
+    """An equal handle with none of the cached tables, safe to corrupt."""
+    return CMFieldHandle(group=field.group, iota=field.iota, fixer=field.fixer)
+
+
+def _oracle_independence(field, trials, seed, extra_system=None):
+    systems = oracle._random_systems(field, trials, seed, extra_system)
+    return [oracle._rep_independence(t, trials, systems) for t in enumerate_cm_types(field)]
+
+
+def _report_independence(report):
+    return [c for c in report["checks"] if c["law"] == "cocycle_rep_independence"]
+
+
+class TestTables:
+    @pytest.mark.parametrize("field", CONTEXTS, ids=CONTEXT_IDS)
+    def test_sweeps_match_oracle(self, field):
+        assert check_cocycle_law(field) == oracle.check_cocycle_law(field)
+        assert check_transfer_identity(field) == oracle.check_transfer_identity(field)
+        report = cocycle_report(field, trials=3, seed=5)
+        assert _report_independence(report) == _oracle_independence(field, 3, 5)
+
+    @pytest.mark.parametrize("field", CONTEXTS, ids=CONTEXT_IDS)
+    def test_single_type_independence_matches_oracle(self, field):
+        for t in enumerate_cm_types(field)[:16]:
+            systems = oracle._random_systems(field, 3, 2, None)
+            expected = oracle._rep_independence(t, 3, systems)
+            assert check_rep_independence(t, trials=3, seed=2) == expected
+
+    @pytest.mark.parametrize("field", CONTEXTS, ids=CONTEXT_IDS)
+    def test_translation_table(self, field):
+        types = enumerate_cm_types(field)
+        index = {t.cosets: i for i, t in enumerate(types)}
+        left = field.type_translation
+        for i, t in enumerate(types):
+            for tau in field.group.elements():
+                assert left[tau][i] == index[translate_left(tau, t).cosets]
+            fixed = [tau for tau in field.group.elements() if left[tau][i] == i]
+            assert tuple(fixed) == stabilizer(t).elements
+
+    @pytest.mark.parametrize("field", CONTEXTS, ids=CONTEXT_IDS)
+    def test_value_codes(self, field):
+        q = field.quotient
+        values = list(q.code)
+        assert len(values) == q.order and values[0] == q.zero
+        for a, u in enumerate(values):
+            for b, v in enumerate(values):
+                assert values[q.sum_table[a][b]] == q.add(u, v)
+        w = field.canonical_w_system
+        for i, t in enumerate(enumerate_cm_types(field)):
+            row = [taniyama_cocycle(t, tau, w) for tau in field.group.elements()]
+            assert [values[v] for v in w.type_rows[i]] == row
+
+    def test_shared_transfers_change_nothing(self):
+        for field in [battery_field("D4"), c12_field(), ORDER16, ORDER16.closure]:
+            report = cocycle_report(field, trials=1)
+            reflex = [c for c in report["checks"] if c["law"] == "reflex_orbit_transfer"]
+            assert reflex == [check_reflex_compatibility(t) for t in enumerate_cm_types(field)]
+
+    @pytest.mark.parametrize("name", ["D4", "C2xC4", "c12", "order16"])
+    def test_corrupted_factor_matches_oracle(self, name):
+        base = c12_field() if name == "c12" else ORDER16 if name == "order16" else battery_field(name)
+        field = _fresh(base)
+        q = field.quotient
+        assert q.order > 1
+        w = field.canonical_w_system
+        factors = [list(row) for row in w.factors]
+        shift = next(v for v in q.code if v != q.zero)
+        factors[1][0] = q.add(factors[1][0], shift)
+        w.__dict__["factors"] = tuple(tuple(row) for row in factors)
+        law, transfer_rep = check_cocycle_law(field), check_transfer_identity(field)
+        assert law["failures"] and transfer_rep["failures"]
+        assert law == oracle.check_cocycle_law(field)
+        assert transfer_rep == oracle.check_transfer_identity(field)
+        report = cocycle_report(field, trials=2, seed=3)
+        assert _report_independence(report) == _oracle_independence(field, 2, 3)
+
+    @pytest.mark.parametrize("name", ["D4", "C2xC4"])
+    def test_broken_extra_system_matches_oracle(self, name):
+        field = _fresh(battery_field(name))
+        broken = TestNegativeControl()._broken(field)
+        report = cocycle_report(field, trials=2, seed=1, extra_system=broken)
+        independence = _report_independence(report)
+        assert independence == _oracle_independence(field, 2, 1, broken)
+        failures = [f for rep in independence for f in rep["failures"]]
+        assert failures and all(f["trial"] == -1 and "value" in f for f in failures)
+
+    def test_split_iota_pair_raises(self):
+        field = _fresh(c12_field())
+        pairs = field.iota_pairs
+        tau = 1
+        table = [list(row) for row in field.act_table]
+        c0, c1 = pairs[0][0], pairs[1][0]
+        table[tau][c0], table[tau][c1] = table[tau][c1], table[tau][c0]
+        field.__dict__["act_table"] = tuple(tuple(row) for row in table)
+        with pytest.raises(InternalInconsistency) as err:
+            field.type_translation
+        assert err.value.witness == (tau, c1)
+        with pytest.raises(InternalInconsistency):
+            check_cocycle_law(field)

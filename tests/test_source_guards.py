@@ -125,3 +125,30 @@ def test_one_closure_walk():
                     ):
                         found.add(f"{name}:{fn.name}")
     assert found == {"intlinalg.py:closure"}
+
+
+def test_cocycle_sweeps_read_tables():
+    # the exhaustive sweeps compare rows of value codes: translated types come
+    # from the field's translation table and sums from the quotient's sum
+    # table, never from per-comparison calls
+    sweeps = {
+        "check_cocycle_law",
+        "check_transfer_identity",
+        "check_rep_independence",
+        "_rep_independence",
+        "value_rows",
+        "type_rows",
+    }
+    banned = {"translate_left", "validate_cm_type", "taniyama_cocycle", "add"}
+    path = SRC / "cocycle.py"
+    seen, found = set(), []
+    for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(fn, ast.FunctionDef) and fn.name in sweeps:
+            seen.add(fn.name)
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if name in banned:
+                        found.append(f"cocycle.py:{node.lineno} {fn.name} calls {name}")
+    assert seen == sweeps
+    assert found == []
