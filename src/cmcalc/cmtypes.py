@@ -32,6 +32,8 @@ from .groups import (
 )
 
 if TYPE_CHECKING:
+    from array import array
+
     from .cocycle import WSystem
     from .serre import CharLattice
 
@@ -162,10 +164,14 @@ class CMFieldHandle:
         )
 
     @cached_property
-    def type_translation(self) -> tuple[tuple[int, ...], ...]:
+    def type_translation(self) -> tuple[array, ...]:
         """type_translation[tau][i] is the index of tau*cm_types[i].  Bit g-1-k of i
         picks the member of iota-pair k, and as iota is central, tau permutes the
-        pairs, so a row is a bit permutation of i XORed with a flip mask."""
+        pairs, so a row is a bit permutation of i XORed with a flip mask.  The rows
+        are arrays of C unsigned ints, which the handle keeps at 4 bytes an entry."""
+        from array import array  # a shared library that only the sweeps need
+
+        require_enumerable(self)
         pairs, g = self.iota_pairs, len(self.iota_pairs)
         where = {c: (g - 1 - k, s) for k, pair in enumerate(pairs) for s, c in enumerate(pair)}
         table = []
@@ -177,7 +183,7 @@ class CMFieldHandle:
                     raise InternalInconsistency("translation split an iota-pair", witness=(tau, c))
                 perm += [x | 1 << bit for x in perm]
                 mask |= side << bit
-            table.append(tuple(x ^ mask for x in perm))
+            table.append(array("I", [x ^ mask for x in perm]))
         return tuple(table)
 
     def coset_index(self, g_elt: int) -> int:

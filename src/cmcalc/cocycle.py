@@ -11,8 +11,9 @@ system, satisfies the cocycle law in the type argument, and combines with
 the complementary type to the transfer homomorphism.  Those three facts
 are the checkable identities this module sweeps, on integer tables: each
 class of H/[H,H] has a code with a sum table, type i is field.cm_types[i],
-field.type_translation[tau][i] is the index of tau*phi_i, and each system
-keeps its value row of codes per type, so every identity compares rows.
+field.type_translation[tau][i] is the index of tau*phi_i, and a sweep
+builds each system's value row of codes per type once, so every identity
+compares rows.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cmtypes import CMFieldHandle, CMType, enumerate_cm_types
+from .cmtypes import CMFieldHandle, CMType, enumerate_cm_types, stabilizer
 from .errors import CMError, FactorNotInH, InternalInconsistency
 from .groups import Subgroup, transfer, transfer_product
 
@@ -79,18 +80,14 @@ class WSystem:
 
     def value_rows(self, choices) -> list[list[int]]:
         """Code rows (AbelianQuotient.code, one per tau) of the factor sums over each
-        pick of one coset per choice, in binary order, first choice highest."""
+        pick of one coset per choice, in binary order, first choice highest; over
+        field.iota_pairs, row i is the value of field.cm_types[i]."""
         code, sums = self.field.quotient.code, self.field.quotient.sum_table
         rows = [[0] * self.field.group.order]
         for choice in choices:
             members = [[code[row[c]] for row in self.factors] for c in choice]
             rows = [[sums[a][b] for a, b in zip(r, m)] for r in rows for m in members]
         return rows
-
-    @cached_property
-    def type_rows(self) -> list[list[int]]:
-        """type_rows[i][tau] codes the value of field.cm_types[i] at tau."""
-        return self.value_rows(self.field.iota_pairs)
 
 
 def choose_w_system(field: CMFieldHandle, seed: int | None = None) -> WSystem:
@@ -129,7 +126,7 @@ def check_rep_independence(
     """
     field, single = cm_type.field, [(c,) for c in cm_type.cosets]
     systems = _random_systems(field, trials, seed, extra_system)
-    return _rep_independence(field, [cm_type], trials, systems, lambda w: w.value_rows(single))[0]
+    return _rep_independence(field, [cm_type], trials, systems, single)[0]
 
 
 def _random_systems(field: CMFieldHandle, trials: int, seed: int, extra_system):
@@ -140,16 +137,16 @@ def _random_systems(field: CMFieldHandle, trials: int, seed: int, extra_system):
         yield -1, extra_system
 
 
-def _rep_independence(field: CMFieldHandle, types, trials: int, systems, rows_of) -> list[dict]:
-    """One report per type, comparing each system's value rows, rows_of(system),
+def _rep_independence(field: CMFieldHandle, types, trials: int, systems, choices) -> list[dict]:
+    """One report per type, comparing each system's value rows over the choices
     with the canonical ones; only a row that differs is walked for its tau."""
     values = list(field.quotient.code)
-    baseline = rows_of(field.canonical_w_system)
+    baseline = field.canonical_w_system.value_rows(choices)
     failures = [[] for _ in types]
     for k, wsys in systems:
         if wsys.field is not field and wsys.field != field:
             raise CMError("w-system belongs to a different field")
-        for base, row, found in zip(baseline, rows_of(wsys), failures):
+        for base, row, found in zip(baseline, wsys.value_rows(choices), failures):
             if row != base:
                 found += (
                     {"tau": tau, "trial": k, "value": list(values[v])}
@@ -168,7 +165,7 @@ def check_cocycle_law(field: CMFieldHandle) -> dict:
     g = field.group
     types = enumerate_cm_types(field)
     left, sums = field.type_translation, field.quotient.sum_table
-    rows = field.canonical_w_system.type_rows
+    rows = field.canonical_w_system.value_rows(field.iota_pairs)
     columns = list(zip(*g.table))  # columns[tau][sigma] = sigma tau
     failures = []
     for i, values in enumerate(rows):
@@ -199,7 +196,7 @@ def check_transfer_identity(field: CMFieldHandle) -> dict:
     quotient = field.quotient
     g = field.group
     types = enumerate_cm_types(field)
-    rows, sums = field.canonical_w_system.type_rows, quotient.sum_table
+    rows, sums = field.canonical_w_system.value_rows(field.iota_pairs), quotient.sum_table
     transfers = [
         quotient.code[transfer(g, field.fixer, tau, quotient=quotient)] for tau in g.elements()
     ]
@@ -234,24 +231,21 @@ def _orbits_under(sub: Subgroup, field: CMFieldHandle, cosets) -> list[list[int]
     return orbits
 
 
-def check_reflex_compatibility(cm_type: CMType, transfers: dict | None = None) -> dict:
+def check_reflex_compatibility(cm_type: CMType) -> dict:
     """Orbitwise transfer description of the cocycle on the reflex stabilizer.
 
     For tau fixing the type, the sum of the cocycle factors over each
     stabilizer orbit equals a conjugated transfer: with S the stabilizer,
     base point sigma_j in the orbit, and M_j = S meet sigma_j H sigma_j^-1,
     the orbit sum is sigma_j^-1 Ver_{S -> M_j}(tau) sigma_j projected to
-    H/[H,H]; the orbit sums add up to the full cocycle value.  ``transfers``
-    keeps each Ver by the elements of (S, M_j, tau) across a report's types.
+    H/[H,H]; the orbit sums add up to the full cocycle value.
     """
     field = cm_type.field
     g = field.group
     quotient = field.quotient
     wsys = field.canonical_w_system
-    i = sum(1 << k for k, (_, d) in enumerate(reversed(field.iota_pairs)) if d in cm_type.cosets)
-    stab = g.subgroup(tau for tau, row in enumerate(field.type_translation) if row[i] == i)
+    stab = stabilizer(cm_type)
     stab_group, to_sub, to_parent = stab.as_group()
-    transfers = {} if transfers is None else transfers
     h_members = set(field.fixer.elements)
     # per orbit: its base point sigma and M = S meet sigma H sigma^-1
     orbits = []
@@ -265,10 +259,8 @@ def check_reflex_compatibility(cm_type: CMType, transfers: dict | None = None) -
         for orbit, sigma, m_sub in orbits:
             partial_value = wsys.value(tau, orbit)
             # conjugated transfer into M
-            key = (stab.elements, m_sub.elements, tau)
-            if key not in transfers:
-                transfers[key] = to_parent[transfer_product(stab_group, m_sub, to_sub[tau])]
-            conj = g.mul(g.mul(g.inv(sigma), transfers[key]), sigma)
+            ver = transfer_product(stab_group, m_sub, to_sub[tau])
+            conj = g.mul(g.mul(g.inv(sigma), to_parent[ver]), sigma)
             if conj not in h_members:
                 raise InternalInconsistency("conjugated transfer left the fixing subgroup")
             transfer_value = quotient.project(conj)
@@ -299,10 +291,9 @@ def cocycle_report(
     types = enumerate_cm_types(field)
     reports = [check_cocycle_law(field), check_transfer_identity(field)]
     systems = _random_systems(field, trials, seed, extra_system)
-    independence = _rep_independence(field, types, trials, systems, lambda w: w.type_rows)
-    transfers = {}
+    independence = _rep_independence(field, types, trials, systems, field.iota_pairs)
     for cm_type, same in zip(types, independence):
-        reports += [same, check_reflex_compatibility(cm_type, transfers)]
+        reports += [same, check_reflex_compatibility(cm_type)]
     return {
         "degree": field.degree,
         "checks": reports,

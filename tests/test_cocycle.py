@@ -10,6 +10,7 @@ from cmcalc.battery import BATTERY_NAMES, battery_field
 from cmcalc.cmtypes import (
     CMFieldHandle,
     enumerate_cm_types,
+    require_enumerable,
     stabilizer,
     translate_left,
     validate_cm_type,
@@ -327,13 +328,30 @@ class TestTables:
         w = field.canonical_w_system
         for i, t in enumerate(enumerate_cm_types(field)):
             row = [taniyama_cocycle(t, tau, w) for tau in field.group.elements()]
-            assert [values[v] for v in w.type_rows[i]] == row
+            assert [values[v] for v in w.value_rows(field.iota_pairs)[i]] == row
 
-    def test_shared_transfers_change_nothing(self):
-        for field in [battery_field("D4"), c12_field(), ORDER16, ORDER16.closure]:
-            report = cocycle_report(field, trials=1)
-            reflex = [c for c in report["checks"] if c["law"] == "reflex_orbit_transfer"]
-            assert reflex == [check_reflex_compatibility(t) for t in enumerate_cm_types(field)]
+    def test_translation_table_refuses_above_bound(self):
+        g = cyclic_group(34)
+        field = CMFieldHandle(group=g, iota=17, fixer=g.trivial_subgroup())
+        with pytest.raises(CMError, match="exceed the enumeration bound"):
+            field.type_translation
+
+    def test_single_type_reflex_above_bound(self, monkeypatch):
+        # one type's reflex check costs O(g |G|) and builds no table over all types
+        import cmcalc.cmtypes as cmtypes
+
+        def refuse(self):
+            raise AssertionError("a table over all CM-types was built")
+
+        monkeypatch.setattr(cmtypes.CMFieldHandle, "cm_types", property(refuse))
+        monkeypatch.setattr(cmtypes.CMFieldHandle, "type_translation", property(refuse))
+        g = cyclic_group(64)
+        field = CMFieldHandle(group=g, iota=32, fixer=g.trivial_subgroup())
+        with pytest.raises(CMError, match="exceed the enumeration bound"):
+            require_enumerable(field)
+        report = check_reflex_compatibility(validate_cm_type(field, range(32)))
+        # the stabilizer is trivial, so each of the 32 cosets is its own orbit
+        assert report["passed"] and report["orbit_checks"] == 32
 
     @pytest.mark.parametrize("name", ["D4", "C2xC4", "c12", "order16"])
     def test_corrupted_factor_matches_oracle(self, name):

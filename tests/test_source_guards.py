@@ -137,7 +137,6 @@ def test_cocycle_sweeps_read_tables():
         "check_rep_independence",
         "_rep_independence",
         "value_rows",
-        "type_rows",
     }
     banned = {"translate_left", "validate_cm_type", "taniyama_cocycle", "add"}
     path = SRC / "cocycle.py"
