@@ -157,9 +157,10 @@ class CMFieldHandle:
     @cached_property
     def cm_types(self) -> tuple[CMType, ...]:
         """All 2^g CM-types, in the deterministic binary order of iota-pair
-        choices; enumerate_cm_types checks the size bound first."""
+        choices; enumerate_cm_types checks the size bound first.  One coset of
+        each iota-pair is a half-system by construction, so none is validated."""
         return tuple(
-            validate_cm_type(self, tuple(pair[k] for pair, k in zip(self.iota_pairs, pick)))
+            CMType(self, tuple(pair[k] for pair, k in zip(self.iota_pairs, pick)))
             for pick in itertools.product((0, 1), repeat=len(self.iota_pairs))
         )
 

@@ -245,23 +245,24 @@ def check_reflex_compatibility(cm_type: CMType) -> dict:
     quotient = field.quotient
     wsys = field.canonical_w_system
     stab = stabilizer(cm_type)
-    stab_group, to_sub, to_parent = stab.as_group()
-    h_members = set(field.fixer.elements)
-    # per orbit: its base point sigma and M = S meet sigma H sigma^-1
+    # per orbit: its base point sigma, M = the elements of S fixing its base
+    # coset (S meet sigma H sigma^-1), and the least element of S carrying the
+    # base coset to each coset of the orbit
     orbits = []
     for orbit in _orbits_under(stab, field, cm_type.cosets):
-        sigma = field.cosets[orbit[0]][0]
-        m = [to_sub[s] for s in stab.elements if g.conj(g.inv(sigma), s) in h_members]
-        orbits.append((orbit, sigma, stab_group.subgroup(m)))
+        moved = [(field.act(s, orbit[0]), s) for s in stab.elements]
+        least = dict(reversed(moved))  # the last write of each coset is its least s
+        m_sub = g.subgroup(s for c, s in moved if c == orbit[0])
+        orbits.append((orbit, field.cosets[orbit[0]][0], m_sub, tuple(least[c] for c in orbit)))
     failures = []
     count = 0
     for tau in stab.elements:
-        for orbit, sigma, m_sub in orbits:
+        for orbit, sigma, m_sub, reps in orbits:
             partial_value = wsys.value(tau, orbit)
-            # conjugated transfer into M
-            ver = transfer_product(stab_group, m_sub, to_sub[tau])
-            conj = g.mul(g.mul(g.inv(sigma), to_parent[ver]), sigma)
-            if conj not in h_members:
+            # conjugated transfer from S into M
+            ver = transfer_product(g, m_sub, tau, reps)
+            conj = g.mul(g.mul(g.inv(sigma), ver), sigma)
+            if conj not in field.fixer:
                 raise InternalInconsistency("conjugated transfer left the fixing subgroup")
             transfer_value = quotient.project(conj)
             count += 1

@@ -156,15 +156,6 @@ class Subgroup:
         g = self.parent
         return all(g.conj(g_elt, h) in self._members for h in self.generators)
 
-    def as_group(self) -> tuple[FiniteGroup, dict[int, int], tuple[int, ...]]:
-        """Reindex as a standalone group; returns (group, to_sub, to_parent)."""
-        to_parent = self.elements
-        to_sub = {p: i for i, p in enumerate(to_parent)}
-        table = [
-            [to_sub[self.parent.mul(a, b)] for b in to_parent] for a in to_parent
-        ]
-        return make_group(table), to_sub, to_parent
-
 
 def subgroup_generated(group: FiniteGroup, generators) -> Subgroup:
     return group.subgroup(closure(group.mul, {group.identity}, set(generators)))
@@ -266,31 +257,31 @@ def abelianization(h: Subgroup) -> AbelianQuotient:
 def transfer_product(
     group: FiniteGroup, sub: Subgroup, g: int, reps: tuple[int, ...] | None = None
 ) -> int:
-    """Product of transfer factors, as an element of H.
+    """Product of transfer factors over the cosets the representatives name,
+    as an element of H.
 
     With left-coset representatives t_i, each factor is t_j^-1 g t_i where
-    t_j represents the coset of g t_i.  The product is taken in coset order;
-    it is well defined in H only up to [H,H].
+    t_j represents the coset of g t_i.  The product is taken in the order of
+    ``reps``, by default the least element of each left coset of H in G; it
+    is well defined in H only up to [H,H].  Over the cosets that make up a
+    subgroup K containing g, it is the transfer from K to H.
     """
     if sub.parent != group:
         raise NotASubgroup("subgroup belongs to a different group")
-    cosets = left_cosets(group, sub)
-    lookup = {x: i for i, coset in enumerate(cosets) for x in coset}
     if reps is None:
-        reps = tuple(c[0] for c in cosets)
-    else:
-        reps = tuple(reps)
-        if len(reps) != len(cosets) or any(
-            lookup[t] != i for i, t in enumerate(reps)
-        ):
-            raise NotASubgroup("representatives do not match the coset list")
+        reps = tuple(c[0] for c in left_cosets(group, sub))
+    if not all(type(t) is int and 0 <= t < group.order for t in reps):
+        raise NotASubgroup("representatives must be elements of the group")
+    lookup = {group.mul(t, h): i for i, t in enumerate(reps) for h in sub.elements}
+    if len(lookup) != len(reps) * sub.order:
+        raise NotASubgroup("representatives share a coset")
     out = group.identity
-    members = set(sub.elements)
-    for i, t in enumerate(reps):
+    for t in reps:
         gt = group.mul(g, t)
-        j = lookup[gt]
-        h = group.mul(group.inv(reps[j]), gt)
-        if h not in members:
+        if gt not in lookup:
+            raise NotASubgroup(f"element {g} leaves the represented cosets")
+        h = group.mul(group.inv(reps[lookup[gt]]), gt)
+        if h not in sub:
             raise InternalInconsistency("transfer factor escaped the subgroup")
         out = group.mul(out, h)
     return out

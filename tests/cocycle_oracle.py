@@ -7,17 +7,37 @@ per representative system.  The routines here make each comparison on its
 own: one cocycle value per (type, tau), one translate_left per (type, tau)
 and one AbelianQuotient.add per comparison.  The sweeps below are the
 library's code before the tables, kept as they were.
+
+The reflex check below is the library's before it worked in the ambient
+group: it rebuilds each stabilizer S as a group of its own (as_group, the
+former method Subgroup.as_group) and takes each transfer there, from S into
+S meet sigma H sigma^-1 found by conjugation.
 """
 
-from cmcalc.cmtypes import CMFieldHandle, CMType, enumerate_cm_types, translate_left
-from cmcalc.cocycle import choose_w_system, taniyama_cocycle
-from cmcalc.groups import transfer
+from cmcalc.cmtypes import (
+    CMFieldHandle,
+    CMType,
+    enumerate_cm_types,
+    stabilizer,
+    translate_left,
+)
+from cmcalc.cocycle import _orbits_under, choose_w_system, taniyama_cocycle
+from cmcalc.errors import InternalInconsistency
+from cmcalc.groups import FiniteGroup, Subgroup, make_group, transfer, transfer_product
 
 
 def complement(cm_type: CMType) -> CMType:
     """The cosets a type leaves out (formerly the method CMType.complement)."""
     members = cm_type.coset_set()
     return CMType(cm_type.field, tuple(c for c in range(cm_type.field.degree) if c not in members))
+
+
+def as_group(sub: Subgroup) -> tuple[FiniteGroup, dict[int, int], tuple[int, ...]]:
+    """Reindex as a standalone group; returns (group, to_sub, to_parent)."""
+    to_parent = sub.elements
+    to_sub = {p: i for i, p in enumerate(to_parent)}
+    table = [[to_sub[sub.parent.mul(a, b)] for b in to_parent] for a in to_parent]
+    return make_group(table), to_sub, to_parent
 
 
 def _value_table(field: CMFieldHandle, types) -> dict:
@@ -109,6 +129,51 @@ def check_transfer_identity(field: CMFieldHandle) -> dict:
     return {
         "law": "transfer_identity",
         "checked": count,
+        "failures": failures,
+        "passed": not failures,
+    }
+
+
+def check_reflex_compatibility(cm_type: CMType) -> dict:
+    """Orbitwise transfer description of the cocycle on the reflex stabilizer.
+
+    For tau fixing the type, the sum of the cocycle factors over each
+    stabilizer orbit equals a conjugated transfer: with S the stabilizer,
+    base point sigma_j in the orbit, and M_j = S meet sigma_j H sigma_j^-1,
+    the orbit sum is sigma_j^-1 Ver_{S -> M_j}(tau) sigma_j projected to
+    H/[H,H]; the orbit sums add up to the full cocycle value.
+    """
+    field = cm_type.field
+    g = field.group
+    quotient = field.quotient
+    wsys = field.canonical_w_system
+    stab = stabilizer(cm_type)
+    stab_group, to_sub, to_parent = as_group(stab)
+    h_members = set(field.fixer.elements)
+    # per orbit: its base point sigma and M = S meet sigma H sigma^-1
+    orbits = []
+    for orbit in _orbits_under(stab, field, cm_type.cosets):
+        sigma = field.cosets[orbit[0]][0]
+        m = [to_sub[s] for s in stab.elements if g.conj(g.inv(sigma), s) in h_members]
+        orbits.append((orbit, sigma, stab_group.subgroup(m)))
+    failures = []
+    count = 0
+    for tau in stab.elements:
+        for orbit, sigma, m_sub in orbits:
+            partial_value = wsys.value(tau, orbit)
+            # conjugated transfer into M
+            ver = transfer_product(stab_group, m_sub, to_sub[tau])
+            conj = g.mul(g.mul(g.inv(sigma), to_parent[ver]), sigma)
+            if conj not in h_members:
+                raise InternalInconsistency("conjugated transfer left the fixing subgroup")
+            transfer_value = quotient.project(conj)
+            count += 1
+            if partial_value != transfer_value:
+                failures.append({"tau": tau, "orbit": orbit, "kind": "orbit_transfer"})
+    return {
+        "law": "reflex_orbit_transfer",
+        "type": list(cm_type.cosets),
+        "orbit_checks": count,
         "failures": failures,
         "passed": not failures,
     }

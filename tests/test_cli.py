@@ -170,6 +170,20 @@ class TestCheck:
         code, out, err = run_main(capsys, "check", "--battery", "C2", "--trials", "-3")
         assert code == 2 and out == "" and "--trials" in err
 
+    def test_trials_above_bound(self, capsys):
+        from cmcalc.cli import MAX_TRIALS
+
+        assert MAX_TRIALS == 10**4
+        code, out, err = run_main(
+            capsys, "check", "--battery", "C2", "--trials", str(MAX_TRIALS + 1)
+        )
+        assert code == 2 and out == "" and "--trials" in err
+        # the bound itself is accepted; the serre suite draws no trial
+        code, out, _ = run_main(
+            capsys, "check", "--suite", "serre", "--battery", "C2", "--trials", str(MAX_TRIALS)
+        )
+        assert code == 0 and json.loads(out)["trials"] == MAX_TRIALS
+
 
 class TestZeta:
     def test_quick(self, capsys):

@@ -1,5 +1,7 @@
 """CM field handles and CM-type combinatorics."""
 
+import itertools
+
 import pytest
 
 from cmcalc.battery import BATTERY_NAMES, battery_field, closure_of
@@ -19,6 +21,8 @@ from cmcalc.cmtypes import (
 )
 from cmcalc.errors import CMError, NotACMType, NotAnAutomorphismOfK, NotNested
 from cmcalc.groups import cyclic_group, dihedral_group, direct_product
+
+from test_serre import ORDER16
 
 
 def c2_field():
@@ -109,8 +113,6 @@ class TestEnumeration:
         assert len(enumerate_cm_types(klein_field())) == 4
 
     def test_enumerated_once_per_handle(self):
-        import itertools
-
         for field in ALL_TEST_FIELDS:
             types = enumerate_cm_types(field)
             assert enumerate_cm_types(field) is types
@@ -120,13 +122,20 @@ class TestEnumeration:
             ]
             assert [t.cosets for t in types] == binary
 
+    def test_built_types_are_validated_picks(self):
+        # cm_types builds each type from its iota-pair picks without validating
+        closures = [f.closure for f in ALL_TEST_FIELDS]
+        for field in ALL_TEST_FIELDS + closures + [ORDER16, ORDER16.closure]:
+            picks = itertools.product(*field.iota_pairs)
+            assert list(field.cm_types) == [validate_cm_type(field, pick) for pick in picks]
+
     def test_bound_refuses_before_any_type(self, monkeypatch):
         import cmcalc.cmtypes as cmtypes
 
         def refuse(*args):
             raise AssertionError("a CM-type was built")
 
-        monkeypatch.setattr(cmtypes, "validate_cm_type", refuse)
+        monkeypatch.setattr(cmtypes, "CMType", refuse)
         g = cyclic_group(64)
         field = CMFieldHandle(group=g, iota=32, fixer=g.trivial_subgroup())
         with pytest.raises(CMError, match="exceed the enumeration bound"):

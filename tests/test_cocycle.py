@@ -17,6 +17,7 @@ from cmcalc.cmtypes import (
 )
 from cmcalc.cocycle import (
     WSystem,
+    _orbits_under,
     check_cocycle_law,
     check_rep_independence,
     check_reflex_compatibility,
@@ -26,7 +27,7 @@ from cmcalc.cocycle import (
     taniyama_cocycle,
 )
 from cmcalc.errors import CMError, FactorNotInH, InternalInconsistency
-from cmcalc.groups import cyclic_group, transfer
+from cmcalc.groups import cyclic_group, dihedral_group, direct_product, transfer
 
 from test_groups import power
 from test_serre import ORDER16
@@ -36,6 +37,13 @@ GOLDEN = json.loads(
 )
 
 ALL_FIELDS = [battery_field(n) for n in BATTERY_NAMES]
+
+
+def d3xc2_field():
+    """Non-Galois sextic field in D3 x C2 with iota = 1 and H = {1, s}: for 6 of
+    its 14 (type, stabilizer orbit) pairs, S meet sigma H sigma^-1 is not S meet H."""
+    g = direct_product(dihedral_group(3), cyclic_group(2))
+    return CMFieldHandle(group=g, iota=1, fixer=g.subgroup([0, 6]))
 
 
 def c12_field():
@@ -266,15 +274,17 @@ class TestRightTranslationConjugation:
 
 
 def _contexts():
-    """The battery fields and their closures, c12_field(), ORDER16 and its closure."""
+    """The battery fields and their closures, c12_field(), ORDER16 and its
+    closure, and d3xc2_field()."""
     fields = [battery_field(n) for n in BATTERY_NAMES]
-    return fields + [f.closure for f in fields] + [c12_field(), ORDER16, ORDER16.closure]
+    extra = [c12_field(), ORDER16, ORDER16.closure, d3xc2_field()]
+    return fields + [f.closure for f in fields] + extra
 
 
 CONTEXTS = _contexts()
 CONTEXT_IDS = [
     f"{n}{suffix}" for suffix in ("", "-closure") for n in BATTERY_NAMES
-] + ["c12", "order16", "order16-closure"]
+] + ["c12", "order16", "order16-closure", "d3xc2"]
 
 
 def _fresh(field):
@@ -329,6 +339,31 @@ class TestTables:
         for i, t in enumerate(enumerate_cm_types(field)):
             row = [taniyama_cocycle(t, tau, w) for tau in field.group.elements()]
             assert [values[v] for v in w.value_rows(field.iota_pairs)[i]] == row
+
+    @pytest.mark.parametrize("field", CONTEXTS, ids=CONTEXT_IDS)
+    def test_reflex_matches_oracle(self, field):
+        # the ambient-group transfer against the stabilizer rebuilt as a group
+        for t in enumerate_cm_types(field):
+            assert check_reflex_compatibility(t) == oracle.check_reflex_compatibility(t)
+
+    def test_reflex_orbits_off_the_fixer(self):
+        # M_j depends on the orbit's base point here, not on H alone
+        field = d3xc2_field()
+        g = field.group
+        assert field.degree == 6 and not field.is_galois()
+        pairs, moved, checks = 0, 0, 0
+        for t in enumerate_cm_types(field):
+            stab = stabilizer(t)
+            for orbit in _orbits_under(stab, field, t.cosets):
+                sigma = field.cosets[orbit[0]][0]
+                # S meet sigma H sigma^-1, by conjugation
+                fixing = {s for s in stab.elements if g.conj(g.inv(sigma), s) in field.fixer}
+                pairs += 1
+                moved += fixing != {s for s in stab.elements if s in field.fixer}
+            report = check_reflex_compatibility(t)
+            assert report["passed"]
+            checks += report["orbit_checks"]
+        assert (len(enumerate_cm_types(field)), pairs, moved, checks) == (8, 14, 6, 36)
 
     def test_translation_table_refuses_above_bound(self):
         g = cyclic_group(34)

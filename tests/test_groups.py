@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from cocycle_oracle import as_group
 from cmcalc.battery import BATTERY_NAMES, battery_field
 from cmcalc.errors import InternalInconsistency, NotAGroup, NotASubgroup
 from cmcalc.groups import (
@@ -202,14 +203,6 @@ class TestSubgroups:
         assert g.subgroup([0, 1, 2, 3]).is_normal()
         assert not g.subgroup([0, 4]).is_normal()
 
-    def test_as_group(self):
-        g = dihedral_group(4)
-        sub, to_sub, to_parent = g.subgroup([0, 2, 4, 6]).as_group()
-        assert sub.order == 4
-        for a in range(sub.order):
-            for b in range(sub.order):
-                assert to_parent[sub.mul(a, b)] == g.mul(to_parent[a], to_parent[b])
-
 
 class TestCosets:
     def test_full_subgroup_single_coset(self):
@@ -335,8 +328,52 @@ class TestTransfer:
     def test_bad_reps_rejected(self):
         g = cyclic_group(4)
         h = g.subgroup([0, 2])
-        with pytest.raises(NotASubgroup):
-            transfer_product(g, h, 1, reps=(0, 0))
+        # -1 would index the table from its end and stand for 3
+        for reps in [(0, 0), (0, -1), (0, 5), (0, 1.0)]:
+            with pytest.raises(NotASubgroup):
+                transfer_product(g, h, 1, reps=reps)
+
+    def test_shared_coset_rejected(self):
+        # 0 and 2 both represent H; g = 2 keeps each of them inside H
+        g = cyclic_group(4)
+        h = g.subgroup([0, 2])
+        with pytest.raises(NotASubgroup, match="share a coset"):
+            transfer_product(g, h, 2, reps=(0, 2))
+
+    def test_element_leaving_the_cosets_rejected(self):
+        g = cyclic_group(4)
+        h = g.subgroup([0, 2])
+        # over H alone the transfer from H to H is the identity map
+        assert transfer_product(g, h, 2, reps=(0,)) == 2
+        with pytest.raises(NotASubgroup, match="leaves the represented cosets"):
+            transfer_product(g, h, 1, reps=(0,))
+
+    def test_subgroup_transfer_matches_reindexed_group(self):
+        # Ver_{S -> M} over S's cosets of M in G, against S rebuilt as a group
+        # of its own with the transfer taken there and mapped back
+        groups = [
+            dihedral_group(4),
+            direct_product(cyclic_group(2), cyclic_group(4)),
+            cyclic_group(12),
+            direct_product(dihedral_group(4), cyclic_group(2)),
+        ]
+        pairs = 0
+        for g in groups:
+            subgroups = _all_subgroups(g)
+            for s in subgroups:
+                s_group, to_sub, to_parent = as_group(s)
+                for m in subgroups:
+                    if not set(m.elements) <= set(s.elements):
+                        continue
+                    pairs += 1
+                    q = abelianization(m)
+                    m_in_s = s_group.subgroup(to_sub[x] for x in m.elements)
+                    reps = tuple(c[0] for c in left_cosets(g, m) if c[0] in s)
+                    for tau in s.elements:
+                        ver = transfer_product(s_group, m_in_s, to_sub[tau])
+                        got = transfer_product(g, m, tau, reps)
+                        assert q.project(got) == q.project(to_parent[ver]), (g.order, s, m)
+        assert pairs == 287
 
     def test_wrong_parent(self):
         g = cyclic_group(4)

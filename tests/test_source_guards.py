@@ -151,3 +151,18 @@ def test_cocycle_sweeps_read_tables():
                         found.append(f"cocycle.py:{node.lineno} {fn.name} calls {name}")
     assert seen == sweeps
     assert found == []
+
+
+def test_reflex_check_in_ambient_group():
+    # the reflex check takes each transfer in the ambient group: no stabilizer
+    # is rebuilt as a group of its own
+    path = SRC / "cocycle.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert names & {"make_group", "as_group"} == set()
