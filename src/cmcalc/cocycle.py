@@ -216,21 +216,6 @@ def check_transfer_identity(field: CMFieldHandle) -> dict:
     }
 
 
-def _orbits_under(sub: Subgroup, field: CMFieldHandle, cosets) -> list[list[int]]:
-    """Orbits of a coset set under left translation by a subgroup S: the
-    orbit of c is {s c : s in S}."""
-    remaining = set(cosets)
-    orbits = []
-    while remaining:
-        start = min(remaining)
-        orbit = {field.act(s, start) for s in sub.elements}
-        if not orbit <= remaining:
-            raise InternalInconsistency("orbit escaped the type")
-        remaining -= orbit
-        orbits.append(sorted(orbit))
-    return orbits
-
-
 def check_reflex_compatibility(cm_type: CMType) -> dict:
     """Orbitwise transfer description of the cocycle on the reflex stabilizer.
 
@@ -240,41 +225,63 @@ def check_reflex_compatibility(cm_type: CMType) -> dict:
     the orbit sum is sigma_j^-1 Ver_{S -> M_j}(tau) sigma_j projected to
     H/[H,H]; the orbit sums add up to the full cocycle value.
     """
+    return _reflex_report(cm_type, stabilizer(cm_type), {}, {})
+
+
+def _reflex_report(cm_type: CMType, stab: Subgroup, orbit_of: dict, verdicts: dict) -> dict:
+    """The reflex check of one type with stabilizer S.  orbit_of maps a coset
+    c to its S-orbit, and verdicts an orbit's least coset to its verdicts over
+    tau in S; a report shares both among the types with this stabilizer, as
+    neither depends on the type."""
     field = cm_type.field
-    g = field.group
-    quotient = field.quotient
-    wsys = field.canonical_w_system
-    stab = stabilizer(cm_type)
-    # per orbit: its base point sigma, M = the elements of S fixing its base
-    # coset (S meet sigma H sigma^-1), and the least element of S carrying the
-    # base coset to each coset of the orbit
-    orbits = []
-    for orbit in _orbits_under(stab, field, cm_type.cosets):
-        moved = [(field.act(s, orbit[0]), s) for s in stab.elements]
-        least = dict(reversed(moved))  # the last write of each coset is its least s
-        m_sub = g.subgroup(s for c, s in moved if c == orbit[0])
-        orbits.append((orbit, field.cosets[orbit[0]][0], m_sub, tuple(least[c] for c in orbit)))
-    failures = []
-    count = 0
-    for tau in stab.elements:
-        for orbit, sigma, m_sub, reps in orbits:
-            partial_value = wsys.value(tau, orbit)
-            # conjugated transfer from S into M
-            ver = transfer_product(g, m_sub, tau, reps)
-            conj = g.mul(g.mul(g.inv(sigma), ver), sigma)
-            if conj not in field.fixer:
-                raise InternalInconsistency("conjugated transfer left the fixing subgroup")
-            transfer_value = quotient.project(conj)
-            count += 1
-            if partial_value != transfer_value:
-                failures.append({"tau": tau, "orbit": orbit, "kind": "orbit_transfer"})
+    remaining, orbits = set(cm_type.cosets), []
+    for c in cm_type.cosets:  # ascending, so c is the least coset remaining
+        if c in remaining:
+            if c not in orbit_of:
+                orbit_of[c] = tuple(sorted({field.act(s, c) for s in stab.elements}))
+            if not remaining.issuperset(orbit_of[c]):
+                raise InternalInconsistency("orbit escaped the type")
+            remaining.difference_update(orbit_of[c])
+            orbits.append(orbit_of[c])
+    for orbit in orbits:
+        if orbit[0] not in verdicts:
+            verdicts[orbit[0]] = _orbit_verdicts(field, stab, orbit)
+    failures = [
+        {"tau": tau, "orbit": list(orbit), "kind": "orbit_transfer"}
+        for k, tau in enumerate(stab.elements)
+        for orbit in orbits
+        if not verdicts[orbit[0]][k]
+    ]
     return {
         "law": "reflex_orbit_transfer",
         "type": list(cm_type.cosets),
-        "orbit_checks": count,
+        "orbit_checks": stab.order * len(orbits),
         "failures": failures,
         "passed": not failures,
     }
+
+
+def _orbit_verdicts(field: CMFieldHandle, stab: Subgroup, orbit: tuple[int, ...]) -> list[bool]:
+    """Whether the orbit sum equals the conjugated transfer, for each tau in S.
+
+    M is the set of elements of S fixing the base coset (S meet sigma H
+    sigma^-1), and the representatives are the least elements of S carrying
+    the base coset to each coset of the orbit.
+    """
+    g, wsys = field.group, field.canonical_w_system
+    moved = [(field.act(s, orbit[0]), s) for s in stab.elements]
+    least = dict(reversed(moved))  # the last write of each coset is its least s
+    m_sub = g.subgroup(s for c, s in moved if c == orbit[0])
+    reps = tuple(least[c] for c in orbit)
+    sigma = field.cosets[orbit[0]][0]
+    verdicts = []
+    for tau in stab.elements:
+        # conjugated transfer from S into M
+        conj = g.conj(g.inv(sigma), transfer_product(g, m_sub, tau, reps))
+        if conj not in field.fixer:
+            raise InternalInconsistency("conjugated transfer left the fixing subgroup")
+        verdicts.append(wsys.value(tau, orbit) == field.quotient.project(conj))
+    return verdicts
 
 
 def cocycle_report(
@@ -287,14 +294,21 @@ def cocycle_report(
 
     Each entry carries its pass/fail flag and witness triples on failure;
     ``extra_system`` is forwarded to the independence check (fault injection).
-    The random systems do not depend on the type, so all types share them.
+    The random systems do not depend on the type, so all types share them,
+    and the reflex verdicts depend only on the stabilizer, read as the fixed
+    points of the type translation table, so its types share them.
     """
     types = enumerate_cm_types(field)
     reports = [check_cocycle_law(field), check_transfer_identity(field)]
     systems = _random_systems(field, trials, seed, extra_system)
     independence = _rep_independence(field, types, trials, systems, field.iota_pairs)
-    for cm_type, same in zip(types, independence):
-        reports += [same, check_reflex_compatibility(cm_type)]
+    left = field.type_translation
+    shared = {}  # stabilizer elements -> (stabilizer, orbit_of, verdicts)
+    for i, (cm_type, same) in enumerate(zip(types, independence)):
+        fixed = tuple(tau for tau, row in enumerate(left) if row[i] == i)
+        if fixed not in shared:
+            shared[fixed] = (field.group.subgroup(fixed), {}, {})
+        reports += [same, _reflex_report(cm_type, *shared[fixed])]
     return {
         "degree": field.degree,
         "checks": reports,

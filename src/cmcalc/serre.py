@@ -421,9 +421,21 @@ def check_translation_compatibility(field: CMFieldHandle) -> dict:
     [x tau^-1] of the closure's embedding cosets.  The translated type is
     read from the field's type translation table.
     """
-    group, closure = field.group, field.closure
     types = enumerate_cm_types(field)
-    matrices = [reflex_norm_map(t, closure).matrix for t in types]
+    matrices = [reflex_norm_map(t, field.closure).matrix for t in types]
+    return _translation_compatibility(field, types, matrices)
+
+
+def check_norm_triangle(field: CMFieldHandle) -> dict:
+    """Reflex norm through an intermediate Galois field composed with the
+    norm map equals the reflex norm through the closure."""
+    types = enumerate_cm_types(field)
+    return _norm_triangle(field, types, lambda i: reflex_norm_map(types[i], field.closure).matrix)
+
+
+def _translation_compatibility(field: CMFieldHandle, types, matrices: list[Matrix]) -> dict:
+    """The translation check, with matrices[i] the closure reflex norm of type i."""
+    group, closure = field.group, field.closure
     right = [
         tuple(
             closure.coset_index(group.mul(closure.coset_rep(c), group.inv(tau)))
@@ -446,10 +458,11 @@ def check_translation_compatibility(field: CMFieldHandle) -> dict:
     }
 
 
-def check_norm_triangle(field: CMFieldHandle) -> dict:
-    """Reflex norm through an intermediate Galois field composed with the
-    norm map equals the reflex norm through the closure."""
-    closure = field.closure
+def _norm_triangle(field: CMFieldHandle, types, direct) -> dict:
+    """The norm triangle, with direct(i) the closure reflex norm of type i.
+    A type's stabilizer is read as the fixed points of its column of the
+    type translation table."""
+    closure, left = field.closure, field.type_translation
     subfields = [
         (e2, norm_lattice_map(closure, e2).matrix)
         for e2 in closure.cm_subfields
@@ -457,17 +470,16 @@ def check_norm_triangle(field: CMFieldHandle) -> dict:
     ]
     checked = 0
     failures = []
-    for cm_type in enumerate_cm_types(field):
-        stab = stabilizer(cm_type)
-        direct = None
+    for i, cm_type in enumerate(types):
+        matrix = None
         for e2, norm in subfields:
-            if not all(x in stab for x in e2.fixer.elements):
+            if not all(left[x][i] == i for x in e2.fixer.elements):
                 continue
-            if direct is None:
-                direct = reflex_norm_map(cm_type, closure).matrix
+            if matrix is None:
+                matrix = direct(i)
             composite = la.mat_mul(norm, reflex_norm_map(cm_type, e2).matrix)
             checked += 1
-            if composite != direct:
+            if composite != matrix:
                 failures.append(
                     {"type": list(cm_type.cosets), "through": list(e2.fixer.elements)}
                 )
@@ -487,8 +499,11 @@ def serre_report(field: CMFieldHandle) -> dict:
     if not field.is_degenerate:
         checks.insert(0, check_serre_exact_sequence(field))
         checks.append(check_cm_type_generation(field))
-        checks.append(check_translation_compatibility(field))
-        checks.append(check_norm_triangle(field))
+        # each closure reflex norm once, read by both checks
+        types = enumerate_cm_types(field)
+        matrices = [reflex_norm_map(t, field.closure).matrix for t in types]
+        checks.append(_translation_compatibility(field, types, matrices))
+        checks.append(_norm_triangle(field, types, matrices.__getitem__))
     return {
         "degree": field.degree,
         "serre_rank": serre.rank,

@@ -11,7 +11,9 @@ library's code before the tables, kept as they were.
 The reflex check below is the library's before it worked in the ambient
 group: it rebuilds each stabilizer S as a group of its own (as_group, the
 former method Subgroup.as_group) and takes each transfer there, from S into
-S meet sigma H sigma^-1 found by conjugation.
+S meet sigma H sigma^-1 found by conjugation.  It finds each type's
+stabilizer orbits afresh with _orbits_under, the library's own routine before
+a report shared the orbits among the types with one stabilizer.
 """
 
 from cmcalc.cmtypes import (
@@ -21,7 +23,7 @@ from cmcalc.cmtypes import (
     stabilizer,
     translate_left,
 )
-from cmcalc.cocycle import _orbits_under, choose_w_system, taniyama_cocycle
+from cmcalc.cocycle import choose_w_system, taniyama_cocycle
 from cmcalc.errors import InternalInconsistency
 from cmcalc.groups import FiniteGroup, Subgroup, make_group, transfer, transfer_product
 
@@ -132,6 +134,21 @@ def check_transfer_identity(field: CMFieldHandle) -> dict:
         "failures": failures,
         "passed": not failures,
     }
+
+
+def _orbits_under(sub: Subgroup, field: CMFieldHandle, cosets) -> list[list[int]]:
+    """Orbits of a coset set under left translation by a subgroup S: the
+    orbit of c is {s c : s in S}."""
+    remaining = set(cosets)
+    orbits = []
+    while remaining:
+        start = min(remaining)
+        orbit = {field.act(s, start) for s in sub.elements}
+        if not orbit <= remaining:
+            raise InternalInconsistency("orbit escaped the type")
+        remaining -= orbit
+        orbits.append(sorted(orbit))
+    return orbits
 
 
 def check_reflex_compatibility(cm_type: CMType) -> dict:

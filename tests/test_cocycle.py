@@ -17,7 +17,6 @@ from cmcalc.cmtypes import (
 )
 from cmcalc.cocycle import (
     WSystem,
-    _orbits_under,
     check_cocycle_law,
     check_rep_independence,
     check_reflex_compatibility,
@@ -27,7 +26,13 @@ from cmcalc.cocycle import (
     taniyama_cocycle,
 )
 from cmcalc.errors import CMError, FactorNotInH, InternalInconsistency
-from cmcalc.groups import cyclic_group, dihedral_group, direct_product, transfer
+from cmcalc.groups import (
+    cyclic_group,
+    dihedral_group,
+    direct_product,
+    transfer,
+    transfer_product,
+)
 
 from test_groups import power
 from test_serre import ORDER16
@@ -127,13 +132,12 @@ class TestCocycleValues:
 
     def test_c12_stabilizer_orbits_split(self):
         # the reflex check decomposes these types into two singleton orbits
-        from cmcalc.cocycle import _orbits_under
-
         field = c12_field()
         t = validate_cm_type(field, {0, 1})
         stab = stabilizer(t)
         assert stab.elements == (0, 4, 8)
-        assert _orbits_under(stab, field, t.cosets) == [[0], [1]]
+        assert oracle._orbits_under(stab, field, t.cosets) == [[0], [1]]
+        assert check_reflex_compatibility(t)["orbit_checks"] == 3 * 2
 
 
 class TestIdentities:
@@ -301,6 +305,25 @@ def _report_independence(report):
     return [c for c in report["checks"] if c["law"] == "cocycle_rep_independence"]
 
 
+def _report_reflex(report):
+    return [c for c in report["checks"] if c["law"] == "reflex_orbit_transfer"]
+
+
+def _corrupted(name, tau):
+    """A fresh handle on a named field whose canonical factor at (tau, coset 0)
+    is shifted by a nonzero class."""
+    base = c12_field() if name == "c12" else ORDER16 if name == "order16" else battery_field(name)
+    field = _fresh(base)
+    q = field.quotient
+    assert q.order > 1
+    w = field.canonical_w_system
+    factors = [list(row) for row in w.factors]
+    shift = next(v for v in q.code if v != q.zero)
+    factors[tau][0] = q.add(factors[tau][0], shift)
+    w.__dict__["factors"] = tuple(tuple(row) for row in factors)
+    return field
+
+
 class TestTables:
     @pytest.mark.parametrize("field", CONTEXTS, ids=CONTEXT_IDS)
     def test_sweeps_match_oracle(self, field):
@@ -308,6 +331,9 @@ class TestTables:
         assert check_transfer_identity(field) == oracle.check_transfer_identity(field)
         report = cocycle_report(field, trials=3, seed=5)
         assert _report_independence(report) == _oracle_independence(field, 3, 5)
+        # the report shares its orbit verdicts among the types of one stabilizer
+        reflex = [oracle.check_reflex_compatibility(t) for t in enumerate_cm_types(field)]
+        assert _report_reflex(report) == reflex
 
     @pytest.mark.parametrize("field", CONTEXTS, ids=CONTEXT_IDS)
     def test_single_type_independence_matches_oracle(self, field):
@@ -346,6 +372,30 @@ class TestTables:
         for t in enumerate_cm_types(field):
             assert check_reflex_compatibility(t) == oracle.check_reflex_compatibility(t)
 
+    def test_report_transfers_once_per_stabilizer_orbit(self, monkeypatch):
+        # one transfer_product per (distinct stabilizer, orbit met by a type,
+        # tau in the stabilizer), the stabilizers read as the fixed points of
+        # the translation table: 272 on the order-16 closure, not 2 048
+        import cmcalc.cocycle as cocycle
+
+        field = ORDER16.closure
+        left = field.type_translation
+        met = set()
+        for i, t in enumerate(enumerate_cm_types(field)):
+            stab = tuple(tau for tau in field.group.elements() if left[tau][i] == i)
+            met |= {(stab, frozenset(field.act(s, c) for s in stab)) for c in t.cosets}
+        expected = sum(len(stab) for stab, _ in met)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return transfer_product(*args)
+
+        monkeypatch.setattr(cocycle, "transfer_product", counted)
+        cocycle_report(field, trials=1, seed=0)
+        assert len(calls) == expected == 272
+        assert len({stab for stab, _ in met}) == 17
+
     def test_reflex_orbits_off_the_fixer(self):
         # M_j depends on the orbit's base point here, not on H alone
         field = d3xc2_field()
@@ -354,7 +404,7 @@ class TestTables:
         pairs, moved, checks = 0, 0, 0
         for t in enumerate_cm_types(field):
             stab = stabilizer(t)
-            for orbit in _orbits_under(stab, field, t.cosets):
+            for orbit in oracle._orbits_under(stab, field, t.cosets):
                 sigma = field.cosets[orbit[0]][0]
                 # S meet sigma H sigma^-1, by conjugation
                 fixing = {s for s in stab.elements if g.conj(g.inv(sigma), s) in field.fixer}
@@ -390,21 +440,34 @@ class TestTables:
 
     @pytest.mark.parametrize("name", ["D4", "C2xC4", "c12", "order16"])
     def test_corrupted_factor_matches_oracle(self, name):
-        base = c12_field() if name == "c12" else ORDER16 if name == "order16" else battery_field(name)
-        field = _fresh(base)
-        q = field.quotient
-        assert q.order > 1
-        w = field.canonical_w_system
-        factors = [list(row) for row in w.factors]
-        shift = next(v for v in q.code if v != q.zero)
-        factors[1][0] = q.add(factors[1][0], shift)
-        w.__dict__["factors"] = tuple(tuple(row) for row in factors)
+        field = _corrupted(name, 1)
         law, transfer_rep = check_cocycle_law(field), check_transfer_identity(field)
         assert law["failures"] and transfer_rep["failures"]
         assert law == oracle.check_cocycle_law(field)
         assert transfer_rep == oracle.check_transfer_identity(field)
         report = cocycle_report(field, trials=2, seed=3)
         assert _report_independence(report) == _oracle_independence(field, 2, 3)
+        reflex = [oracle.check_reflex_compatibility(t) for t in enumerate_cm_types(field)]
+        assert _report_reflex(report) == reflex
+
+    @pytest.mark.parametrize("name", ["c12", "order16"])
+    def test_shared_orbits_not_aliased(self, name):
+        # a corrupted identity factor fails the orbit of coset 0 for every type
+        # that holds it, so types with one stabilizer fail on one shared orbit;
+        # each report still owns its orbit lists
+        field = _corrupted(name, 0)
+        types = enumerate_cm_types(field)
+        reflex = _report_reflex(cocycle_report(field, trials=1, seed=0))
+        assert reflex == [oracle.check_reflex_compatibility(t) for t in types]
+        failing = [
+            (stabilizer(t).elements, tuple(f["orbit"]))
+            for t, rep in zip(types, reflex) for f in rep["failures"]
+        ]
+        assert len(set(failing)) < len(failing)
+        owner = {}
+        for i, rep in enumerate(reflex):
+            for f in rep["failures"]:
+                assert owner.setdefault(id(f["orbit"]), i) == i
 
     @pytest.mark.parametrize("name", ["D4", "C2xC4"])
     def test_broken_extra_system_matches_oracle(self, name):

@@ -13,6 +13,8 @@ import pytest
 
 from cmcalc import cli
 from cmcalc.battery import BATTERY_NAMES
+from cmcalc.cmtypes import CMFieldHandle
+from cmcalc.cocycle import cocycle_report
 from cmcalc.groups import cyclic_group, dihedral_group, direct_product
 
 GOLDEN = {
@@ -56,6 +58,12 @@ ORDER16 = {
     "serre": "5fb22c22947d4e2e5afefe8cf9d596f14da69c3201c503714f0a1c5548ad17cc",
     "enumerate": "c91899fb9cf98e5593017c3e923db86038d64f06f496b3a78216bd99cde66f96",
 }
+# cocycle_report(trials=4, seed=0) on the same field and on its closure,
+# the two order-16 reports of the galois benchmark workload
+COCYCLE16 = {
+    "field": "fd987b76b38afca9a530d8b13d0871ed2764b95b937c2a93b4594de188a480c6",
+    "closure": "1713c0623715481cbc19ab01683f9a57ebf1cee9bd47b531194d73af22118486",
+}
 
 
 def report_text(argv):
@@ -95,3 +103,12 @@ def test_golden_order16_field_file(command, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / ORDER16_FILE).write_text(json.dumps(payload))
     assert sha256(report_text([command, ORDER16_FILE])) == ORDER16[command]
+
+
+@pytest.mark.parametrize("which", sorted(COCYCLE16))
+def test_golden_order16_cocycle(which):
+    group = direct_product(dihedral_group(4), cyclic_group(2))
+    field = CMFieldHandle(group=group, iota=4, fixer=group.subgroup([0, 8]))
+    target = field.closure if which == "closure" else field
+    text = json.dumps(cocycle_report(target, trials=4, seed=0), sort_keys=True, indent=2) + "\n"
+    assert sha256(text) == COCYCLE16[which]

@@ -37,6 +37,7 @@ from cmcalc.serre import (
     reciprocity_cocharacter,
     reflex_norm_map,
     serre_character_lattice,
+    serre_report,
     type_cocharacter,
     weight_cocharacter,
     weight_functional,
@@ -364,6 +365,38 @@ class TestReflexNorm:
             report = check_norm_triangle(field)
             assert report["passed"]
         assert check_norm_triangle(KLEIN)["pairs_checked"] > 0
+
+
+class TestReportSharing:
+    """serre_report builds each type's closure reflex norm once and hands it
+    to both checks that read it."""
+
+    @pytest.mark.parametrize(
+        "field",
+        [*GALOIS_FIELDS, *(closure_of(battery_field(n)) for n in BATTERY_NAMES), ORDER16.closure],
+    )
+    def test_report_matches_public_checks(self, field):
+        checks = {c["law"]: c for c in serre_report(field)["checks"]}
+        assert checks["reflex_norm_translation"] == check_translation_compatibility(field)
+        assert checks["reflex_norm_through_subfield"] == check_norm_triangle(field)
+
+    def test_closure_reflex_norm_once_per_type(self, monkeypatch):
+        # 256 closure matrices and 32 through a proper subfield, not 320
+        import cmcalc.serre as serre
+
+        calls = []
+
+        def counted(cm_type, e_field):
+            calls.append(e_field)
+            return reflex_norm_map(cm_type, e_field)
+
+        monkeypatch.setattr(serre, "reflex_norm_map", counted)
+        field = ORDER16.closure
+        report = serre_report(field)
+        triangle = next(c for c in report["checks"] if c["law"] == "reflex_norm_through_subfield")
+        types = len(enumerate_cm_types(field))
+        assert sum(e is field for e in calls) == types
+        assert len(calls) == types + triangle["pairs_checked"] == 288
 
 
 class TestNormMap:

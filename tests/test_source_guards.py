@@ -166,3 +166,19 @@ def test_reflex_check_in_ambient_group():
         elif isinstance(node, ast.alias):
             names.add(node.name)
     assert names & {"make_group", "as_group"} == set()
+
+
+def test_report_shares_reflex_work():
+    # cocycle_report reads every stabilizer from the translation table and
+    # checks each stabilizer orbit once, so it runs no per-type reflex check
+    path = SRC / "cocycle.py"
+    report = next(
+        fn for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(fn, ast.FunctionDef) and fn.name == "cocycle_report"
+    )
+    called = {
+        getattr(node.func, "attr", getattr(node.func, "id", None))
+        for node in ast.walk(report) if isinstance(node, ast.Call)
+    }
+    assert "_reflex_report" in called
+    assert called & {"stabilizer", "check_reflex_compatibility"} == set()
