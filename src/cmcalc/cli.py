@@ -151,7 +151,7 @@ def cmd_check(args) -> int:
     return 0 if failures == 0 else 1
 
 
-# the largest sweeps accepted; --pmax 10^5 takes 2.9 s (d = -1), 3.4 s (d = -3) on 2 cores
+# the largest sweeps accepted; --pmax 10^5 takes 1.2-2.1 s in-process on a shared 2-core host
 MAX_PMAX = 10**5
 MAX_RES_SCALARS = 2000
 

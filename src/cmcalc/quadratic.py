@@ -171,8 +171,37 @@ class QuadIdeal:
     def residue(self, x: QuadInt) -> tuple[int, int]:
         """Coordinates (a, b) of the representative a + b*omega of x modulo
         the ideal, with 0 <= a < n and 0 <= b < d."""
+        if x.field is not self.field and x.field != self.field:
+            raise CMError("element belongs to a different field")
         q, r = divmod(x.b, self.d)
         return ((x.a - q * self.c) % self.n, r)
+
+    def residue_product(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+        """Residue pair of the product of the residue pairs x and y, reduced
+        as residue reduces: (a1 + b1 w)(a2 + b2 w) with w^2 = s w + t."""
+        (a1, b1), (a2, b2) = x, y
+        s, t = self.field.omega_relation
+        bb = b1 * b2
+        q, r = divmod(a1 * b2 + a2 * b1 + s * bb, self.d)
+        return ((a1 * a2 + t * bb - q * self.c) % self.n, r)
+
+    @cached_property
+    def unit_residues(self) -> tuple[tuple[int, int], ...]:
+        """The pairs (a, b), ascending, whose x = a + b*omega is coprime to the
+        ideal, that is, x, x*omega, n and c + d*omega span O.  For x = 0 only
+        the minor n*d is left, so zero is a unit only modulo the unit ideal."""
+        s, t = self.field.omega_relation
+        n, c, d = self.n, self.c, self.d
+        return tuple((a, b) for a in range(n) for b in range(d)
+                     if _spans_ring((a, b), (b * t, a + b * s), (n, 0), (c, d)))
+
+    @cached_property
+    def primary_units(self) -> dict:
+        """Residue of g -> the units u with u g = 1 modulo the ideal.  That
+        holds exactly when g = conj(u), so there is one key per unit residue."""
+        units = self.field.units
+        keys = [self.residue(u.conj()) for u in units]
+        return {key: tuple(u for u, k in zip(units, keys) if k == key) for key in keys}
 
     def __contains__(self, x: QuadInt) -> bool:
         return self.residue(x) == (0, 0)
@@ -189,13 +218,17 @@ class QuadIdeal:
     def is_coprime(self, other: "QuadIdeal") -> bool:
         if self.field != other.field:
             raise CMError("ideals of different fields")
-        # self + other = O iff the 2x2 minors of the four basis vectors
-        # (n1, 0), (c1, d1), (n2, 0), (c2, d2) have gcd 1
-        n1, c1, d1, n2, c2, d2 = self.n, self.c, self.d, other.n, other.c, other.d
-        return math.gcd(n1 * d1, n1 * d2, n2 * d1, n2 * d2, c1 * d2 - c2 * d1) == 1
+        return _spans_ring((self.n, 0), (self.c, self.d), (other.n, 0), (other.c, other.d))
 
     def to_json(self) -> dict:
         return {"n": self.n, "c": self.c, "d": self.d}
+
+
+def _spans_ring(*vectors: tuple[int, int]) -> bool:
+    """Vectors of O = Z + Z*omega span O exactly when their 2x2 minors have
+    gcd 1 (Cohen, GTM 138, section 5.2)."""
+    return math.gcd(*(x1 * y2 - x2 * y1 for i, (x1, y1) in enumerate(vectors)
+                      for x2, y2 in vectors[i + 1:])) == 1
 
 
 def ideal_from_elements(field: QuadField, elements) -> QuadIdeal:
@@ -304,22 +337,6 @@ def canonical_conductor(field: QuadField) -> QuadIdeal:
     )
 
 
-def _residues(field: QuadField, modulus: QuadIdeal):
-    for b in range(modulus.d):
-        for a in range(modulus.n):
-            yield field.element(a, b)
-
-
-def _unit_residues(field: QuadField, modulus: QuadIdeal) -> list[tuple[int, int]]:
-    # zero is a unit residue only modulo the unit ideal, where every residue is
-    return [
-        modulus.residue(x)
-        for x in _residues(field, modulus)
-        if modulus.norm == 1
-        or (not x.is_zero() and ideal_from_generator(x).is_coprime(modulus))
-    ]
-
-
 def primary_generator(ideal: QuadIdeal, conductor: QuadIdeal | None = None) -> QuadInt:
     """The unique generator congruent to 1 modulo the convention conductor.
 
@@ -334,7 +351,7 @@ def _primary_associate(ideal: QuadIdeal, g: QuadInt, conductor: QuadIdeal | None
     """primary_generator's associate of the ideal's generator g, with its errors."""
     if conductor is None:
         conductor = canonical_conductor(ideal.field)
-    units = _primary_units(conductor).get(conductor.residue(g), ())
+    units = conductor.primary_units.get(conductor.residue(g), ())
     # an associate congruent to 1 puts 1 in ideal + conductor, so only a
     # failure needs the coprimality test, to tell the two errors apart
     if not units and not ideal.is_coprime(conductor):
@@ -344,15 +361,6 @@ def _primary_associate(ideal: QuadIdeal, g: QuadInt, conductor: QuadIdeal | None
             f"{len(units)} associates congruent to 1 modulo the conductor"
         )
     return units[0] * g
-
-
-@lru_cache(maxsize=16)
-def _primary_units(conductor: QuadIdeal) -> dict:
-    """Residue of g modulo the conductor -> the units u with u g = 1 there.
-    That holds exactly when g = conj(u), so there is one key per unit residue."""
-    units = conductor.field.units
-    keys = [conductor.residue(u.conj()) for u in units]
-    return {key: tuple(u for u, k in zip(units, keys) if k == key) for key in keys}
 
 
 @dataclass(frozen=True)
@@ -418,10 +426,7 @@ class RayClassGroup:
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.structure:
-            n *= d
-        return n
+        return math.prod(self.structure)
 
     def dlog(self, x: QuadInt) -> tuple[int, ...]:
         key = self.modulus.residue(x)
@@ -442,17 +447,13 @@ def ray_class_group(field: QuadField, modulus: QuadIdeal) -> RayClassGroup:
     Class number one makes every ideal principal, so this quotient is the
     full ray class group of the modulus.
     """
-    keys = sorted(set(_unit_residues(field, modulus)))
+    if modulus.field is not field and modulus.field != field:
+        raise CMError("modulus belongs to a different field")
+    keys, product, ring = modulus.unit_residues, modulus.residue_product, modulus.field
     index = {k: i for i, k in enumerate(keys)}
-
-    def index_of(x):
-        return index[modulus.residue(x)]
-
-    def mul(i, j):
-        return index_of(field.element(*keys[i]) * field.element(*keys[j]))
-
     structure, coords = la.present_abelian(
-        len(keys), mul, index_of(field.one), killed=[index_of(u) for u in field.units]
+        len(keys), lambda i, j: index[product(keys[i], keys[j])],
+        index[modulus.residue(ring.one)], killed=[index[modulus.residue(u)] for u in ring.units]
     )
     # present_abelian certifies the table as an isomorphism onto the structure
     return RayClassGroup(modulus=modulus, structure=structure, _dlog=dict(zip(keys, coords)))
@@ -498,7 +499,7 @@ class HeckeCharacterSpec:
             raise CMError("infinity type must be nonnegative for ring values")
         if self.conductor.field != self.field:
             raise CMError("conductor belongs to a different field")
-        if any(self.twist_exponents):
+        if self.twist_exponents:
             rcg = self.ray_class_group
             if len(self.twist_exponents) != len(rcg.structure):
                 raise CMError("twist exponent count does not match the group")
@@ -506,9 +507,7 @@ class HeckeCharacterSpec:
             for e, d in zip(self.twist_exponents, rcg.structure):
                 order = d // math.gcd(e, d)
                 if n_units % order:
-                    raise CMError(
-                        f"twist component of order {order} has no unit value"
-                    )
+                    raise CMError(f"twist component of order {order} has no unit value")
 
     @cached_property
     def ray_class_group(self) -> RayClassGroup:
@@ -573,10 +572,9 @@ def canonical_weight_one_spec(field: QuadField) -> HeckeCharacterSpec:
     )
 
 
-# keeps cm rayclass within seconds: in-process on a 2-core host, Python 3.11,
-# (97) (norm 9409) takes about 1.0 s over Z[i] and 1.2 s over Z[w],
-# gen:82,57 (norm 9973) 0.45 s and (100) 0.4 s, mostly in the residue
-# arithmetic of the Cayley-graph walk
+# keeps cm rayclass under a second: in-process on a shared 2-core host, Python
+# 3.11, (97) (norm 9409) takes 0.3-0.5 s over Z[i] and Z[w], gen:82,57 (norm
+# 9973) 0.15 s and (100) 0.1 s, mostly in the presenter and its certificate
 MAX_IDEAL_NORM = 10**4
 
 

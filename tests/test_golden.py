@@ -41,6 +41,14 @@ GOLDEN = {
         ["zeta", "--curve=0,16", "--d", "-3", "--pmax", "100000"],
         "25c760c69c46144ab334b5a7cb395ddf8e6d5e5b1ccc3fc73f12d656414a3274",
     ),
+    "rayclass_gauss_97": (
+        ["rayclass", "--d", "-1", "--modulus", "gen:97,0"],
+        "0bf5e89613324914a121233a2abad45e10fa95986b848bb597573bd2eee85093",
+    ),
+    "rayclass_eisenstein_97": (
+        ["rayclass", "--d", "-3", "--modulus", "gen:97,0"],
+        "fbbaa4d55881ab57971e4dcc030d8d49f020da8517574e6bf149d81f4b3d67a3",
+    ),
     "check": (
         ["check", "--suite", "all", "--battery", "all", "--seed", "7", "--trials", "20"],
         "9987cd74a36bb0bbca5002078c17debda8261b2996db2f0abdd9bcfd72e1279c",

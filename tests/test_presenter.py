@@ -23,13 +23,9 @@ from cmcalc.groups import (
     cyclic_group,
     subgroup_generated,
 )
-from cmcalc.quadratic import (
-    QuadField,
-    _unit_residues,
-    ideal_from_generator,
-    ray_class_group,
-)
+from cmcalc.quadratic import QuadField, ideal_from_generator, ray_class_group
 from linalg_oracle import snf_with_transforms
+from quadratic_oracle import unit_residues
 
 # the moduli of the benchmark's rayclass workload: (d, generator, power)
 RAYCLASS_MODULI = (
@@ -141,7 +137,7 @@ def test_every_battery_subgroup_abelianization(name):
 def test_rayclass_workload_moduli(d, gen, power):
     field = QuadField(d)
     modulus = ideal_from_generator(field.element(*gen) ** power)
-    keys = sorted(set(_unit_residues(field, modulus)))
+    keys = unit_residues(modulus)
     index = {k: i for i, k in enumerate(keys)}
 
     def mul(i, j):
@@ -163,7 +159,7 @@ def test_ray_class_group_dlog_multiplicative(d, gen, power):
     field = QuadField(d)
     modulus = ideal_from_generator(field.element(*gen) ** power)
     rcg = ray_class_group(field, modulus)
-    elements = [field.element(*k) for k in sorted(set(_unit_residues(field, modulus)))]
+    elements = [field.element(*k) for k in unit_residues(modulus)]
     logs = [rcg.dlog(x) for x in elements]
     for x, dx in zip(elements, logs):
         for y, dy in zip(elements, logs):
@@ -236,7 +232,7 @@ def test_ray_class_structure_by_power_counts(d, p):
     field = QuadField(d)
     modulus = ideal_from_generator(field.element(p))
     structure = ray_class_group(field, modulus).structure
-    keys = sorted(set(_unit_residues(field, modulus)))
+    keys = unit_residues(modulus)
     unit_keys = {modulus.residue(u) for u in field.units}
     exponent = structure[-1]
     for e in [e for e in range(1, exponent + 1) if exponent % e == 0]:

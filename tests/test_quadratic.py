@@ -28,6 +28,7 @@ from cmcalc.quadratic import (
     ray_class_group,
 )
 from cmcalc.serre import serre_character_lattice, weight_cocharacter
+from quadratic_oracle import canonical_moduli, unit_residues
 
 GAUSS = QuadField(-1)
 EISENSTEIN = QuadField(-3)
@@ -467,7 +468,9 @@ class TestPrimary:
                 assert got is NotCoprime, g
         # every residue unit has its associate: the units fill (O/m)^x
         assert len(found) == len(field.units)
-        assert quadratic._primary_units.cache_info().maxsize is not None
+        # the lookup table lives on the conductor, not in a module cache
+        assert vars(cond)["primary_units"] is cond.primary_units
+        assert not hasattr(quadratic, "_primary_units")
 
     def test_associate_lookup_explicit_conductors(self):
         # explicit conductors, with and without a bijection from the units
@@ -553,6 +556,39 @@ class TestRayClass:
         rcg = ray_class_group(GAUSS, m)
         with pytest.raises(NotCoprime):
             rcg.dlog(GAUSS.element(3, 0))
+
+    def test_residue_product_against_element_product(self):
+        # every pair of residues of every modulus of norm <= 50
+        pairs = 0
+        for field in map(QuadField, CLASS_NUMBER_ONE):
+            for m in canonical_moduli(field, 50):
+                residues = [(a, b) for a in range(m.n) for b in range(m.d)]
+                elements = [field.element(*x) for x in residues]
+                for x, ex in zip(residues, elements):
+                    for y, ey in zip(residues, elements):
+                        assert m.residue_product(x, y) == m.residue(ex * ey), (m, x, y)
+                pairs += len(residues) ** 2
+        assert pairs == 297372
+
+    def test_unit_residues_against_element_route(self):
+        moduli = 0
+        for field in map(QuadField, CLASS_NUMBER_ONE):
+            for m in canonical_moduli(field, 200):
+                assert list(m.unit_residues) == unit_residues(m), m
+                moduli += 1
+        assert moduli == 1308
+
+    def test_cross_field_gates(self):
+        three = ideal_from_generator(EISENSTEIN.element(3, 0))
+        with pytest.raises(CMError, match="different field"):
+            ray_class_group(GAUSS, three)
+        cond = canonical_conductor(GAUSS)
+        with pytest.raises(CMError, match="different field"):
+            EISENSTEIN.element(8) in cond
+        rcg = ray_class_group(GAUSS, cond)
+        for x in (EISENSTEIN.one, EISENSTEIN.element(0, 1)):
+            with pytest.raises(CMError, match="different field"):
+                rcg.dlog(x)
 
 
 class TestInfinityTypes:
@@ -648,6 +684,17 @@ class TestHecke:
             assert ratio is not None and ratio.norm() == 1
             values.add((ratio.a, ratio.b))
         assert len(values) > 1  # the twist is not identically trivial
+
+    def test_zero_twist_of_wrong_length_rejected(self):
+        m = ideal_from_generator(GAUSS.element(5, 0))
+        assert ray_class_group(GAUSS, m).structure == (4,)
+        with pytest.raises(CMError, match="count does not match"):
+            HeckeCharacterSpec(
+                field=GAUSS, conductor=m, infinity_type=(1, 0), twist_exponents=(0,) * 5
+            )
+        spec = HeckeCharacterSpec(field=GAUSS, conductor=m, infinity_type=(1, 0),
+                                  twist_exponents=(0,))
+        assert spec.to_json()["twist_exponents"] == [0]
 
     def test_twist_order_must_divide_units(self):
         m = ideal_from_generator(GAUSS.element(7, 0))

@@ -86,6 +86,22 @@ def test_quadratic_ideals_come_from_generators():
     assert found == []
 
 
+def test_ray_class_group_builds_no_elements():
+    # the presenter multiplies residue pairs in the modulus's own ring: no
+    # QuadInt, principal ideal or ideal sum per residue or per Cayley edge
+    path = SRC / "quadratic.py"
+    fn = next(
+        n for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(n, ast.FunctionDef) and n.name == "ray_class_group"
+    )
+    called = {
+        getattr(node.func, "attr", getattr(node.func, "id", None))
+        for node in ast.walk(fn) if isinstance(node, ast.Call)
+    }
+    assert "present_abelian" in called
+    assert called & {"element", "ideal_from_generator", "is_coprime", "QuadInt"} == set()
+
+
 def test_zeta_has_one_point_counter():
     # the Hasse count falls back to one symbol sum over its own field
     # arithmetic; the hand-expanded sums and the naive enumeration are test
