@@ -241,7 +241,12 @@ def validate_cm_type(field: CMFieldHandle, subset) -> CMType:
     """Check the half-system condition and return the validated CMType."""
     if field.is_degenerate:
         raise NotACMType("degenerate rational context carries no CM-types")
-    chosen = sorted(set(int(c) for c in subset))
+    subset = tuple(subset)
+    for c in subset:
+        # int() would truncate 1.7 to 1 and count True as 1
+        if type(c) is not int:
+            raise NotACMType(f"coset {c!r} is not an integer", witness=c)
+    chosen = sorted(set(subset))
     n = field.degree
     for c in chosen:
         if not 0 <= c < n:

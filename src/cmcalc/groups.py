@@ -268,6 +268,8 @@ def transfer_product(
     """
     if sub.parent != group:
         raise NotASubgroup("subgroup belongs to a different group")
+    if type(g) is not int or not 0 <= g < group.order:
+        raise NotASubgroup(f"element {g!r} is not an element of the group")
     if reps is None:
         reps = tuple(c[0] for c in left_cosets(group, sub))
     if not all(type(t) is int and 0 <= t < group.order for t in reps):

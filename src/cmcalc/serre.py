@@ -24,7 +24,6 @@ from .cmtypes import (
     CMType,
     enumerate_cm_types,
     require_enumerable,
-    stabilizer,
 )
 from .errors import (
     InternalInconsistency,
@@ -240,12 +239,14 @@ def reflex_norm_map(cm_type: CMType, e_field: CMFieldHandle) -> LatticeMap:
     if e_field.group != field.group or e_field.iota != field.iota:
         raise NotNested("type and field live in different ambient contexts")
     _require_galois(e_field)
-    stab = stabilizer(cm_type)
-    if not all(h in stab for h in e_field.fixer.elements):
-        raise NoSolution(
-            "no equivariant lift: the field does not contain the reflex field"
-        )
+    # the stabilizer of phi is a subgroup, so it contains the fixer of E
+    # exactly when it contains the fixer's generators
     inv, members = field.group.inv, cm_type.coset_set()
+    for h in e_field.fixer.generators:
+        if not all(field.act_table[h][c] in members for c in cm_type.cosets):
+            raise NoSolution(
+                "no equivariant lift: the field does not contain the reflex field"
+            )
     matrix = la.freeze(
         [
             [1 if c in members else 0 for c in field.act_table[inv(e_field.coset_rep(ce))]]
@@ -329,11 +330,7 @@ def check_serre_exact_sequence(field: CMFieldHandle) -> dict:
     _require_galois(field)
     serre = field.serre_lattice
     n = field.degree
-    pair_of = {}
-    for i, (c, d) in enumerate(field.iota_pairs):
-        pair_of[c] = i
-        pair_of[d] = i
-    n_real = max(pair_of.values()) + 1
+    n_real = len(field.iota_pairs)
     # injection: chi |-> (chi, weight(chi)) into Z^n + Z
     mu = identity_cocharacter(field).functional
     w = weight_functional(field, mu)
@@ -341,15 +338,9 @@ def check_serre_exact_sequence(field: CMFieldHandle) -> dict:
         [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)] + [w]
     )
     # surjection: [rho] |-> [rho restricted], extra generator |-> sum of all
-    b_rows = []
-    for i in range(n_real):
-        row = [0] * (n + 1)
-        for c, p in pair_of.items():
-            if p == i:
-                row[c] = 1
-        row[n] = 1
-        b_rows.append(tuple(row))
-    b_matrix = la.freeze(b_rows)
+    b_matrix = la.freeze(
+        [tuple(1 if x in pair else 0 for x in range(n)) + (1,) for pair in field.iota_pairs]
+    )
 
     image_a = tuple(la.mat_vec(a_matrix, row) for row in serre.basis)
     kernel_b = la.integer_kernel(b_matrix)
@@ -413,29 +404,22 @@ def check_cm_type_generation(field: CMFieldHandle) -> dict:
     }
 
 
-def check_translation_compatibility(field: CMFieldHandle) -> dict:
-    """Reflex norm of a translated type is the right-translated reflex norm.
+def check_reflex_norms(field: CMFieldHandle) -> list[dict]:
+    """The reflex norm's compatibilities with translation and with norms down
+    to subfields, from one closure reflex norm matrix per type.
 
-    For every type and every tau, the matrix of the translated type is the
-    original matrix with its rows permuted by right translation [x] |->
-    [x tau^-1] of the closure's embedding cosets.  The translated type is
-    read from the field's type translation table.
+    Translation: for every type and every tau, the matrix of the translated
+    type, read from the field's type translation table, is the original
+    matrix with its rows permuted by right translation [x] |-> [x tau^-1] of
+    the closure's embedding cosets.  Through a subfield: for every proper
+    Galois CM subfield E2 of the closure whose fixer stabilizes the type (the
+    fixer lies in the fixed points of the type's column of the translation
+    table), the reflex norm into E2 composed with the norm map equals the
+    reflex norm into the closure.
     """
+    group, closure, left = field.group, field.closure, field.type_translation
     types = enumerate_cm_types(field)
-    matrices = [reflex_norm_map(t, field.closure).matrix for t in types]
-    return _translation_compatibility(field, types, matrices)
-
-
-def check_norm_triangle(field: CMFieldHandle) -> dict:
-    """Reflex norm through an intermediate Galois field composed with the
-    norm map equals the reflex norm through the closure."""
-    types = enumerate_cm_types(field)
-    return _norm_triangle(field, types, lambda i: reflex_norm_map(types[i], field.closure).matrix)
-
-
-def _translation_compatibility(field: CMFieldHandle, types, matrices: list[Matrix]) -> dict:
-    """The translation check, with matrices[i] the closure reflex norm of type i."""
-    group, closure = field.group, field.closure
+    matrices = [reflex_norm_map(t, closure).matrix for t in types]
     right = [
         tuple(
             closure.coset_index(group.mul(closure.coset_rep(c), group.inv(tau)))
@@ -443,52 +427,39 @@ def _translation_compatibility(field: CMFieldHandle, types, matrices: list[Matri
         )
         for tau in group.elements()
     ]
-    left = field.type_translation
-    failures = []
-    for i, cm_type in enumerate(types):
-        base = matrices[i]
-        for tau in group.elements():
-            if matrices[left[tau][i]] != _permute(base, right[tau]):
-                failures.append({"type": list(cm_type.cosets), "tau": tau})
-    return {
-        "law": "reflex_norm_translation",
-        "field_degree": field.degree,
-        "failures": failures,
-        "passed": not failures,
-    }
-
-
-def _norm_triangle(field: CMFieldHandle, types, direct) -> dict:
-    """The norm triangle, with direct(i) the closure reflex norm of type i.
-    A type's stabilizer is read as the fixed points of its column of the
-    type translation table."""
-    closure, left = field.closure, field.type_translation
     subfields = [
         (e2, norm_lattice_map(closure, e2).matrix)
         for e2 in closure.cm_subfields
         if e2.fixer.order > 1 and e2.fixer.is_normal()
     ]
-    checked = 0
-    failures = []
+    moved, through, checked = [], [], 0
     for i, cm_type in enumerate(types):
-        matrix = None
+        matrix = matrices[i]
+        for tau in group.elements():
+            if matrices[left[tau][i]] != _permute(matrix, right[tau]):
+                moved.append({"type": list(cm_type.cosets), "tau": tau})
         for e2, norm in subfields:
             if not all(left[x][i] == i for x in e2.fixer.elements):
                 continue
-            if matrix is None:
-                matrix = direct(i)
-            composite = la.mat_mul(norm, reflex_norm_map(cm_type, e2).matrix)
             checked += 1
-            if composite != matrix:
-                failures.append(
+            if la.mat_mul(norm, reflex_norm_map(cm_type, e2).matrix) != matrix:
+                through.append(
                     {"type": list(cm_type.cosets), "through": list(e2.fixer.elements)}
                 )
-    return {
-        "law": "reflex_norm_through_subfield",
-        "pairs_checked": checked,
-        "failures": failures,
-        "passed": not failures,
-    }
+    return [
+        {
+            "law": "reflex_norm_translation",
+            "field_degree": field.degree,
+            "failures": moved,
+            "passed": not moved,
+        },
+        {
+            "law": "reflex_norm_through_subfield",
+            "pairs_checked": checked,
+            "failures": through,
+            "passed": not through,
+        },
+    ]
 
 
 def serre_report(field: CMFieldHandle) -> dict:
@@ -499,11 +470,7 @@ def serre_report(field: CMFieldHandle) -> dict:
     if not field.is_degenerate:
         checks.insert(0, check_serre_exact_sequence(field))
         checks.append(check_cm_type_generation(field))
-        # each closure reflex norm once, read by both checks
-        types = enumerate_cm_types(field)
-        matrices = [reflex_norm_map(t, field.closure).matrix for t in types]
-        checks.append(_translation_compatibility(field, types, matrices))
-        checks.append(_norm_triangle(field, types, matrices.__getitem__))
+        checks += check_reflex_norms(field)
     return {
         "degree": field.degree,
         "serre_rank": serre.rank,

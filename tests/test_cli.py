@@ -185,6 +185,46 @@ class TestCheck:
         assert code == 0 and json.loads(out)["trials"] == MAX_TRIALS
 
 
+    def test_closure_report_shared_when_field_is_its_closure(self, capsys, monkeypatch):
+        # C2, C4 and C2xC2 have trivial fixers: one Serre report serves as
+        # field and closure; C2xC4 needs two and D4 (not Galois) one
+        from cmcalc import cli
+        from cmcalc.serre import serre_report
+
+        calls = []
+
+        def counted(field):
+            calls.append(field)
+            return serre_report(field)
+
+        monkeypatch.setattr(cli, "serre_report", counted)
+        code, out, _ = run_main(capsys, "check", "--suite", "serre", "--battery", "all")
+        assert code == 0 and len(calls) == 6
+        fields = json.loads(out)["fields"]
+        for name in ("C2", "C4", "C2xC2"):
+            assert fields[name]["serre"]["closure"] == fields[name]["serre"]["field"]
+
+
+class TestParser:
+    def test_main_reuses_one_parser(self, capsys, monkeypatch):
+        # every build looks up a translation per help string, so main builds
+        # its parser once and parses each call with it
+        import argparse
+
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def recording(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        first = run_main(capsys, "serre", "--battery", "C4")
+        second = run_main(capsys, "serre", "--battery", "C4")
+        assert first[0] == 0 and first == second
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+
 class TestZeta:
     def test_quick(self, capsys):
         code, out, _ = run_main(

@@ -100,6 +100,13 @@ class TestValidation:
         with pytest.raises(NotACMType):
             validate_cm_type(c4_field(), {0, 9})
 
+    def test_non_integer_cosets_refused(self):
+        # int() would read 1.7 as coset 1, and True would count as 1
+        field = battery_field("C2xC4")
+        for bad in (1.7, True, 1.0, "1"):
+            err = pytest.raises(NotACMType, validate_cm_type, field, [bad])
+            assert err.value.witness is bad
+
 
 class TestEnumeration:
     def test_quadratic_two_types(self):

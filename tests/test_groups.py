@@ -333,6 +333,17 @@ class TestTransfer:
             with pytest.raises(NotASubgroup):
                 transfer_product(g, h, 1, reps=reps)
 
+    def test_element_outside_group_rejected(self):
+        # -1 would index the table from its end and stand for 7, 8 would
+        # raise a bare IndexError, and True or 1.0 would stand for 1
+        g = direct_product(cyclic_group(2), cyclic_group(4))
+        h = g.subgroup([0, 1, 2, 3])
+        for x in (-1, 8, True, 1.0, "1"):
+            with pytest.raises(NotASubgroup, match="not an element of the group"):
+                transfer(g, h, x)
+            with pytest.raises(NotASubgroup, match="not an element of the group"):
+                transfer_product(g, h, x, reps=(0, 4))
+
     def test_shared_coset_rejected(self):
         # 0 and 2 both represent H; g = 2 keeps each of them inside H
         g = cyclic_group(4)

@@ -1,5 +1,7 @@
 """Character lattices, distinguished cocharacters, reflex norms, reciprocity."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from cmcalc import intlinalg as la
@@ -26,10 +28,9 @@ from cmcalc.serre import (
     Cocharacter,
     _permute,
     check_cm_type_generation,
-    check_norm_triangle,
     check_norm_weight_triangle,
+    check_reflex_norms,
     check_serre_exact_sequence,
-    check_translation_compatibility,
     full_character_lattice,
     identity_cocharacter,
     mumford_tate_rank,
@@ -118,6 +119,48 @@ def galois_reflex(cm_type):
     stab = stabilizer(cm_type)
     core = [h for h in stab.elements if all(g.conj(x, h) in stab for x in g.elements())]
     return CMFieldHandle(group=g, iota=cm_type.field.iota, fixer=g.subgroup(core))
+
+
+def reflex_norm_checks_oracle(field):
+    """Oracle for check_reflex_norms: translated types from translate_left,
+    right translation from coset representatives, subfields from
+    galois_subfields and their containment from stabilizer."""
+    g, closure = field.group, field.closure
+    types = enumerate_cm_types(field)
+    matrices = {t.cosets: reflex_norm_map(t, closure).matrix for t in types}
+    subfields = [e for e in galois_subfields(closure) if e.fixer.order > 1]
+    moved, through, checked = [], [], 0
+    for t in types:
+        matrix = matrices[t.cosets]
+        for tau in g.elements():
+            # row [x] of the translate's matrix is row [x tau] of the type's
+            expected = tuple(
+                matrix[closure.coset_index(g.mul(closure.coset_rep(c), tau))]
+                for c in range(closure.degree)
+            )
+            if matrices[translate_left(tau, t).cosets] != expected:
+                moved.append({"type": list(t.cosets), "tau": tau})
+        stab = stabilizer(t)
+        for e in subfields:
+            if all(h in stab for h in e.fixer.elements):
+                checked += 1
+                norm = norm_lattice_map(closure, e).matrix
+                if la.mat_mul(norm, reflex_norm_map(t, e).matrix) != matrix:
+                    through.append({"type": list(t.cosets), "through": list(e.fixer.elements)})
+    return [
+        {
+            "law": "reflex_norm_translation",
+            "field_degree": field.degree,
+            "failures": moved,
+            "passed": not moved,
+        },
+        {
+            "law": "reflex_norm_through_subfield",
+            "pairs_checked": checked,
+            "failures": through,
+            "passed": not through,
+        },
+    ]
 
 
 def galois_subfields(field):
@@ -358,27 +401,83 @@ class TestReflexNorm:
 
     def test_translation_compatibility(self):
         for field in GALOIS_FIELDS:
-            assert check_translation_compatibility(field)["passed"]
+            assert check_reflex_norms(field)[0]["passed"]
 
     def test_norm_triangle(self):
         for field in GALOIS_FIELDS:
-            report = check_norm_triangle(field)
+            report = check_reflex_norms(field)[1]
             assert report["passed"]
-        assert check_norm_triangle(KLEIN)["pairs_checked"] > 0
+        assert check_reflex_norms(KLEIN)[1]["pairs_checked"] > 0
+
+
+def _corrupted(matrix):
+    """The matrix with its top-left entry flipped between 0 and 1."""
+    rows = [list(r) for r in matrix]
+    rows[0][0] = 1 - rows[0][0]
+    return la.freeze(rows)
 
 
 class TestReportSharing:
-    """serre_report builds each type's closure reflex norm once and hands it
-    to both checks that read it."""
+    """serre_report takes both reflex-norm entries from check_reflex_norms,
+    which builds each type's closure reflex norm once for both."""
 
     @pytest.mark.parametrize(
         "field",
         [*GALOIS_FIELDS, *(closure_of(battery_field(n)) for n in BATTERY_NAMES), ORDER16.closure],
     )
     def test_report_matches_public_checks(self, field):
-        checks = {c["law"]: c for c in serre_report(field)["checks"]}
-        assert checks["reflex_norm_translation"] == check_translation_compatibility(field)
-        assert checks["reflex_norm_through_subfield"] == check_norm_triangle(field)
+        checks = [
+            c for c in serre_report(field)["checks"]
+            if c["law"] in ("reflex_norm_translation", "reflex_norm_through_subfield")
+        ]
+        assert checks == check_reflex_norms(field) == reflex_norm_checks_oracle(field)
+
+    @pytest.mark.parametrize("field", [KLEIN, closure_of(battery_field("C2xC4"))])
+    def test_corrupted_closure_map_fails_translation(self, field, monkeypatch):
+        # one type's closure reflex norm corrupted: the translation check
+        # names that type at every tau that moves it
+        import cmcalc.serre as serre
+
+        bad = enumerate_cm_types(field)[1]
+
+        def corrupting(cm_type, e_field):
+            out = reflex_norm_map(cm_type, e_field)
+            if cm_type == bad and e_field is field.closure:
+                return SimpleNamespace(matrix=_corrupted(out.matrix))
+            return out
+
+        monkeypatch.setattr(serre, "reflex_norm_map", corrupting)
+        translation = check_reflex_norms(field)[0]
+        assert not translation["passed"]
+        named = {f["tau"] for f in translation["failures"] if f["type"] == list(bad.cosets)}
+        stab = stabilizer(bad)
+        assert named >= {tau for tau in field.group.elements() if tau not in stab}
+        assert not serre_report(field)["passed"]
+
+    @pytest.mark.parametrize("field", [KLEIN, closure_of(battery_field("C2xC4"))])
+    def test_corrupted_subfield_map_fails_triangle(self, field, monkeypatch):
+        # one type's reflex norm through one subfield corrupted: the triangle
+        # names exactly that (type, subfield) pair, and translation still holds
+        import cmcalc.serre as serre
+
+        bad = next(t for t in enumerate_cm_types(field) if stabilizer(t).order > 1)
+        through = next(
+            e for e in galois_subfields(field.closure)
+            if e.fixer.order > 1 and all(h in stabilizer(bad) for h in e.fixer.elements)
+        )
+
+        def corrupting(cm_type, e_field):
+            out = reflex_norm_map(cm_type, e_field)
+            if cm_type == bad and e_field.fixer == through.fixer:
+                return SimpleNamespace(matrix=_corrupted(out.matrix))
+            return out
+
+        monkeypatch.setattr(serre, "reflex_norm_map", corrupting)
+        translation, triangle = check_reflex_norms(field)
+        assert translation["passed"] and not triangle["passed"]
+        assert triangle["failures"] == [
+            {"type": list(bad.cosets), "through": list(through.fixer.elements)}
+        ]
 
     def test_closure_reflex_norm_once_per_type(self, monkeypatch):
         # 256 closure matrices and 32 through a proper subfield, not 320
@@ -474,8 +573,7 @@ class TestGaloisQuarticWithNontrivialFixer:
 
     def test_translation_and_triangle(self):
         field = self._field()
-        assert check_translation_compatibility(field)["passed"]
-        assert check_norm_triangle(field)["passed"]
+        assert all(c["passed"] for c in check_reflex_norms(field))
 
 
 class TestMumfordTate:

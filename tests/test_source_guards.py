@@ -198,3 +198,43 @@ def test_report_shares_reflex_work():
     }
     assert "_reflex_report" in called
     assert called & {"stabilizer", "check_reflex_compatibility"} == set()
+
+
+def test_serre_reflex_norms_in_one_pass():
+    # check_reflex_norms builds the closure reflex norms once for both
+    # identities, and reflex_norm_map tests containment on the fixer's
+    # generators: serre.py neither imports nor calls stabilizer
+    path = SRC / "serre.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    closure_calls, callers, names = [], set(), set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "reflex_norm_map":
+                    callers.add(fn.name)
+                    if ast.unparse(node.args[1]).endswith("closure"):
+                        closure_calls.append(fn.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert callers == {"mumford_tate_rank", "check_reflex_norms"}
+    assert closure_calls == ["mumford_tate_rank", "check_reflex_norms"]
+    assert "stabilizer" not in names
+
+
+def test_cli_parser_built_once():
+    # main parses with the cached build_parser and builds no parser itself
+    path = SRC / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    decorators = [ast.unparse(d) for d in functions["build_parser"].decorator_list]
+    assert decorators == ["functools.cache"]
+    called = {
+        getattr(node.func, "attr", getattr(node.func, "id", None))
+        for node in ast.walk(functions["main"]) if isinstance(node, ast.Call)
+    }
+    assert "build_parser" in called and "ArgumentParser" not in called
