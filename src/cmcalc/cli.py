@@ -54,10 +54,7 @@ def _load_field_file(path: str) -> CMFieldHandle:
                 raise InputError(f"cannot read {group_spec}: {exc}") from exc
         group = make_group(group_spec["table"], names=group_spec.get("names"))
         fixer = group.subgroup(data["H"])
-        iota = data["iota"]
-        if type(iota) is not int:
-            raise InputError(f"invalid field data in {path}: iota {iota!r} is not an integer")
-        return CMFieldHandle(group=group, iota=iota, fixer=fixer)
+        return CMFieldHandle(group=group, iota=data["iota"], fixer=fixer)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed field file {path}: {exc}") from exc
     except CMError as exc:

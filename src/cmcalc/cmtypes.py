@@ -20,6 +20,7 @@ from .errors import (
     InternalInconsistency,
     NotACMType,
     NotAnAutomorphismOfK,
+    NotAnInteger,
     NotNested,
 )
 from .groups import (
@@ -55,6 +56,8 @@ class CMFieldHandle:
         g = self.group
         if self.fixer.parent != g:
             raise CMError("fixing subgroup belongs to a different group")
+        if type(self.iota) is not int:
+            raise NotAnInteger(f"iota {self.iota!r} is not an integer", witness=self.iota)
         if not 0 <= self.iota < g.order:
             raise CMError(f"iota {self.iota} out of range 0..{g.order - 1}")
         if g.order == 1:

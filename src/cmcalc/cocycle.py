@@ -8,12 +8,8 @@ homomorphism on H, so the value is the sum of the projected factors: a
 representative system holds one factor table, and every value below is a
 sum read from it.  The value does not depend on the representative
 system, satisfies the cocycle law in the type argument, and combines with
-the complementary type to the transfer homomorphism.  Those three facts
-are the checkable identities this module sweeps, on integer tables: each
-class of H/[H,H] has a code with a sum table, type i is field.cm_types[i],
-field.type_translation[tau][i] is the index of tau*phi_i, and a sweep
-builds each system's value row of codes per type once, so every identity
-compares rows.
+the complementary type to the transfer homomorphism.  The last two are
+linear in the type: they are checked once on the factor table, not per type.
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .cmtypes import CMFieldHandle, CMType, enumerate_cm_types, stabilizer
-from .errors import CMError, FactorNotInH, InternalInconsistency
+from .errors import CMError, FactorNotInH, InternalInconsistency, NotAnInteger
 from .groups import Subgroup, transfer, transfer_product
 
 CocycleValue = tuple[int, ...]
@@ -43,6 +39,8 @@ class WSystem:
         if len(self.reps) != field.degree:
             raise CMError("one representative per embedding coset required")
         for c, w in enumerate(self.reps):
+            if type(w) is not int:
+                raise NotAnInteger(f"representative {w!r} is not an integer", witness=w)
             if field.coset_index(w) != c:
                 raise CMError(f"representative {w} is not in coset {c}")
             ic = field.act(field.iota, c)
@@ -160,57 +158,44 @@ def _rep_independence(field: CMFieldHandle, types, trials: int, systems, choices
 
 
 def check_cocycle_law(field: CMFieldHandle) -> dict:
-    """F_phi(sigma tau) == F_{tau phi}(sigma) + F_phi(tau), exhaustively: per
-    (phi, tau), one comparison of two value rows over all sigma."""
-    g = field.group
-    types = enumerate_cm_types(field)
-    left, sums = field.type_translation, field.quotient.sum_table
-    rows = field.canonical_w_system.value_rows(field.iota_pairs)
-    columns = list(zip(*g.table))  # columns[tau][sigma] = sigma tau
-    failures = []
-    for i, values in enumerate(rows):
-        for tau, column in enumerate(columns):
-            lhs = [values[x] for x in column]
-            shift = sums[values[tau]]
-            rhs = [shift[m] for m in rows[left[tau][i]]]
-            if lhs != rhs:
-                failures += (
-                    {"type": list(types[i].cosets), "sigma": sigma, "tau": tau}
-                    for sigma in g.elements() if lhs[sigma] != rhs[sigma]
-                )
+    """F_phi(sigma tau) == F_{tau phi}(sigma) + F_phi(tau) for the 2^g types and |G|^2 pairs
+    that ``checked`` counts: the sum over phi of the factor law f(sigma tau, c) == f(sigma,
+    tau c) + f(tau, c), one row over sigma per (tau, c); types are summed where it fails."""
+    g, wsys, act = field.group, field.canonical_w_system, field.act_table
+    code, sums = field.quotient.code, field.quotient.sum_table
+    codes = [[code[f] for f in column] for column in zip(*wsys.factors)]  # codes[c][tau]
+    bad = set()
+    for tau, column in enumerate(zip(*g.table)):  # column[sigma] = sigma tau
+        for c, row in enumerate(codes):
+            shift, moved = sums[row[tau]], codes[act[tau][c]]
+            bad.update((tau, s) for s, x in enumerate(column) if row[x] != shift[moved[s]])
+    types = enumerate_cm_types(field) if bad else ()
+    failures = [
+        {"type": list(phi), "sigma": sigma, "tau": tau}
+        for phi in (t.cosets for t in types) for tau, sigma in sorted(bad)
+        if code[wsys.value(g.mul(sigma, tau), phi)]
+        != sums[code[wsys.value(sigma, [act[tau][c] for c in phi])]][code[wsys.value(tau, phi)]]
+    ]
     return {
         "law": "cocycle_law",
-        "checked": len(rows) * g.order**2,
+        "checked": 2 ** len(field.iota_pairs) * g.order**2,
         "failures": failures,
         "passed": not failures,
     }
 
 
 def check_transfer_identity(field: CMFieldHandle) -> dict:
-    """F_phi(tau) + F_{iota phi}(tau) equals the transfer of tau, exhaustively.
-
-    The complementary type contributes the remaining cosets, so the combined
-    product runs over a full representative system: exactly the transfer.
-    The complement of type i is type i XOR (2^g - 1).
-    """
-    quotient = field.quotient
-    g = field.group
-    types = enumerate_cm_types(field)
-    rows, sums = field.canonical_w_system.value_rows(field.iota_pairs), quotient.sum_table
-    transfers = [
-        quotient.code[transfer(g, field.fixer, tau, quotient=quotient)] for tau in g.elements()
-    ]
-    failures = []
-    for i, values in enumerate(rows):
-        combined = [sums[a][b] for a, b in zip(values, rows[i ^ (len(rows) - 1)])]
-        if combined != transfers:
-            failures += (
-                {"type": list(types[i].cosets), "tau": tau}
-                for tau in g.elements() if combined[tau] != transfers[tau]
-            )
+    """F_phi(tau) + F_{iota phi}(tau) equals the transfer of tau for the 2^g types and |G|
+    elements that ``checked`` counts: phi and iota phi cover each coset once, so the sum
+    is that of all factors at tau for every type, and a failing tau fails every type."""
+    g, wsys = field.group, field.canonical_w_system
+    transfers = (transfer(g, field.fixer, tau, quotient=field.quotient) for tau in g.elements())
+    bad = [tau for tau, t in enumerate(transfers) if wsys.value(tau, range(field.degree)) != t]
+    types = enumerate_cm_types(field) if bad else ()
+    failures = [{"type": list(t.cosets), "tau": tau} for t in types for tau in bad]
     return {
         "law": "transfer_identity",
-        "checked": len(rows) * g.order,
+        "checked": 2 ** len(field.iota_pairs) * g.order,
         "failures": failures,
         "passed": not failures,
     }

@@ -58,6 +58,10 @@ class FactorNotInH(CMError):
     """A cocycle factor fell outside the fixing subgroup (corrupt w-system)."""
 
 
+class NotAnInteger(CMError):
+    """A value that must be an int is a bool, a float or another type."""
+
+
 class NotPrime(CMError):
     """Argument expected to be a rational prime."""
 

@@ -18,6 +18,7 @@ from .errors import (
     CMError,
     InternalInconsistency,
     NoPrimaryGenerator,
+    NotAnInteger,
     NotCoprime,
     NotPrime,
 )
@@ -50,6 +51,8 @@ class QuadField:
     d: int
 
     def __post_init__(self):
+        if type(self.d) is not int:
+            raise NotAnInteger(f"d={self.d!r} is not an integer", witness=self.d)
         if self.d not in CLASS_NUMBER_ONE:
             raise CMError(f"d={self.d} is not a whitelisted class-number-one field")
 
@@ -160,6 +163,8 @@ class QuadIdeal:
     d: int
 
     def __post_init__(self):
+        if type(self.n) is not int or type(self.c) is not int or type(self.d) is not int:
+            raise NotAnInteger(f"ideal basis {(self.n, self.c, self.d)!r} is not integral")
         if self.n <= 0 or self.d <= 0 or not 0 <= self.c < self.n:
             raise CMError("ideal basis is not in canonical form")
         if self.n % self.d or self.c % self.d:

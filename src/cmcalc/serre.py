@@ -380,12 +380,14 @@ def check_norm_weight_triangle(field: CMFieldHandle) -> dict:
 
 
 def check_cm_type_generation(field: CMFieldHandle) -> dict:
-    """Indicator vectors of all CM-types generate the Serre sublattice."""
+    """Indicator vectors of all CM-types generate the Serre sublattice.  Each is that of
+    phi_0 (the first coset of every iota-pair) plus flip differences e_d - e_c over some
+    pairs (c, d), so phi_0 and its g single-pair flips span all 2^g indicators."""
     _require_galois(field)
     serre = field.serre_lattice
-    indicators = tuple(
-        type_cocharacter(t).functional for t in enumerate_cm_types(field)
-    )
+    first = [c for c, _ in field.iota_pairs]
+    flips = [first[:k] + [d] + first[k + 1:] for k, (_, d) in enumerate(field.iota_pairs)]
+    indicators = [[int(c in phi) for c in range(field.degree)] for phi in [first] + flips]
     # the HNF certificate shows that generated spans the indicators' lattice
     generated = la.hnf_basis(indicators)
     equal = generated == serre.basis

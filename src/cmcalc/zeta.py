@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
 
-from .errors import (BadPrime, CMError, InternalInconsistency, RamifiedOrBadPrime,
-                     WeilBoundViolation)
+from .errors import (BadPrime, CMError, InternalInconsistency, NotAnInteger,
+                     RamifiedOrBadPrime, WeilBoundViolation)
 from .quadratic import (
     HeckeCharacterSpec,
     PrimeFactorization,
@@ -54,6 +54,8 @@ class CurveSpec:
     cm_field: QuadField
 
     def __post_init__(self):
+        if type(self.a4) is not int or type(self.a6) is not int:
+            raise NotAnInteger(f"coefficients a4={self.a4!r}, a6={self.a6!r} are not integers")
         if self.discriminant == 0:
             raise CMError("singular curve")
 

@@ -1,0 +1,204 @@
+"""Mutation runner: weaken one gate of the library in a copy of src/ and
+check that the tier-1 tests named for it then fail.
+
+Each mutant names a file under src/cmcalc, an exact source snippet that
+must occur there exactly once, its replacement and the pytest node ids
+expected to fail.  For each mutant the runner copies src/ to a temporary
+directory, applies the one replacement and runs the node ids against the
+copy in a subprocess (the copy first on PYTHONPATH).  The mutant is killed
+when pytest reports a failing test, and survives when the tests pass.
+Before the mutants, the node ids of every selected mutant run once against
+an unmodified copy, which must pass.
+
+    python tests/mutants.py             # every mutant
+    python tests/mutants.py NAME ...    # the named mutants
+
+It prints killed or survived per mutant and exits 1 if a mutant survives,
+a snippet does not occur exactly once, or a run errs.  tests/test_mutants.py
+checks the snippets in tier-1; the full run is this separate command.  A
+change that moves a gate moves its mutant too, and a new gate adds one.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/cmcalc
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+COCYCLE = "tests/test_cocycle.py"
+CORRUPTED = f"{COCYCLE}::TestTables::test_corrupted_factor_matches_oracle"
+GENERATION = "tests/test_serre.py::TestGenerationClosedForm::test_matches_exhaustive_oracle"
+
+MUTANTS = (
+    # the closed forms of the cocycle law, the transfer identity and generation
+    Mutant(
+        "factor_law_disabled", "cocycle.py",
+        "if row[x] != shift[moved[s]])", "if False)",
+        (CORRUPTED,),
+    ),
+    Mutant(
+        "law_witnesses_skipped", "cocycle.py",
+        "types = enumerate_cm_types(field) if bad else ()\n    failures = [\n"
+        '        {"type": list(phi), "sigma": sigma, "tau": tau}',
+        "types = ()\n    failures = [\n"
+        '        {"type": list(phi), "sigma": sigma, "tau": tau}',
+        (CORRUPTED,),
+    ),
+    Mutant(
+        "transfer_comparison_disabled", "cocycle.py",
+        "if wsys.value(tau, range(field.degree)) != t]", "if False]",
+        (CORRUPTED,),
+    ),
+    Mutant(
+        "generation_last_flip_dropped", "serre.py",
+        "in enumerate(field.iota_pairs)]", "in enumerate(field.iota_pairs[:-1])]",
+        (GENERATION,),
+    ),
+    Mutant(
+        "generation_phi0_dropped", "serre.py",
+        "for phi in [first] + flips]", "for phi in flips]",
+        (GENERATION,),
+    ),
+    Mutant(
+        "value_drops_a_coset", "cocycle.py",
+        "sum(row[c][i] for c in cosets)", "sum(row[c][i] for c in list(cosets)[1:])",
+        (f"{COCYCLE}::TestIdentities::test_transfer_identity",),
+    ),
+    Mutant(
+        "orbit_drops_a_coset", "cocycle.py",
+        "verdicts.append(wsys.value(tau, orbit) ==",
+        "verdicts.append(wsys.value(tau, orbit[1:]) ==",
+        (f"{COCYCLE}::TestTables::test_reflex_matches_oracle",),
+    ),
+    Mutant(
+        "factor_not_in_h_gate", "cocycle.py",
+        "if factor not in field.fixer:", "if False:",
+        (f"{COCYCLE}::TestNegativeControl::test_representative_outside_its_coset_raises",),
+    ),
+    # int gates of the constructors
+    Mutant(
+        "handle_iota_int_gate", "cmtypes.py",
+        "if type(self.iota) is not int:", "if False:",
+        ("tests/test_cmtypes.py::TestHandleValidation::test_iota_must_be_int",),
+    ),
+    Mutant(
+        "wsystem_int_gate", "cocycle.py",
+        "if type(w) is not int:", "if False:",
+        (f"{COCYCLE}::TestWSystems::test_non_int_representative_rejected",),
+    ),
+    Mutant(
+        "quadfield_int_gate", "quadratic.py",
+        "if type(self.d) is not int:", "if False:",
+        ("tests/test_quadratic.py::TestField::test_d_must_be_int",),
+    ),
+    Mutant(
+        "quadideal_int_gate", "quadratic.py",
+        "if type(self.n) is not int or type(self.c) is not int or type(self.d) is not int:",
+        "if False:",
+        ("tests/test_quadratic.py::TestIdeals::test_basis_must_be_int",),
+    ),
+    Mutant(
+        "curvespec_int_gate", "zeta.py",
+        "if type(self.a4) is not int or type(self.a6) is not int:", "if False:",
+        ("tests/test_zeta.py::TestCurveSpec::test_coefficients_must_be_int",),
+    ),
+    Mutant(
+        "transfer_product_element_gate", "groups.py",
+        "if type(g) is not int or not 0 <= g < group.order:", "if False:",
+        ("tests/test_groups.py::TestTransfer::test_element_outside_group_rejected",),
+    ),
+    Mutant(
+        "validate_cm_type_int_gate", "cmtypes.py",
+        "if type(c) is not int:", "if False:",
+        ("tests/test_cmtypes.py::TestValidation::test_non_integer_cosets_refused",),
+    ),
+    # the reflex norms and the CLI parser
+    Mutant(
+        "containment_on_first_generator", "serre.py",
+        "for h in e_field.fixer.generators:", "for h in e_field.fixer.generators[:1]:",
+        ("tests/test_serre.py::TestReflexNorm::test_no_solution_exactly_outside_stabilizer",),
+    ),
+    Mutant(
+        "translation_comparison_disabled", "serre.py",
+        "if matrices[left[tau][i]] != _permute(matrix, right[tau]):", "if False:",
+        ("tests/test_serre.py::TestReportSharing::test_corrupted_closure_map_fails_translation",),
+    ),
+    Mutant(
+        "through_subfield_comparison_disabled", "serre.py",
+        "if la.mat_mul(norm, reflex_norm_map(cm_type, e2).matrix) != matrix:", "if False:",
+        ("tests/test_serre.py::TestReportSharing::test_corrupted_subfield_map_fails_triangle",),
+    ),
+    Mutant(
+        "build_parser_uncached", "cli.py",
+        "@functools.cache\ndef build_parser", "def build_parser",
+        ("tests/test_cli.py::TestParser::test_main_reuses_one_parser",),
+    ),
+)
+
+
+def occurrences(mutant: Mutant) -> int:
+    """How often the mutant's snippet occurs in its file today."""
+    return (SRC / "cmcalc" / mutant.file).read_text().count(mutant.snippet)
+
+
+def run_tests(mutant: Mutant | None, tests) -> int:
+    """pytest's exit status for the tests against a copy of src/ with the
+    mutant applied (none: the copy as it is)."""
+    with tempfile.TemporaryDirectory(prefix="cmcalc-mutant-") as tmp:
+        copy = Path(tmp) / "src"
+        shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        if mutant is not None:
+            path = copy / "cmcalc" / mutant.file
+            path.write_text(path.read_text().replace(mutant.snippet, mutant.replacement))
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(copy), env.get("PYTHONPATH")]))
+        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+        return subprocess.run(command, cwd=ROOT, env=env, capture_output=True).returncode
+
+
+def main(argv: list[str]) -> int:
+    known = {m.name: m for m in MUTANTS}
+    unknown = [name for name in argv if name not in known]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 1
+    selected = [known[name] for name in argv] if argv else list(MUTANTS)
+    misplaced = [m.name for m in selected if occurrences(m) != 1]
+    if misplaced:
+        print(f"snippet not found exactly once: {', '.join(misplaced)}", file=sys.stderr)
+        return 1
+    start = time.perf_counter()
+    baseline = sorted({t for m in selected for t in m.tests})
+    if run_tests(None, baseline) != 0:
+        print("the named tests fail on the unmodified source", file=sys.stderr)
+        return 1
+    bad = 0
+    for m in selected:
+        status = run_tests(m, m.tests)
+        # pytest exits 1 when a test failed; other codes are errors of the run
+        verdict = {0: "survived", 1: "killed"}.get(status, f"error (pytest exit {status})")
+        bad += verdict != "killed"
+        print(f"{verdict:10} {m.name}")
+    print(f"{len(selected) - bad}/{len(selected)} killed in {time.perf_counter() - start:.1f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

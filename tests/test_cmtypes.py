@@ -19,7 +19,7 @@ from cmcalc.cmtypes import (
     translate_right,
     validate_cm_type,
 )
-from cmcalc.errors import CMError, NotACMType, NotAnAutomorphismOfK, NotNested
+from cmcalc.errors import CMError, NotACMType, NotAnAutomorphismOfK, NotAnInteger, NotNested
 from cmcalc.groups import cyclic_group, dihedral_group, direct_product
 
 from test_serre import ORDER16
@@ -63,6 +63,14 @@ class TestHandleValidation:
         g = cyclic_group(4)
         with pytest.raises(CMError):
             CMFieldHandle(group=g, iota=2, fixer=g.subgroup([0, 2]))
+
+    @pytest.mark.parametrize("iota", [True, 1.0, 2.0, "2", None])
+    def test_iota_must_be_int(self, iota):
+        # True passed as 1, and 1.0, "2" and None raised a bare TypeError
+        g = cyclic_group(2)
+        with pytest.raises(NotAnInteger, match=f"iota {iota!r} is not an integer") as err:
+            CMFieldHandle(group=g, iota=iota, fixer=g.trivial_subgroup())
+        assert err.value.witness is iota
 
     def test_rational_degenerate(self):
         f = CMFieldHandle.rational()

@@ -25,7 +25,7 @@ from cmcalc.cocycle import (
     cocycle_report,
     taniyama_cocycle,
 )
-from cmcalc.errors import CMError, FactorNotInH, InternalInconsistency
+from cmcalc.errors import CMError, FactorNotInH, InternalInconsistency, NotAnInteger
 from cmcalc.groups import (
     cyclic_group,
     dihedral_group,
@@ -33,6 +33,7 @@ from cmcalc.groups import (
     transfer,
     transfer_product,
 )
+from cmcalc.serre import check_cm_type_generation, check_reflex_norms
 
 from test_groups import power
 from test_serre import ORDER16
@@ -83,6 +84,15 @@ class TestWSystems:
         field = battery_field("D4")
         with pytest.raises(CMError):
             WSystem(field=field, reps=(0, 1, 2, 7))  # breaks the pairing
+
+    @pytest.mark.parametrize(
+        "reps", [(False, 1, 2, 3), (0, 1.0, 2, 3), (0, 1, 2, 3.0), ("0", 1, 2, 3)]
+    )
+    def test_non_int_representative_rejected(self, reps):
+        # False was accepted as 0; a float raised a bare TypeError
+        bad = next(w for w in reps if type(w) is not int)
+        with pytest.raises(NotAnInteger, match=f"representative {bad!r} is not an integer"):
+            WSystem(field=battery_field("C4"), reps=reps)
 
     def test_wrong_coset_rejected(self):
         field = battery_field("D4")
@@ -438,6 +448,20 @@ class TestTables:
         # the stabilizer is trivial, so each of the 32 cosets is its own orbit
         assert report["passed"] and report["orbit_checks"] == 32
 
+    def test_order32_closure(self):
+        # D4 x C2 x C2 with trivial fixer: 2^16 types, whose law and transfer
+        # identity the factor table certifies without a sweep over them
+        g = direct_product(direct_product(dihedral_group(4), cyclic_group(2)), cyclic_group(2))
+        field = CMFieldHandle(group=g, iota=1, fixer=g.trivial_subgroup())
+        assert len(enumerate_cm_types(field)) == 2**16
+        assert check_cocycle_law(field) == {
+            "law": "cocycle_law", "checked": 2**16 * 32**2, "failures": [], "passed": True
+        }
+        assert check_transfer_identity(field) == {
+            "law": "transfer_identity", "checked": 2**16 * 32, "failures": [], "passed": True
+        }
+        assert check_cm_type_generation(field)["passed"]
+
     @pytest.mark.parametrize("name", ["D4", "C2xC4", "c12", "order16"])
     def test_corrupted_factor_matches_oracle(self, name):
         field = _corrupted(name, 1)
@@ -490,5 +514,9 @@ class TestTables:
         with pytest.raises(InternalInconsistency) as err:
             field.type_translation
         assert err.value.witness == (tau, c1)
+        # the reflex norms still read the table; the cocycle law reads only the
+        # factors, and the swapped cosets put a factor outside the fixer
         with pytest.raises(InternalInconsistency):
+            check_reflex_norms(field)
+        with pytest.raises(FactorNotInH):
             check_cocycle_law(field)

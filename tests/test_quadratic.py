@@ -5,7 +5,7 @@ import random
 import pytest
 
 from cmcalc.cmtypes import CMFieldHandle
-from cmcalc.errors import CMError, NoPrimaryGenerator, NotCoprime, NotPrime
+from cmcalc.errors import CMError, NoPrimaryGenerator, NotAnInteger, NotCoprime, NotPrime
 from cmcalc.groups import cyclic_group
 import cmcalc.quadratic as quadratic
 from cmcalc.quadratic import (
@@ -85,6 +85,12 @@ class TestField:
             QuadField(-5)
         with pytest.raises(CMError):
             QuadField(2)
+
+    @pytest.mark.parametrize("d", [-1.0, -3.0, True, "-1"])
+    def test_d_must_be_int(self, d):
+        # -1.0 equalled QuadField(-1) and had float units
+        with pytest.raises(NotAnInteger, match=f"d={d!r} is not an integer"):
+            QuadField(d)
 
     def test_unit_counts(self):
         assert len(GAUSS.units) == 4
@@ -168,6 +174,13 @@ class TestElements:
 
 
 class TestIdeals:
+    @pytest.mark.parametrize("basis", [(5, 2.0, 1), (5.0, 2, 1), (True, 0, True), (5, 2, 1.0)])
+    def test_basis_must_be_int(self, basis):
+        # each of these was accepted as the ideal it rounds to
+        with pytest.raises(NotAnInteger, match="is not integral"):
+            QuadIdeal(GAUSS, *basis)
+        assert QuadIdeal(GAUSS, 5, 2, 1).norm == 5
+
     def test_canonical_forms_equal(self):
         a = ideal_from_generator(GAUSS.element(2, 1))
         b = ideal_from_generator(GAUSS.element(-1, 2))  # associate

@@ -16,7 +16,7 @@ from cmcalc.cmtypes import (
     translate_left,
     validate_cm_type,
 )
-from cmcalc.errors import NoSolution, NotDefinedOverE, NotGaloisContext, NotSerrePair
+from cmcalc.errors import CMError, NoSolution, NotDefinedOverE, NotGaloisContext, NotSerrePair
 from cmcalc.groups import (
     coset_of,
     cyclic_group,
@@ -171,6 +171,41 @@ def galois_subfields(field):
         for sub in subgroups_containing(g, g.trivial_subgroup())
         if field.iota not in sub and sub.is_normal()
     ]
+
+
+def generation_oracle(field):
+    """check_cm_type_generation as an exhaustive sweep: the HNF of the
+    indicators of all 2^g CM-types, each read from type_cocharacter."""
+    serre = field.serre_lattice
+    indicators = tuple(type_cocharacter(t).functional for t in enumerate_cm_types(field))
+    generated = la.hnf_basis(indicators)
+    contained = la.lattice_contains(serre.basis, generated)
+    index = la.lattice_index(generated, serre.basis) if contained else None
+    return {
+        "law": "cm_type_generation",
+        "field_degree": field.degree,
+        "generated_rank": len(generated),
+        "lattice_rank": serre.rank,
+        "index": index,
+        "passed": bool(generated == serre.basis and index == 1),
+    }
+
+
+def _c12_quartic():
+    g = cyclic_group(12)
+    return CMFieldHandle(group=g, iota=6, fixer=g.subgroup([0, 4, 8]))
+
+
+GENERATION_FIELDS = (
+    GALOIS_FIELDS
+    + [closure_of(battery_field(n)) for n in BATTERY_NAMES]
+    + [_c12_quartic(), ORDER16.closure]
+)
+GENERATION_IDS = (
+    ["C2", "C4", "C2xC2", "C2xC4"]
+    + [f"{n}-closure" for n in BATTERY_NAMES]
+    + ["c12", "order16-closure"]
+)
 
 
 class TestFullLattice:
@@ -541,13 +576,36 @@ class TestChecks:
         assert rep["generated_rank"] == 2
 
 
+class TestGenerationClosedForm:
+    """phi_0 and its g single-pair flips in place of all 2^g indicators."""
+
+    @pytest.mark.parametrize("field", GENERATION_FIELDS, ids=GENERATION_IDS)
+    def test_matches_exhaustive_oracle(self, field):
+        assert check_cm_type_generation(field) == generation_oracle(field)
+
+    def test_above_enumeration_bound(self, monkeypatch):
+        # C36 with iota = 18 has 2^18 types: the closed form needs none of
+        # them, while serre_report, which sweeps every type, still refuses
+        import cmcalc.cmtypes as cmtypes
+
+        def refuse(self):
+            raise AssertionError("a table over all CM-types was built")
+
+        g = cyclic_group(36)
+        field = CMFieldHandle(group=g, iota=18, fixer=g.trivial_subgroup())
+        monkeypatch.setattr(cmtypes.CMFieldHandle, "cm_types", property(refuse))
+        rep = check_cm_type_generation(field)
+        assert rep["passed"] and (rep["generated_rank"], rep["index"]) == (19, 1)
+        with pytest.raises(CMError, match="exceed the enumeration bound"):
+            serre_report(field)
+
+
 class TestGaloisQuarticWithNontrivialFixer:
     """A cyclic order-12 context whose field has a 3-element fixing subgroup:
     the Galois-quartic path with nontrivial fixer everywhere."""
 
     def _field(self):
-        g = cyclic_group(12)
-        return CMFieldHandle(group=g, iota=6, fixer=g.subgroup([0, 4, 8]))
+        return _c12_quartic()
 
     def test_serre_rank_and_sequence(self):
         field = self._field()

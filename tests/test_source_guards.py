@@ -144,9 +144,10 @@ def test_one_closure_walk():
 
 
 def test_cocycle_sweeps_read_tables():
-    # the exhaustive sweeps compare rows of value codes: translated types come
-    # from the field's translation table and sums from the quotient's sum
-    # table, never from per-comparison calls
+    # the sweeps compare value codes and take sums from the quotient's sum
+    # table, never from per-comparison calls; the cocycle law and the transfer
+    # identity are linear in the type and read only the factor table: no value
+    # rows and no type translation, so no pass over the types when they hold
     sweeps = {
         "check_cocycle_law",
         "check_transfer_identity",
@@ -154,6 +155,7 @@ def test_cocycle_sweeps_read_tables():
         "_rep_independence",
         "value_rows",
     }
+    closed_forms = {"check_cocycle_law", "check_transfer_identity"}
     banned = {"translate_left", "validate_cm_type", "taniyama_cocycle", "add"}
     path = SRC / "cocycle.py"
     seen, found = set(), []
@@ -163,10 +165,29 @@ def test_cocycle_sweeps_read_tables():
             for node in ast.walk(fn):
                 if isinstance(node, ast.Call):
                     name = getattr(node.func, "attr", getattr(node.func, "id", None))
-                    if name in banned:
+                    if name in banned or (fn.name in closed_forms and name == "value_rows"):
                         found.append(f"cocycle.py:{node.lineno} {fn.name} calls {name}")
+                elif isinstance(node, ast.Attribute) and node.attr == "type_translation":
+                    if fn.name in closed_forms:
+                        found.append(f"cocycle.py:{node.lineno} {fn.name} reads type_translation")
     assert seen == sweeps
     assert found == []
+
+
+def test_generation_builds_no_type_sweep():
+    # check_cm_type_generation takes phi_0 and its g single-pair flips, so it
+    # enumerates no CM-types and builds no cocharacter per type
+    path = SRC / "serre.py"
+    fn = next(
+        n for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(n, ast.FunctionDef) and n.name == "check_cm_type_generation"
+    )
+    called = {
+        getattr(node.func, "attr", getattr(node.func, "id", None))
+        for node in ast.walk(fn) if isinstance(node, ast.Call)
+    }
+    assert "hnf_basis" in called
+    assert called & {"enumerate_cm_types", "type_cocharacter"} == set()
 
 
 def test_reflex_check_in_ambient_group():

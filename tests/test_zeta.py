@@ -7,8 +7,8 @@ from collections import Counter
 
 import pytest
 
-from cmcalc.errors import (BadPrime, CMError, InternalInconsistency, RamifiedOrBadPrime,
-                           WeilBoundViolation)
+from cmcalc.errors import (BadPrime, CMError, InternalInconsistency, NotAnInteger,
+                           RamifiedOrBadPrime, WeilBoundViolation)
 from cmcalc.quadratic import (
     CLASS_NUMBER_ONE,
     HeckeCharacterSpec,
@@ -100,6 +100,12 @@ class TestCurveSpec:
     def test_singular_rejected(self):
         with pytest.raises(CMError):
             CurveSpec(a4=0, a6=0, cm_field=GAUSS)
+
+    @pytest.mark.parametrize("a4, a6", [(1.5, 0), (-1, 0.0), (True, 0), (-1, "0")])
+    def test_coefficients_must_be_int(self, a4, a6):
+        # a4 = 1.5 was accepted, and verify_cm_zeta then failed in legendre
+        with pytest.raises(NotAnInteger, match="are not integers"):
+            CurveSpec(a4=a4, a6=a6, cm_field=GAUSS)
 
 
 class TestCounting:
