@@ -49,7 +49,6 @@ from .quadratic import (
     factor_rational_prime,
     hecke_eval,
     ideal_from_generator,
-    infinity_type_lattice,
     primary_generator,
     ray_class_group,
 )
@@ -68,7 +67,6 @@ from .serre import (
     reflex_norm_map,
     serre_character_lattice,
     type_cocharacter,
-    weight_cocharacter,
 )
 from .zeta import (
     CurveSpec,

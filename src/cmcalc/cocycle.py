@@ -8,8 +8,8 @@ homomorphism on H, so the value is the sum of the projected factors: a
 representative system holds one factor table, and every value below is a
 sum read from it.  The value does not depend on the representative
 system, satisfies the cocycle law in the type argument, and combines with
-the complementary type to the transfer homomorphism.  The last two are
-linear in the type: they are checked once on the factor table, not per type.
+the complementary type to the transfer homomorphism.  All three are linear
+in the type: they are checked on the factor tables, not per type.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ class WSystem:
         g = field.group
         if len(self.reps) != field.degree:
             raise CMError("one representative per embedding coset required")
-        for c, w in enumerate(self.reps):
+        for w in self.reps:  # all of them before the pairing reads reps[iota c]
             if type(w) is not int:
                 raise NotAnInteger(f"representative {w!r} is not an integer", witness=w)
+        for c, w in enumerate(self.reps):
             if field.coset_index(w) != c:
                 raise CMError(f"representative {w} is not in coset {c}")
             ic = field.act(field.iota, c)
@@ -70,6 +71,12 @@ class WSystem:
             table.append(tuple(row))
         return tuple(table)
 
+    @cached_property
+    def codes(self) -> list[list[int]]:
+        """codes[c][tau] is the code (AbelianQuotient.code) of factors[tau][c]."""
+        code = self.field.quotient.code
+        return [[code[f] for f in column] for column in zip(*self.factors)]
+
     def value(self, tau: int, cosets) -> CocycleValue:
         """Sum of the factors at tau over a set of cosets."""
         row = self.factors[tau]
@@ -80,11 +87,10 @@ class WSystem:
         """Code rows (AbelianQuotient.code, one per tau) of the factor sums over each
         pick of one coset per choice, in binary order, first choice highest; over
         field.iota_pairs, row i is the value of field.cm_types[i]."""
-        code, sums = self.field.quotient.code, self.field.quotient.sum_table
+        sums, codes = self.field.quotient.sum_table, self.codes
         rows = [[0] * self.field.group.order]
         for choice in choices:
-            members = [[code[row[c]] for row in self.factors] for c in choice]
-            rows = [[sums[a][b] for a, b in zip(r, m)] for r in rows for m in members]
+            rows = [[sums[a][b] for a, b in zip(r, codes[c])] for r in rows for c in choice]
         return rows
 
 
@@ -137,18 +143,38 @@ def _random_systems(field: CMFieldHandle, trials: int, seed: int, extra_system):
 
 def _rep_independence(field: CMFieldHandle, types, trials: int, systems, choices) -> list[dict]:
     """One report per type, comparing each system's value rows over the choices
-    with the canonical ones; only a row that differs is walked for its tau."""
-    values = list(field.quotient.code)
-    baseline = field.canonical_w_system.value_rows(choices)
-    failures = [[] for _ in types]
+    with the canonical ones.  Every pick of one coset per choice is the pick of
+    the first members with some of them swapped for another member, so all rows
+    agree exactly when, at each tau, the first members sum as they do canonically
+    and f'(x) + f(c) == f'(c) + f(x) for each choice's first member c and other
+    members x (f' the system's factors, f the canonical ones).  Only a system that
+    fails builds its value rows, and only a row that differs is walked for its tau."""
+    sums, canonical = field.quotient.sum_table, field.canonical_w_system
+    base, baseline, values = canonical.codes, None, list(field.quotient.code)
+
+    def first_sum(codes):
+        total = [0] * field.group.order
+        for first, *_ in choices:
+            total = [sums[s][u] for s, u in zip(total, codes[first])]
+        return total
+
+    base_sum, failures = first_sum(base), [[] for _ in types]
     for k, wsys in systems:
         if wsys.field is not field and wsys.field != field:
             raise CMError("w-system belongs to a different field")
-        for base, row, found in zip(baseline, wsys.value_rows(choices), failures):
-            if row != base:
+        mine = wsys.codes
+        if all(
+            sums[u][v] == sums[y][z]
+            for first, *others in choices for x in others
+            for u, v, y, z in zip(mine[x], base[first], mine[first], base[x])
+        ) and first_sum(mine) == base_sum:
+            continue
+        baseline = baseline or canonical.value_rows(choices)
+        for base_row, row, found in zip(baseline, wsys.value_rows(choices), failures):
+            if row != base_row:
                 found += (
                     {"tau": tau, "trial": k, "value": list(values[v])}
-                    for tau, (v, b) in enumerate(zip(row, base)) if v != b
+                    for tau, (v, b) in enumerate(zip(row, base_row)) if v != b
                 )
     return [
         {"law": "cocycle_rep_independence", "type": list(t.cosets), "trials": trials,
@@ -162,8 +188,7 @@ def check_cocycle_law(field: CMFieldHandle) -> dict:
     that ``checked`` counts: the sum over phi of the factor law f(sigma tau, c) == f(sigma,
     tau c) + f(tau, c), one row over sigma per (tau, c); types are summed where it fails."""
     g, wsys, act = field.group, field.canonical_w_system, field.act_table
-    code, sums = field.quotient.code, field.quotient.sum_table
-    codes = [[code[f] for f in column] for column in zip(*wsys.factors)]  # codes[c][tau]
+    code, sums, codes = field.quotient.code, field.quotient.sum_table, wsys.codes
     bad = set()
     for tau, column in enumerate(zip(*g.table)):  # column[sigma] = sigma tau
         for c, row in enumerate(codes):

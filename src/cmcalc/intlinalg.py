@@ -328,11 +328,6 @@ def rows_in_span(basis_hnf: Matrix, rows) -> bool:
     return True
 
 
-def in_row_span(basis_hnf: Matrix, vec: Vector) -> bool:
-    """Membership of vec in the integer row span of an HNF basis."""
-    return rows_in_span(basis_hnf, (vec,))
-
-
 def lattice_contains(big_rows: Matrix, small_rows: Matrix) -> bool:
     return rows_in_span(hnf_basis(big_rows), small_rows)
 

@@ -464,22 +464,6 @@ def ray_class_group(field: QuadField, modulus: QuadIdeal) -> RayClassGroup:
     return RayClassGroup(modulus=modulus, structure=structure, _dlog=dict(zip(keys, coords)))
 
 
-def infinity_type_lattice(field: QuadField):
-    """Exponent vectors (n_id, n_conj) of algebraic characters: all of Z^2.
-
-    The constancy condition on conjugate pairs is vacuous with one pair, so
-    the lattice is full; the ambient action swaps the two coordinates.  The
-    result agrees with the Serre sublattice of the order-2 context.
-    """
-    from .cmtypes import CMFieldHandle
-    from .groups import cyclic_group
-    from .serre import full_character_lattice
-
-    g = cyclic_group(2)
-    handle = CMFieldHandle(group=g, iota=1, fixer=g.trivial_subgroup())
-    return full_character_lattice(handle)
-
-
 @dataclass(frozen=True)
 class HeckeCharacterSpec:
     """An algebraic character of ideals: finite twist times a power of the

@@ -16,7 +16,7 @@ that equality of lattices is equality of bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 from . import intlinalg as la
 from .cmtypes import (
@@ -33,6 +33,7 @@ from .errors import (
     NotNested,
     NotSerrePair,
 )
+from .groups import FiniteGroup
 
 Matrix = la.Matrix
 Vector = la.Vector
@@ -45,24 +46,38 @@ class CharLattice:
     ``basis`` holds the canonical (row HNF) basis; ``action`` holds one
     coordinate permutation per group element, indexed by element:
     ``action[g][c]`` is the coordinate that g sends c to (for a field, its
-    handle's ``act_table``).
+    handle's ``act_table``); a field's lattices carry its ``group`` too.
     """
 
     ambient_rank: int
     basis: Matrix
     action: tuple[tuple[int, ...], ...]
+    group: FiniteGroup | None = dataclass_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        for g, perm in enumerate(self.action):
+        if self.group is not None and len(self.action) != self.group.order:
+            raise InternalInconsistency("action does not match the group")
+        for g in self.certified_elements:
+            perm = self.action[g]
+            # action[x g] is action[x] after action[g], for every x
+            if self.group is not None and any(
+                self.action[row[g]] != tuple(p_x[c] for c in perm)
+                for row, p_x in zip(self.group.table, self.action)
+            ):
+                raise InternalInconsistency(f"action is not a homomorphism at element {g}")
             if not la.rows_in_span(self.basis, (_permute(row, perm) for row in self.basis)):
                 raise InternalInconsistency(f"sublattice not stable under element {g}")
 
     @property
+    def certified_elements(self):
+        """What certificates on the action quantify over: with its group, a homomorphism
+        (checked above), the generators, as whatever is stable under them or commutes
+        with them is so under their products; a bare action, every element."""
+        return range(len(self.action)) if self.group is None else self.group.generators
+
+    @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def contains(self, vec: Vector) -> bool:
-        return la.in_row_span(self.basis, vec)
 
 
 @dataclass(frozen=True)
@@ -107,14 +122,15 @@ class LatticeMap:
     def __post_init__(self):
         # basis vectors as columns, so the checks are sparse matrix products;
         # the target action permutes the rows of the pushed columns
-        basis = self.source.basis
+        source, target, basis = self.source, self.target, self.source.basis
         pushed = la.mat_mul(self.matrix, la.transpose(basis))
-        for vec in la.transpose(pushed):
-            if not self.target.contains(vec):
-                raise InternalInconsistency("map does not land in the target lattice")
-        for g, perm in enumerate(self.source.action):
-            moved = la.transpose(tuple(_permute(row, perm) for row in basis))
-            if la.mat_mul(self.matrix, moved) != _permute(pushed, self.target.action[g]):
+        if not la.rows_in_span(target.basis, la.transpose(pushed)):
+            raise InternalInconsistency("map does not land in the target lattice")
+        # two homomorphisms of one group: commuting with the generators suffices
+        same = source.group == target.group
+        for g in source.certified_elements if same else range(len(source.action)):
+            moved = la.transpose(tuple(_permute(row, source.action[g]) for row in basis))
+            if la.mat_mul(self.matrix, moved) != _permute(pushed, target.action[g]):
                 raise InternalInconsistency(f"map is not equivariant at element {g}")
 
     def apply(self, vec: Vector) -> Vector:
@@ -139,7 +155,7 @@ def full_character_lattice(field: CMFieldHandle) -> CharLattice:
     Prefer ``field.full_lattice``, which builds this once per handle.
     """
     n = field.degree
-    return CharLattice(ambient_rank=n, basis=la.identity_matrix(n), action=field.act_table)
+    return CharLattice(n, la.identity_matrix(n), field.act_table, field.group)
 
 
 def _require_galois(field: CMFieldHandle) -> None:
@@ -162,7 +178,7 @@ def serre_character_lattice(field: CMFieldHandle) -> CharLattice:
     sums = [[1 if x in pair else 0 for x in range(n)] for pair in field.iota_pairs]
     rows = la.freeze([[a - b for a, b in zip(sums[0], s)] for s in sums[1:]])
     basis = la.integer_kernel(rows) if rows else la.identity_matrix(n)
-    return CharLattice(ambient_rank=n, basis=basis, action=field.act_table)
+    return CharLattice(n, basis, field.act_table, field.group)
 
 
 def identity_cocharacter(field: CMFieldHandle) -> Cocharacter:
@@ -178,28 +194,12 @@ def weight_functional(field: CMFieldHandle, mu: Vector) -> Vector:
     return tuple(-(a + b) for a, b in zip(mu, moved))
 
 
-def weight_cocharacter(field: CMFieldHandle) -> Cocharacter:
-    """chi = sum n_rho [rho]  |->  -(n_1 + n_iota)."""
-    lattice = field.serre_lattice
-    mu = identity_cocharacter(field).functional
-    return Cocharacter(lattice=lattice, functional=weight_functional(field, mu))
-
-
 def type_cocharacter(cm_type: CMType) -> Cocharacter:
     """Indicator functional of a CM-type on the full lattice of its field."""
     field = cm_type.field
     members = cm_type.coset_set()
     vec = tuple(1 if c in members else 0 for c in range(field.degree))
     return Cocharacter(lattice=field.full_lattice, functional=vec)
-
-
-def _coset_containment_matrix(fine: CMFieldHandle, coarse: CMFieldHandle) -> Matrix:
-    """M[c_fine][c_coarse] = 1 iff the fine coset sits inside the coarse one."""
-    rows = []
-    for cf in range(fine.degree):
-        cc = coarse.coset_index(fine.coset_rep(cf))
-        rows.append(tuple(1 if j == cc else 0 for j in range(coarse.degree)))
-    return la.freeze(rows)
 
 
 def norm_lattice_map(e1_field: CMFieldHandle, e2_field: CMFieldHandle) -> LatticeMap:
@@ -210,9 +210,11 @@ def norm_lattice_map(e1_field: CMFieldHandle, e2_field: CMFieldHandle) -> Lattic
     """
     if e1_field.group != e2_field.group or e1_field.iota != e2_field.iota:
         raise NotNested("fields live in different ambient contexts")
-    if not all(h in e2_field.fixer for h in e1_field.fixer.elements):
+    if not all(h in e2_field.fixer for h in e1_field.fixer.generators):
         raise NotNested("first field does not contain the second")
-    matrix = _coset_containment_matrix(e1_field, e2_field)
+    # M[c1][c2] = 1 iff the coset c1 of E1 sits inside the coset c2 of E2
+    inside = (e2_field.coset_index(e1_field.coset_rep(c)) for c in range(e1_field.degree))
+    matrix = la.freeze([[int(j == c2) for j in range(e2_field.degree)] for c2 in inside])
     source = e2_field.serre_lattice
     target = e1_field.serre_lattice
     out = LatticeMap(source=source, target=target, matrix=matrix)
@@ -280,11 +282,16 @@ def reciprocity_cocharacter(
     if mu.lattice != t_lattice:
         raise NotSerrePair("cocharacter does not live on the given lattice", "input")
     group = e_field.group
-    if len(t_lattice.action) != group.order:
+    if len(t_lattice.action) != group.order or t_lattice.group not in (None, group):
         raise NotSerrePair("lattice action does not match the ambient group", "input")
+    # each axiom is an invariance under the group, certified where the lattice
+    # certifies (CharLattice.certified_elements); the fixer likewise
+    elements = t_lattice.certified_elements
+    fixer = e_field.fixer.elements if t_lattice.group is None else e_field.fixer.generators
     iota = e_field.iota
     p_iota = t_lattice.action[iota]
-    for p_g in t_lattice.action:
+    for g in elements:
+        p_g = t_lattice.action[g]
         gi = tuple(p_g[c] for c in p_iota)  # g after iota
         ig = tuple(p_iota[c] for c in p_g)  # iota after g
         for row in t_lattice.basis:
@@ -292,17 +299,13 @@ def reciprocity_cocharacter(
                 raise NotSerrePair(
                     "the two involution orderings act differently", "commuting"
                 )
-    w = Cocharacter(
-        lattice=t_lattice,
-        functional=tuple(
-            -(a + b) for a, b in zip(mu.functional, mu.translated(iota).functional)
-        ),
-    )
-    for g in group.elements():
+    moved = mu.translated(iota).functional
+    w = Cocharacter(t_lattice, tuple(-(a + b) for a, b in zip(mu.functional, moved)))
+    for g in elements:
         if not w.same_on_lattice(w.translated(g).functional):
             raise NotSerrePair("weight of mu is not rational", "weight")
     _require_galois(e_field)
-    for h in e_field.fixer.elements:
+    for h in fixer:
         if not mu.same_on_lattice(mu.translated(h).functional):
             raise NotDefinedOverE("mu is not fixed by the subgroup cutting out E")
     rows = [
@@ -332,11 +335,8 @@ def check_serre_exact_sequence(field: CMFieldHandle) -> dict:
     n = field.degree
     n_real = len(field.iota_pairs)
     # injection: chi |-> (chi, weight(chi)) into Z^n + Z
-    mu = identity_cocharacter(field).functional
-    w = weight_functional(field, mu)
-    a_matrix = la.freeze(
-        [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)] + [w]
-    )
+    w = weight_functional(field, identity_cocharacter(field).functional)
+    a_matrix = la.freeze([*la.identity_matrix(n), w])
     # surjection: [rho] |-> [rho restricted], extra generator |-> sum of all
     b_matrix = la.freeze(
         [tuple(1 if x in pair else 0 for x in range(n)) + (1,) for pair in field.iota_pairs]
@@ -367,15 +367,12 @@ def check_norm_weight_triangle(field: CMFieldHandle) -> dict:
     serre = field.serre_lattice
     n = field.degree
     p_iota = field.act_table[field.iota]
-    mu = identity_cocharacter(field).functional
-    w = weight_functional(field, mu)
-    ok = True
-    for row in serre.basis:
-        lhs = tuple(a + b for a, b in zip(row, _permute(row, p_iota)))
-        scale = -sum(x * y for x, y in zip(w, row))
-        if lhs != (scale,) * n:
-            ok = False
-            break
+    w = weight_functional(field, identity_cocharacter(field).functional)
+    ok = all(
+        tuple(a + b for a, b in zip(row, _permute(row, p_iota)))
+        == (-sum(x * y for x, y in zip(w, row)),) * n
+        for row in serre.basis
+    )
     return {"law": "norm_weight_triangle", "field_degree": n, "passed": ok}
 
 

@@ -194,3 +194,14 @@ def check_reflex_compatibility(cm_type: CMType) -> dict:
         "failures": failures,
         "passed": not failures,
     }
+
+
+def cocycle_report(field: CMFieldHandle, trials: int, seed: int, extra_system=None) -> dict:
+    """The library's cocycle_report assembled from the exhaustive checks above:
+    the law, the transfer identity, then per type its independence and reflex
+    reports."""
+    systems = _random_systems(field, trials, seed, extra_system)
+    reports = [check_cocycle_law(field), check_transfer_identity(field)]
+    for t in enumerate_cm_types(field):
+        reports += [_rep_independence(t, trials, systems), check_reflex_compatibility(t)]
+    return {"degree": field.degree, "checks": reports, "passed": all(r["passed"] for r in reports)}

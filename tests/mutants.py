@@ -45,6 +45,8 @@ class Mutant(NamedTuple):
 COCYCLE = "tests/test_cocycle.py"
 CORRUPTED = f"{COCYCLE}::TestTables::test_corrupted_factor_matches_oracle"
 GENERATION = "tests/test_serre.py::TestGenerationClosedForm::test_matches_exhaustive_oracle"
+CERTIFICATES = "tests/test_serre.py::TestGeneratorCertificates"
+INDEPENDENCE = f"{COCYCLE}::TestRepIndependenceClosedForm"
 
 MUTANTS = (
     # the closed forms of the cocycle law, the transfer identity and generation
@@ -144,6 +146,56 @@ MUTANTS = (
         "through_subfield_comparison_disabled", "serre.py",
         "if la.mat_mul(norm, reflex_norm_map(cm_type, e2).matrix) != matrix:", "if False:",
         ("tests/test_serre.py::TestReportSharing::test_corrupted_subfield_map_fails_triangle",),
+    ),
+    # the lattice certificates on the group's generators
+    Mutant(
+        "stability_on_first_generator", "serre.py",
+        "for g in self.certified_elements:", "for g in self.certified_elements[:1]:",
+        (f"{CERTIFICATES}::test_stable_under_one_generator_only_refused",),
+    ),
+    Mutant(
+        "equivariance_on_first_generator", "serre.py",
+        "in source.certified_elements if same", "in source.certified_elements[:1] if same",
+        (f"{CERTIFICATES}::test_equivariant_under_one_generator_only_refused",),
+    ),
+    Mutant(
+        "landing_test_dropped", "serre.py",
+        "if not la.rows_in_span(target.basis, la.transpose(pushed)):", "if False:",
+        (f"{CERTIFICATES}::test_map_off_the_target_refused",),
+    ),
+    Mutant(
+        "reciprocity_fixer_on_first_generator", "serre.py",
+        "else e_field.fixer.generators", "else e_field.fixer.generators[:1]",
+        (f"{CERTIFICATES}::test_reciprocity_fixer_on_every_generator",),
+    ),
+    # representative independence on the iota-pairs
+    Mutant(
+        "pair_condition_dropped", "cocycle.py",
+        "sums[u][v] == sums[y][z]", "True",
+        (f"{INDEPENDENCE}::test_pair_condition_only",),
+    ),
+    Mutant(
+        "phi0_condition_dropped", "cocycle.py",
+        ") and first_sum(mine) == base_sum:", "):",
+        (f"{INDEPENDENCE}::test_phi0_condition_only",),
+    ),
+    Mutant(
+        "witness_fallback_skipped", "cocycle.py",
+        "zip(baseline, wsys.value_rows(choices), failures)", "zip(baseline, baseline, failures)",
+        (f"{INDEPENDENCE}::test_broken_extra_system_whole_report",),
+    ),
+    Mutant(
+        "wsystem_int_gate_after_pairing", "cocycle.py",
+        "        for w in self.reps:  # all of them before the pairing reads reps[iota c]\n"
+        "            if type(w) is not int:\n"
+        '                raise NotAnInteger(f"representative {w!r} is not an integer", witness=w)\n'
+        "        for c, w in enumerate(self.reps):\n",
+        "        for c, w in enumerate(self.reps):\n"
+        "            if self.reps[field.act(field.iota, c)] != g.mul(field.iota, w):\n"
+        '                raise CMError(f"conjugation constraint fails at coset {c}")\n'
+        "            if type(w) is not int:\n"
+        '                raise NotAnInteger(f"representative {w!r} is not an integer", witness=w)\n',
+        (f"{COCYCLE}::TestWSystems::test_int_gate_before_pairing",),
     ),
     Mutant(
         "build_parser_uncached", "cli.py",

@@ -5,9 +5,28 @@ The library decides each unit of O/m by one span test on the integers of the
 residue pair.  This oracle builds every residue as a ``QuadInt``, takes its
 principal ideal in closed form and asks ``is_coprime`` of that ideal and the
 modulus, as the library did before its residue ring.
+
+infinity_type_lattice is a former library function that no library code
+called: the character lattice of the order-2 context, read as the infinity
+types of an imaginary quadratic field.
 """
 
+from cmcalc.cmtypes import CMFieldHandle
+from cmcalc.groups import cyclic_group
 from cmcalc.quadratic import QuadIdeal, ideal_from_generator
+from cmcalc.serre import full_character_lattice
+
+
+def infinity_type_lattice(field):
+    """Exponent vectors (n_id, n_conj) of algebraic characters: all of Z^2.
+
+    The constancy condition on conjugate pairs is vacuous with one pair, so
+    the lattice is full; the ambient action swaps the two coordinates.  The
+    result agrees with the Serre sublattice of the order-2 context.
+    """
+    g = cyclic_group(2)
+    handle = CMFieldHandle(group=g, iota=1, fixer=g.trivial_subgroup())
+    return full_character_lattice(handle)
 
 
 def unit_residues(modulus):

@@ -94,6 +94,12 @@ class TestWSystems:
         with pytest.raises(NotAnInteger, match=f"representative {bad!r} is not an integer"):
             WSystem(field=battery_field("C4"), reps=reps)
 
+    def test_int_gate_before_pairing(self):
+        # coset 1 pairs with coset 3, whose representative "3" is not 3: the
+        # refusal names the non-integer instead of the failed pairing
+        with pytest.raises(NotAnInteger, match="representative '3' is not an integer"):
+            WSystem(field=battery_field("C4"), reps=(0, 1, 2, "3"))
+
     def test_wrong_coset_rejected(self):
         field = battery_field("D4")
         with pytest.raises(CMError):
@@ -319,18 +325,30 @@ def _report_reflex(report):
     return [c for c in report["checks"] if c["law"] == "reflex_orbit_transfer"]
 
 
+def _named(name):
+    """A fresh handle on a battery field, c12_field() or ORDER16, by name."""
+    base = c12_field() if name == "c12" else ORDER16 if name == "order16" else battery_field(name)
+    return _fresh(base)
+
+
+def _shift_factors(wsys, tau, cosets):
+    """Shift the system's factors at tau on the given cosets by a nonzero class,
+    through its factors cached property."""
+    q = wsys.field.quotient
+    assert q.order > 1
+    factors = [list(row) for row in wsys.factors]
+    shift = next(v for v in q.code if v != q.zero)
+    for c in cosets:
+        factors[tau][c] = q.add(factors[tau][c], shift)
+    wsys.__dict__["factors"] = tuple(tuple(row) for row in factors)
+    return wsys
+
+
 def _corrupted(name, tau):
     """A fresh handle on a named field whose canonical factor at (tau, coset 0)
     is shifted by a nonzero class."""
-    base = c12_field() if name == "c12" else ORDER16 if name == "order16" else battery_field(name)
-    field = _fresh(base)
-    q = field.quotient
-    assert q.order > 1
-    w = field.canonical_w_system
-    factors = [list(row) for row in w.factors]
-    shift = next(v for v in q.code if v != q.zero)
-    factors[tau][0] = q.add(factors[tau][0], shift)
-    w.__dict__["factors"] = tuple(tuple(row) for row in factors)
+    field = _named(name)
+    _shift_factors(field.canonical_w_system, tau, [0])
     return field
 
 
@@ -520,3 +538,43 @@ class TestTables:
             check_reflex_norms(field)
         with pytest.raises(FactorNotInH):
             check_cocycle_law(field)
+
+
+class TestRepIndependenceClosedForm:
+    """cocycle_report certifies representative independence on the iota-pairs,
+    building value rows only for a system that fails: whole reports equal the
+    per-type oracle, also when a system breaks only the pair condition or only
+    the phi_0 condition."""
+
+    @pytest.mark.parametrize("field", CONTEXTS, ids=CONTEXT_IDS)
+    def test_whole_report_matches_oracle(self, field):
+        assert cocycle_report(field, trials=3, seed=5) == oracle.cocycle_report(field, 3, 5)
+
+    @pytest.mark.parametrize("name", ["D4", "C2xC4", "order16"])
+    def test_broken_extra_system_whole_report(self, name):
+        field = _named(name)
+        broken = TestNegativeControl()._broken(field)
+        report = cocycle_report(field, trials=2, seed=1, extra_system=broken)
+        assert not report["passed"]
+        assert report == oracle.cocycle_report(field, 2, 1, broken)
+
+    @pytest.mark.parametrize("name", ["C2xC4", "c12", "order16"])
+    def test_pair_condition_only(self, name):
+        # the second member of the first pair moves, so the sum over phi_0 stays
+        # and only the types holding that member change
+        field = _named(name)
+        extra = _shift_factors(choose_w_system(field, seed=7), 1, [field.iota_pairs[0][1]])
+        report = cocycle_report(field, trials=2, seed=3, extra_system=extra)
+        assert report == oracle.cocycle_report(field, 2, 3, extra)
+        passed = [r["passed"] for r in _report_independence(report)]
+        assert passed[0] and not all(passed)
+
+    @pytest.mark.parametrize("name", ["C2xC4", "c12", "order16"])
+    def test_phi0_condition_only(self, name):
+        # both members of the first pair move alike, so every pair condition
+        # holds and every type's value changes
+        field = _named(name)
+        extra = _shift_factors(choose_w_system(field, seed=7), 1, field.iota_pairs[0])
+        report = cocycle_report(field, trials=2, seed=3, extra_system=extra)
+        assert report == oracle.cocycle_report(field, 2, 3, extra)
+        assert not any(r["passed"] for r in _report_independence(report))

@@ -192,8 +192,8 @@ class TestSolve:
 
     def test_membership(self):
         basis = la.hnf_basis(la.freeze([[2, 0], [0, 3]]))
-        assert la.in_row_span(basis, (4, 3))
-        assert not la.in_row_span(basis, (1, 0))
+        assert la.rows_in_span(basis, [(4, 3)])
+        assert not la.rows_in_span(basis, [(1, 0)])
 
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)

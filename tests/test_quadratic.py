@@ -21,14 +21,14 @@ from cmcalc.quadratic import (
     hecke_eval,
     ideal_from_elements,
     ideal_from_generator,
-    infinity_type_lattice,
     is_rational_prime,
     parse_ideal,
     primary_generator,
     ray_class_group,
 )
-from cmcalc.serre import serre_character_lattice, weight_cocharacter
-from quadratic_oracle import canonical_moduli, unit_residues
+from cmcalc.serre import serre_character_lattice
+from quadratic_oracle import canonical_moduli, infinity_type_lattice, unit_residues
+from serre_oracle import weight_cocharacter
 
 GAUSS = QuadField(-1)
 EISENSTEIN = QuadField(-3)

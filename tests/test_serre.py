@@ -16,7 +16,14 @@ from cmcalc.cmtypes import (
     translate_left,
     validate_cm_type,
 )
-from cmcalc.errors import CMError, NoSolution, NotDefinedOverE, NotGaloisContext, NotSerrePair
+from cmcalc.errors import (
+    CMError,
+    InternalInconsistency,
+    NoSolution,
+    NotDefinedOverE,
+    NotGaloisContext,
+    NotSerrePair,
+)
 from cmcalc.groups import (
     coset_of,
     cyclic_group,
@@ -25,7 +32,9 @@ from cmcalc.groups import (
     left_cosets,
 )
 from cmcalc.serre import (
+    CharLattice,
     Cocharacter,
+    LatticeMap,
     _permute,
     check_cm_type_generation,
     check_norm_weight_triangle,
@@ -40,10 +49,10 @@ from cmcalc.serre import (
     serre_character_lattice,
     serre_report,
     type_cocharacter,
-    weight_cocharacter,
     weight_functional,
 )
 from linalg_oracle import snf_kernel, snf_solve
+from serre_oracle import map_failure, unstable_element, weight_cocharacter
 
 C2 = battery_field("C2")
 C4 = battery_field("C4")
@@ -700,3 +709,90 @@ class TestReciprocity:
         with pytest.raises(NotSerrePair) as err:
             reciprocity_cocharacter(lat, mu, closure_of(handle))
         assert err.value.axiom == "commuting"
+
+
+CERTIFICATE_FIELDS = [battery_field(n) for n in BATTERY_NAMES]
+CERTIFICATE_FIELDS += [f.closure for f in CERTIFICATE_FIELDS] + [ORDER16, ORDER16.closure]
+CERTIFICATE_IDS = [
+    f"{n}{suffix}" for suffix in ("", "-closure") for n in BATTERY_NAMES
+] + ["order16", "order16-closure"]
+
+
+class TestGeneratorCertificates:
+    """Lattices and maps built from a field handle are certified on the group's
+    generators; the all-element certificates of tests/serre_oracle.py agree, and
+    a lattice or map that only one generator respects is refused."""
+
+    @pytest.mark.parametrize("field", CERTIFICATE_FIELDS, ids=CERTIFICATE_IDS)
+    def test_oracle_accepts_library_maps(self, field):
+        closure = field.closure
+        lattices = [field.full_lattice]
+        if field.is_galois():
+            lattices.append(field.serre_lattice)
+        assert [unstable_element(lat) for lat in lattices] == [None] * len(lattices)
+        maps = [
+            norm_lattice_map(closure, e2)
+            for e2 in closure.cm_subfields if e2.fixer.is_normal()
+        ]
+        for t in enumerate_cm_types(field):
+            maps.append(reflex_norm_map(t, closure))
+            maps.append(reciprocity_cocharacter(field.full_lattice, type_cocharacter(t), closure))
+        assert [m for m in maps if map_failure(m) is not None] == []
+
+    @staticmethod
+    def _klein():
+        """The biquadratic closure: regular action of C2 x C2, generators 1 and 2."""
+        field = battery_field("C2xC2").closure
+        assert field.group.generators == (1, 2)
+        return field
+
+    def test_stable_under_one_generator_only_refused(self):
+        # the span of v and 1*v is stable under 1 but not under 2
+        field = self._klein()
+        v = (1, 0, 2, 0)
+        basis = la.hnf_basis([v, _permute(v, field.act_table[1])])
+        assert unstable_element(SimpleNamespace(basis=basis, action=field.act_table)) == 2
+        with pytest.raises(InternalInconsistency, match="not stable under element 2"):
+            CharLattice(4, basis, field.act_table, field.group)
+
+    def test_action_not_a_homomorphism_refused(self):
+        # a lattice that carries its group checks the action at each generator
+        field = self._klein()
+        p0, p1, _, p3 = field.act_table
+        action = (p0, p1, p1, p3)  # 1 * 2 = 3, but p1 after p1 is p0
+        with pytest.raises(InternalInconsistency, match="not a homomorphism at element 1"):
+            CharLattice(4, la.identity_matrix(4), action, field.group)
+
+    def test_equivariant_under_one_generator_only_refused(self):
+        # the projection onto the cosets 0 and 1 commutes with 1, not with 2
+        field = self._klein()
+        matrix = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
+        full = field.full_lattice
+        unchecked = SimpleNamespace(source=full, target=full, matrix=matrix)
+        assert map_failure(unchecked) == 2
+        with pytest.raises(InternalInconsistency, match="not equivariant at element 2"):
+            LatticeMap(full, full, matrix)
+
+    def test_map_off_the_target_refused(self):
+        # the identity commutes with every element but leaves the Serre lattice
+        field = self._klein()
+        identity = la.identity_matrix(4)
+        unchecked = SimpleNamespace(
+            source=field.full_lattice, target=field.serre_lattice, matrix=identity
+        )
+        assert map_failure(unchecked) == "landing"
+        with pytest.raises(InternalInconsistency, match="does not land"):
+            LatticeMap(field.full_lattice, field.serre_lattice, identity)
+
+    def test_reciprocity_fixer_on_every_generator(self):
+        # C2^3 with iota = 4 and E cut out by {0, 1, 2, 3}: the type {0, 1, 6, 7}
+        # of the closure is stable under 1 but not under 2, so mu is not defined
+        # over E although the fixer's first generator fixes it
+        g = direct_product(direct_product(cyclic_group(2), cyclic_group(2)), cyclic_group(2))
+        e_field = CMFieldHandle(group=g, iota=4, fixer=g.subgroup([0, 1, 2, 3]))
+        closure = e_field.closure
+        assert e_field.fixer.generators == (1, 2)
+        mu = type_cocharacter(validate_cm_type(closure, [0, 1, 6, 7]))
+        assert mu.same_on_lattice(mu.translated(1).functional)
+        with pytest.raises(NotDefinedOverE):
+            reciprocity_cocharacter(closure.full_lattice, mu, e_field)

@@ -143,11 +143,13 @@ def test_one_closure_walk():
     assert found == {"intlinalg.py:closure"}
 
 
-def test_cocycle_sweeps_read_tables():
+def test_cocycle_sweeps_read_tables(monkeypatch):
     # the sweeps compare value codes and take sums from the quotient's sum
     # table, never from per-comparison calls; the cocycle law and the transfer
     # identity are linear in the type and read only the factor table: no value
-    # rows and no type translation, so no pass over the types when they hold
+    # rows and no type translation, so no pass over the types when they hold.
+    # Representative independence is certified on the iota-pairs, and only a
+    # system that fails builds value rows: none when every system passes
     sweeps = {
         "check_cocycle_law",
         "check_transfer_identity",
@@ -171,6 +173,36 @@ def test_cocycle_sweeps_read_tables():
                     if fn.name in closed_forms:
                         found.append(f"cocycle.py:{node.lineno} {fn.name} reads type_translation")
     assert seen == sweeps
+    assert found == []
+    from cmcalc import cocycle
+    from cmcalc.battery import battery_field
+
+    def refuse(self, choices):
+        raise AssertionError("value rows built on the pass path")
+
+    monkeypatch.setattr(cocycle.WSystem, "value_rows", refuse)
+    for name in ("C2xC4", "D4"):
+        field = battery_field(name)
+        assert cocycle.cocycle_report(field, trials=5, seed=1)["passed"]
+        assert cocycle.check_rep_independence(field.cm_types[0], trials=5)["passed"]
+
+
+def test_lattice_certificates_on_generators():
+    # lattices and maps built from a field handle certify on the group's
+    # generators: no certificate walks the group's elements or enumerates an
+    # action (a bare action, with no group, is walked by range(len(action)))
+    path = SRC / "serre.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {"CharLattice", "LatticeMap", "reciprocity_cocharacter"}
+    defs = [n for n in ast.walk(tree) if getattr(n, "name", None) in names]
+    found = []
+    for node in (n for d in defs for n in ast.walk(d) if isinstance(n, ast.Call)):
+        text = ast.unparse(node)
+        if text.startswith("enumerate(") or text.endswith(".elements()"):
+            found.append(f"serre.py:{node.lineno} {text}")
+        elif text.startswith("range(") and text.endswith(".order)"):
+            found.append(f"serre.py:{node.lineno} {text}")
+    assert {d.name for d in defs} == names
     assert found == []
 
 
