@@ -11,25 +11,22 @@ import argparse
 import functools
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from .battery import BATTERY_NAMES, battery_field, closure_of
-from .cmtypes import (
-    CMFieldHandle,
-    enumerate_cm_types,
-    is_primitive,
-    reflex_type,
-)
-from .cocycle import cocycle_report
+# the arithmetic half only: each Galois command imports the Galois half
+# (groups, cmtypes, serre, cocycle, battery) when it runs, so that `cm
+# rayclass` and `cm zeta` never compile it
 from .errors import CMError
-from .groups import abelianization, make_group, transfer
 from .quadratic import (
     QuadField,
     canonical_weight_one_spec,
     parse_ideal,
     ray_class_group,
 )
-from .serre import mumford_tate_rank, serre_report
 from .zeta import CurveSpec, verify_cm_zeta, verify_res_scalars
+
+if TYPE_CHECKING:
+    from .cmtypes import CMFieldHandle
 
 
 class InputError(Exception):
@@ -37,6 +34,9 @@ class InputError(Exception):
 
 
 def _load_field_file(path: str) -> CMFieldHandle:
+    from .cmtypes import CMFieldHandle
+    from .groups import make_group
+
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -62,6 +62,8 @@ def _load_field_file(path: str) -> CMFieldHandle:
 
 
 def _resolve_field(args) -> tuple[str, CMFieldHandle]:
+    from .battery import BATTERY_NAMES, battery_field
+
     if getattr(args, "battery", None):
         if args.battery not in BATTERY_NAMES:
             raise InputError(
@@ -79,6 +81,9 @@ def _emit(report: dict) -> None:
 
 
 def cmd_enumerate(args) -> int:
+    from .cmtypes import enumerate_cm_types, is_primitive, reflex_type
+    from .serre import mumford_tate_rank
+
     name, field = _resolve_field(args)
     types = []
     for cm_type in enumerate_cm_types(field):
@@ -109,6 +114,10 @@ MAX_TRIALS = 10**4
 
 
 def cmd_check(args) -> int:
+    from .battery import BATTERY_NAMES, battery_field, closure_of
+    from .cocycle import cocycle_report
+    from .serre import serre_report
+
     if not 0 <= args.trials <= MAX_TRIALS:
         raise InputError(f"--trials must be in 0..{MAX_TRIALS}, got {args.trials}")
     if args.battery == "all":
@@ -209,6 +218,8 @@ def cmd_rayclass(args) -> int:
 
 
 def cmd_transfer(args) -> int:
+    from .groups import abelianization, transfer
+
     name, field = _resolve_field(args)
     group = field.group
     sub = field.fixer
@@ -239,6 +250,9 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_serre(args) -> int:
+    from .battery import closure_of
+    from .serre import serre_report
+
     name, field = _resolve_field(args)
     target = field if field.is_galois() else closure_of(field)
     note = None if field.is_galois() else "field not Galois; reporting its closure"

@@ -28,15 +28,13 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     abelianization,
+    cyclic_group,
     left_cosets,
     subgroup_generated,
 )
 
 if TYPE_CHECKING:
     from array import array
-
-    from .cocycle import WSystem
-    from .serre import CharLattice
 
 
 @dataclass(frozen=True)
@@ -76,8 +74,6 @@ class CMFieldHandle:
     @classmethod
     def rational(cls) -> "CMFieldHandle":
         """Degenerate handle for the rational field (trivial context)."""
-        from .groups import cyclic_group
-
         g = cyclic_group(1)
         return cls(group=g, iota=0, fixer=g.trivial_subgroup())
 
@@ -114,18 +110,14 @@ class CMFieldHandle:
         return tuple(tuple(index[row[r]] for r in reps) for row in self.group.table)
 
     @cached_property
-    def full_lattice(self) -> CharLattice:
+    def full_lattice(self) -> serre.CharLattice:
         """Z^Sigma acted on by act_table's coset permutations (see
         serre.full_character_lattice)."""
-        from . import serre
-
         return serre.full_character_lattice(self)
 
     @cached_property
-    def serre_lattice(self) -> CharLattice:
+    def serre_lattice(self) -> serre.CharLattice:
         """The Serre sublattice (see serre.serre_character_lattice)."""
-        from . import serre
-
         return serre.serre_character_lattice(self)
 
     @cached_property
@@ -142,11 +134,9 @@ class CMFieldHandle:
         return abelianization(self.fixer)
 
     @cached_property
-    def canonical_w_system(self) -> WSystem:
+    def canonical_w_system(self) -> cocycle.WSystem:
         """The canonical representative system (see cocycle.choose_w_system)."""
-        from .cocycle import choose_w_system
-
-        return choose_w_system(self)
+        return cocycle.choose_w_system(self)
 
     @cached_property
     def cm_subfields(self) -> tuple[CMFieldHandle, ...]:
@@ -415,3 +405,9 @@ def is_primitive(cm_type: CMType) -> bool:
         if restricts_to(cm_type, small) is not None:
             return False
     return True
+
+
+# the handle's lattices and representative systems live in serre and
+# cocycle, which import this module first; importing either Galois module
+# loads the whole Galois half
+from . import cocycle, serre  # noqa: E402

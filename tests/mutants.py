@@ -47,6 +47,8 @@ CORRUPTED = f"{COCYCLE}::TestTables::test_corrupted_factor_matches_oracle"
 GENERATION = "tests/test_serre.py::TestGenerationClosedForm::test_matches_exhaustive_oracle"
 CERTIFICATES = "tests/test_serre.py::TestGeneratorCertificates"
 INDEPENDENCE = f"{COCYCLE}::TestRepIndependenceClosedForm"
+GENERATOR_CHECKS = "tests/test_groups.py::TestGeneratorChecks"
+FOOTPRINT = "tests/test_import_footprint.py"
 
 MUTANTS = (
     # the closed forms of the cocycle law, the transfer identity and generation
@@ -201,6 +203,48 @@ MUTANTS = (
         "build_parser_uncached", "cli.py",
         "@functools.cache\ndef build_parser", "def build_parser",
         ("tests/test_cli.py::TestParser::test_main_reuses_one_parser",),
+    ),
+    # the group checks on the greedy generators
+    Mutant(
+        "light_test_on_first_generator", "groups.py",
+        "for g in generating_set(range(n), lambda a, b: tbl[a][b], identity):",
+        "for g in generating_set(range(n), lambda a, b: tbl[a][b], identity)[:1]:",
+        (f"{GENERATOR_CHECKS}::test_light_test_matches_all_triples",),
+    ),
+    Mutant(
+        "is_normal_on_first_generator", "groups.py",
+        "for x in self.parent.generators)", "for x in self.parent.generators[:1])",
+        (f"{GENERATOR_CHECKS}::test_definitions_on_every_subgroup",),
+    ),
+    Mutant(
+        "generating_set_drops_last", "intlinalg.py",
+        "            closure(mul, reached, gens)\n    return gens\n",
+        "            closure(mul, reached, gens)\n    return gens[:-1]\n",
+        (f"{GENERATOR_CHECKS}::test_light_test_matches_all_triples",),
+    ),
+    Mutant(
+        "is_central_on_first_generator", "groups.py",
+        "self.table[b][a] for b in self.generators)",
+        "self.table[b][a] for b in self.generators[:1])",
+        (f"{GENERATOR_CHECKS}::test_definitions_on_every_subgroup",),
+    ),
+    Mutant(
+        "subgroup_closure_on_first_generator", "groups.py",
+        "            for b in gens:\n", "            for b in gens[:1]:\n",
+        (f"{GENERATOR_CHECKS}::test_definitions_on_every_subgroup",),
+    ),
+    # the import footprint: the CLI and the package load no Galois module early
+    Mutant(
+        "cli_imports_serre_eagerly", "cli.py",
+        "from .errors import CMError\n", "from . import serre\nfrom .errors import CMError\n",
+        (f"{FOOTPRINT}::test_cli_loads_the_arithmetic_half",),
+    ),
+    Mutant(
+        "package_getattr_without_submodules", "__init__.py",
+        "    if name in _EXPORTS:  # importing a submodule also binds it here\n"
+        '        return importlib.import_module(f".{name}", __name__)\n',
+        "",
+        (f"{FOOTPRINT}::test_submodule_loaded_on_first_use_of_its_name",),
     ),
 )
 

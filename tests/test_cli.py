@@ -139,7 +139,7 @@ class TestCheck:
         assert rep["summary"]["failures"] == 0
 
     def test_injected_fault_fails_with_witness(self, capsys, monkeypatch):
-        from cmcalc import cli
+        import cmcalc.cocycle
         from cmcalc.cocycle import cocycle_report
         from test_cocycle import TestNegativeControl
 
@@ -147,7 +147,8 @@ class TestCheck:
             broken = TestNegativeControl()._broken(field)
             return cocycle_report(field, extra_system=broken, **kwargs)
 
-        monkeypatch.setattr(cli, "cocycle_report", with_broken_system)
+        # cm check imports cocycle_report from its module when it runs
+        monkeypatch.setattr(cmcalc.cocycle, "cocycle_report", with_broken_system)
         code, out, _ = run_main(
             capsys, "check", "--suite", "cocycle", "--battery", "D4", "--trials", "3",
         )
@@ -188,7 +189,7 @@ class TestCheck:
     def test_closure_report_shared_when_field_is_its_closure(self, capsys, monkeypatch):
         # C2, C4 and C2xC2 have trivial fixers: one Serre report serves as
         # field and closure; C2xC4 needs two and D4 (not Galois) one
-        from cmcalc import cli
+        import cmcalc.serre
         from cmcalc.serre import serre_report
 
         calls = []
@@ -197,7 +198,7 @@ class TestCheck:
             calls.append(field)
             return serre_report(field)
 
-        monkeypatch.setattr(cli, "serre_report", counted)
+        monkeypatch.setattr(cmcalc.serre, "serre_report", counted)
         code, out, _ = run_main(capsys, "check", "--suite", "serre", "--battery", "all")
         assert code == 0 and len(calls) == 6
         fields = json.loads(out)["fields"]
