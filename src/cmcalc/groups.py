@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import prod
 
 from .errors import InternalInconsistency, NotAGroup, NotASubgroup
 from .intlinalg import closure, generating_set, present_abelian
@@ -43,7 +44,7 @@ class FiniteGroup:
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        return tuple(generating_set(range(self.order), self.mul, self.identity))
+        return tuple(generating_set(range(self.order), self.mul, self.identity)[0])
 
     def is_central(self, a: int) -> bool:
         return all(self.table[a][b] == self.table[b][a] for b in self.generators)
@@ -99,7 +100,7 @@ def make_group(table, names=None) -> FiniteGroup:
             continue
         if not any(row[b] == identity and tbl[b][a] == identity for b in range(n)):
             raise NotAGroup(f"element {a} has no two-sided inverse", witness=(a,))
-    for g in generating_set(range(n), lambda a, b: tbl[a][b], identity):
+    for g in generating_set(range(n), lambda a, b: tbl[a][b], identity)[0]:
         right = [row[g] for row in tbl]  # right[x] = xg
         for a, row in enumerate(tbl):
             # (ab)g against a(bg), for every b at once
@@ -123,23 +124,23 @@ class Subgroup:
     generators: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        members = frozenset(self.elements)
-        object.__setattr__(self, "_members", members)
-        for a in self.elements:
+        for a in self.elements:  # before the frozenset hashes them
             if type(a) is not int:
                 raise NotASubgroup(f"element {a!r} is not an integer")
             if not 0 <= a < self.parent.order:
                 raise NotASubgroup(f"element {a} out of range")
+        members = frozenset(self.elements)
+        object.__setattr__(self, "_members", members)
         if self.parent.identity not in members:
             raise NotASubgroup("subgroup must contain the identity")
-        # H is closed once H g lies in H for each greedy generator g; the
-        # walk may leave H, but stays inside the validated parent
+        # H is closed once H g lies in H for each greedy generator g (read off
+        # the walk's edge table); the walk may leave H, not the parent
         g = self.parent
-        gens = tuple(generating_set(self.elements, g.mul, g.identity))
-        object.__setattr__(self, "generators", gens)
+        gens, edges = generating_set(self.elements, g.mul, g.identity)
+        object.__setattr__(self, "generators", tuple(gens))
         for a in self.elements:
-            for b in gens:
-                if g.mul(a, b) not in members:
+            for b, ab in zip(gens, edges[a]):
+                if ab not in members:
                     raise NotASubgroup(f"not closed: {a}*{b} escapes")
 
     @property
@@ -158,7 +159,7 @@ class Subgroup:
 
 
 def subgroup_generated(group: FiniteGroup, generators) -> Subgroup:
-    return group.subgroup(closure(group.mul, {group.identity}, set(generators)))
+    return group.subgroup(closure(group.mul, {group.identity: []}, tuple(set(generators))))
 
 
 def commutator_subgroup(h: Subgroup) -> Subgroup:
@@ -209,10 +210,7 @@ class AbelianQuotient:
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.moduli:
-            n *= d
-        return n
+        return prod(self.moduli)
 
     @property
     def zero(self) -> tuple[int, ...]:

@@ -12,11 +12,11 @@ instead, and a failed certificate raises InternalInconsistency:
     H (the row operations are unimodular, so span H lies in span M);
   * kernels and solves reuse that elimination on [M^T | I]: M @ k == 0 and
     rank M + len(kernel) == cols, and M @ x == b;
-  * Smith form: only D (diagonal, d_i | d_{i+1}, d_i >= 0) and V are built,
-    and present_abelian certifies the presentation it reads from them; it
-    presents a finite abelian group on its k greedy generators (the one
-    closure walk of the package, also used by groups) as Z^k modulo the
-    relations of one Cayley-graph walk, so the Smith form has k columns;
+  * Smith form: only D (diagonal, d_i | d_{i+1}, d_i >= 0) and V are built;
+    present_abelian presents a finite abelian group as Z^k modulo the
+    relations of one Cayley walk on k greedy generators (the package's one
+    closure walk, also used by groups), which multiplies each edge once and
+    whose edge table the certificate reads, so the Smith form has k columns;
   * linear maps act on column vectors, lattices are spanned by basis rows.
 """
 
@@ -188,50 +188,53 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, tuple, Matrix]:
     return freeze(a), (), freeze(v)
 
 
-def closure(mul, reached: set, gens) -> set:
-    """Grow ``reached`` in place to its closure under y -> mul(y, g) for g in
-    ``gens``, and return it."""
-    frontier = list(reached)
+def closure(mul, edges: dict, gens) -> dict:
+    """Grow the walk ``edges`` (each reached y -> [mul(y, g) for g in gens])
+    in place to its closure under ``gens`` and return it; resumed with more
+    generators, it multiplies by the new ones only: one product per edge."""
+    frontier = list(edges)
     while frontier:
         y = frontier.pop()
-        for z in [mul(y, g) for g in gens]:
-            if z not in reached:
-                reached.add(z)
+        for g in gens[len(edges[y]):]:
+            edges[y].append(z := mul(y, g))
+            if z not in edges:
+                edges[z] = []
                 frontier.append(z)
-    return reached
+    return edges
 
 
-def generating_set(elements, mul, identity: int) -> list[int]:
-    """Greedy generators of ``elements``: each one, in the given order, that
-    the earlier ones do not reach from the identity, so each is a product of
-    generators (also under a ``mul`` not known to be associative).  Each
-    generator at least doubles the subgroup reached, so 2^k <= its order."""
-    gens: list[int] = []
-    reached = {identity}
+def generating_set(elements, mul, identity: int) -> tuple[list[int], dict]:
+    """Greedy generators of ``elements`` and their walk's edge table (see
+    closure): each element, in the given order, that the earlier ones do not
+    reach from the identity, so a product of generators (also under a ``mul``
+    not known to be associative).  Each at least doubles the subgroup
+    reached, so 2^k <= its order."""
+    gens, edges = [], {identity: []}
     for x in elements:
-        if x not in reached:
+        if x not in edges:
             gens.append(x)
-            closure(mul, reached, gens)
-    return gens
+            closure(mul, edges, gens)
+    return gens, edges
 
 
 def present_abelian(n: int, mul, identity: int, killed=()):
     """(moduli, coords) of the abelian group 0..n-1 under ``mul`` modulo
     ``killed``: invariant factors > 1 and each element's coordinates.
 
-    A breadth-first walk from the identity along a greedy generating set
-    g_1..g_k gives each element x a word w_x in Z^k, with w_{x g_j} = w_x + e_j
-    along the walk's tree.  The group is Z^k modulo the rows
-    w_x + e_j - w_{x g_j} of the edges off the tree and w_y per killed y
-    (Cohen, GTM 138, 2.4.3), so the Smith form has one column per generator.
+    A breadth-first walk from the identity along the edge table of a greedy
+    generating set g_1..g_k (each edge multiplied once, in generating_set)
+    gives each element x a word w_x in Z^k, with w_{x g_j} = w_x + e_j along
+    the walk's tree.  The group is Z^k modulo the rows w_x + e_j - w_{x g_j}
+    of the edges off the tree and w_y per killed y (Cohen, GTM 138, 2.4.3),
+    so the Smith form has one column per generator.
     """
-    gens = generating_set(range(n), mul, identity)
+    gens, edges = generating_set(range(n), mul, identity)
     k = len(gens)
     words = {identity: (0,) * k}
     queue, rows = [identity], []
     for y in queue:  # grows while it is walked: breadth first
-        for j, g in enumerate(gens):
-            z, step = mul(y, g), list(words[y])
+        for j, z in enumerate(edges[y]):
+            step = list(words[y])
             step[j] += 1
             if z not in words:
                 words[z] = tuple(step)
@@ -249,30 +252,29 @@ def present_abelian(n: int, mul, identity: int, killed=()):
         for x in range(n)
     ]
     moduli = tuple(diag[i] for i in kept)
-    _certify_presentation(n, mul, identity, killed, gens, moduli, coords)
+    _certify_presentation(n, mul, identity, killed, gens, edges, moduli, coords)
     return moduli, coords
 
 
-def _certify_presentation(n, mul, identity, killed, gens, moduli, coords) -> None:
+def _certify_presentation(n, mul, identity, killed, gens, edges, moduli, coords) -> None:
     """coords is an isomorphism from the group modulo <killed> onto the
     product of the Z/d_i, in invariant-factor form: it is additive along
-    every generator edge (so a homomorphism, by induction on word length),
+    every edge of the table (so a homomorphism, by induction on word length),
     kills <killed>, reaches prod d_i points, and n / prod d_i = |<killed>|."""
     order = prod(moduli)
-    sub = closure(mul, {identity}, killed)
     if (
         any(d < 2 for d in moduli)
         or any(b % a for a, b in zip(moduli, moduli[1:]))
         or any(coords[identity])
         or any(any(coords[k]) for k in killed)
         or len(set(coords)) != order
-        or n != order * len(sub)
+        or n != order * len(closure(mul, {identity: []}, killed))
     ):
         raise InternalInconsistency("presentation fails its certificate", witness=moduli)
     for x in range(n):
-        for g in gens:
+        for g, xg in zip(gens, edges[x]):
             total = tuple((a + b) % d for a, b, d in zip(coords[x], coords[g], moduli))
-            if coords[mul(x, g)] != total:
+            if coords[xg] != total:
                 raise InternalInconsistency("coordinates are not additive", witness=(x, g))
 
 

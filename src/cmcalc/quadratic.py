@@ -562,8 +562,8 @@ def canonical_weight_one_spec(field: QuadField) -> HeckeCharacterSpec:
 
 
 # keeps cm rayclass under a second: in-process on a shared 2-core host, Python
-# 3.11, (97) (norm 9409) takes 0.3-0.5 s over Z[i] and Z[w], gen:82,57 (norm
-# 9973) 0.15 s and (100) 0.1 s, mostly in the presenter and its certificate
+# 3.11, (97) (norm 9409) takes 0.3-0.4 s over Z[i] and Z[w], gen:82,57 (norm
+# 9973) 0.1 s and (100) 0.09-0.14 s, in the presenter's walk, Smith form and certificate
 MAX_IDEAL_NORM = 10**4
 
 

@@ -49,6 +49,8 @@ CERTIFICATES = "tests/test_serre.py::TestGeneratorCertificates"
 INDEPENDENCE = f"{COCYCLE}::TestRepIndependenceClosedForm"
 GENERATOR_CHECKS = "tests/test_groups.py::TestGeneratorChecks"
 FOOTPRINT = "tests/test_import_footprint.py"
+PRESENTER = "tests/test_presenter.py"
+RAYCLASS = "tests/test_quadratic.py::TestRayClass"
 
 MUTANTS = (
     # the closed forms of the cocycle law, the transfer identity and generation
@@ -207,8 +209,8 @@ MUTANTS = (
     # the group checks on the greedy generators
     Mutant(
         "light_test_on_first_generator", "groups.py",
-        "for g in generating_set(range(n), lambda a, b: tbl[a][b], identity):",
-        "for g in generating_set(range(n), lambda a, b: tbl[a][b], identity)[:1]:",
+        "for g in generating_set(range(n), lambda a, b: tbl[a][b], identity)[0]:",
+        "for g in generating_set(range(n), lambda a, b: tbl[a][b], identity)[0][:1]:",
         (f"{GENERATOR_CHECKS}::test_light_test_matches_all_triples",),
     ),
     Mutant(
@@ -218,8 +220,8 @@ MUTANTS = (
     ),
     Mutant(
         "generating_set_drops_last", "intlinalg.py",
-        "            closure(mul, reached, gens)\n    return gens\n",
-        "            closure(mul, reached, gens)\n    return gens[:-1]\n",
+        "            closure(mul, edges, gens)\n    return gens, edges\n",
+        "            closure(mul, edges, gens)\n    return gens[:-1], edges\n",
         (f"{GENERATOR_CHECKS}::test_light_test_matches_all_triples",),
     ),
     Mutant(
@@ -230,8 +232,65 @@ MUTANTS = (
     ),
     Mutant(
         "subgroup_closure_on_first_generator", "groups.py",
-        "            for b in gens:\n", "            for b in gens[:1]:\n",
+        "for b, ab in zip(gens, edges[a]):", "for b, ab in zip(gens[:1], edges[a]):",
         (f"{GENERATOR_CHECKS}::test_definitions_on_every_subgroup",),
+    ),
+    # the one Cayley walk of the presenter and its certificate
+    Mutant(
+        "closure_resume_skips_new_generator", "intlinalg.py",
+        "for g in gens[len(edges[y]):]:", "for g in gens[len(edges[y]) + 1:]:",
+        (f"{PRESENTER}::test_trivial_group_and_killed_everything",),
+    ),
+    Mutant(
+        "certificate_additivity_disabled", "intlinalg.py",
+        "if coords[xg] != total:", "if False:",
+        (f"{PRESENTER}::test_certificate_refuses_coordinates_off_the_smith_form",),
+    ),
+    Mutant(
+        "certificate_order_gate_dropped", "intlinalg.py",
+        "        or n != order * len(closure(mul, {identity: []}, killed))\n", "",
+        (f"{PRESENTER}::test_certificate_refuses_a_nonabelian_table",),
+    ),
+    Mutant(
+        "word_not_incremented", "intlinalg.py",
+        "            step[j] += 1\n", "",
+        (f"{PRESENTER}::test_trivial_group_and_killed_everything",),
+    ),
+    Mutant(
+        "killed_words_dropped", "intlinalg.py",
+        "    rows += [words[y] for y in killed]\n", "",
+        (f"{PRESENTER}::test_trivial_group_and_killed_everything",),
+    ),
+    Mutant(
+        "coordinates_through_v_transpose", "intlinalg.py",
+        "sum(w * v[j][i] for j, w", "sum(w * v[i][j] for j, w",
+        (f"{PRESENTER}::test_every_battery_subgroup_abelianization",),
+    ),
+    # the residue ring of a modulus and its gates
+    Mutant(
+        "residue_product_drops_s_term", "quadratic.py",
+        "a1 * b2 + a2 * b1 + s * bb", "a1 * b2 + a2 * b1",
+        (f"{RAYCLASS}::test_residue_product_against_element_product",),
+    ),
+    Mutant(
+        "spans_ring_drops_last_minor", "quadratic.py",
+        "for i, (x1, y1) in enumerate(vectors)", "for i, (x1, y1) in enumerate(vectors[:2])",
+        (f"{RAYCLASS}::test_unit_residues_against_element_route",),
+    ),
+    Mutant(
+        "ray_class_group_cross_field_gate", "quadratic.py",
+        "if modulus.field is not field and modulus.field != field:", "if False:",
+        (f"{RAYCLASS}::test_cross_field_gates",),
+    ),
+    Mutant(
+        "residue_field_gate", "quadratic.py",
+        "if x.field is not self.field and x.field != self.field:", "if False:",
+        (f"{RAYCLASS}::test_cross_field_gates",),
+    ),
+    Mutant(
+        "twist_length_check_under_any", "quadratic.py",
+        "        if self.twist_exponents:\n", "        if any(self.twist_exponents):\n",
+        ("tests/test_quadratic.py::TestHecke::test_zero_twist_of_wrong_length_rejected",),
     ),
     # the import footprint: the CLI and the package load no Galois module early
     Mutant(

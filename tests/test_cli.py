@@ -386,7 +386,8 @@ class TestTransferAndSerre:
         for elements, message in (([0, 5], "element 5 out of range"),
                                   ([0, True], "element True is not an integer"),
                                   ([0, 1, True], "element True is not an integer"),
-                                  ([0, 1.0], "element 1.0 is not an integer")):
+                                  ([0, 1.0], "element 1.0 is not an integer"),
+                                  ([0, [1]], "element [1] is not an integer")):
             payload = {"group": {"table": [[0, 1], [1, 0]]}, "iota": 1, "H": elements}
             path.write_text(json.dumps(payload))
             code, out, err = run_main(capsys, "transfer", str(path))

@@ -17,10 +17,13 @@ import pytest
 from cmcalc import intlinalg as la
 from cmcalc import groups, quadratic
 from cmcalc.battery import BATTERY_NAMES, battery_field
+from cmcalc.errors import InternalInconsistency
 from cmcalc.groups import (
     abelianization,
     commutator_subgroup,
     cyclic_group,
+    dihedral_group,
+    direct_product,
     subgroup_generated,
 )
 from cmcalc.quadratic import QuadField, ideal_from_generator, ray_class_group
@@ -67,6 +70,19 @@ def all_pairs_presenter(n, mul, identity, killed=()):
     return tuple(x for x in diag if x > 1)
 
 
+def _reach(mul, identity, gens):
+    """The elements reached from the identity by right products with gens."""
+    reached, frontier = {identity}, [identity]
+    while frontier:
+        y = frontier.pop()
+        for g in gens:
+            z = mul(y, g)
+            if z not in reached:
+                reached.add(z)
+                frontier.append(z)
+    return reached
+
+
 def assert_presentation(n, mul, identity, killed=()):
     moduli, coords = la.present_abelian(n, mul, identity, killed)
     assert moduli == all_pairs_presenter(n, mul, identity, killed)
@@ -84,15 +100,7 @@ def assert_presentation(n, mul, identity, killed=()):
     # surjective onto the product, with kernel exactly <killed>
     assert len(set(coords)) == order
     kernel = {x for x in range(n) if not any(coords[x])}
-    reached, frontier = {identity}, [identity]
-    while frontier:
-        y = frontier.pop()
-        for k in killed:
-            z = mul(y, k)
-            if z not in reached:
-                reached.add(z)
-                frontier.append(z)
-    assert kernel == reached
+    assert kernel == _reach(mul, identity, killed)
     return moduli
 
 
@@ -220,6 +228,64 @@ def test_smith_form_has_one_column_per_generator(monkeypatch):
     assert len(shapes) == len(sizes) and max(n for n, _ in shapes) == 528
     for n, cols in shapes:
         assert cols <= n.bit_length(), (n, cols)
+
+
+def test_each_edge_multiplied_once(monkeypatch):
+    # the walk's edge table holds the only products of an element by a
+    # greedy generator: n*k of them, and the certificate's closure of the
+    # killed elements adds |<killed>| * |killed|
+    counted, present = [], la.present_abelian
+
+    def counting_present(n, mul, identity, killed=()):
+        calls = []
+
+        def counting_mul(a, b):
+            calls.append((a, b))
+            return mul(a, b)
+
+        result = present(n, counting_mul, identity, killed)
+        counted.append((n, mul, identity, killed, len(calls)))
+        return result
+
+    monkeypatch.setattr(la, "present_abelian", counting_present)
+    monkeypatch.setattr(groups, "present_abelian", counting_present)
+    field = QuadField(-1)
+    ray_class_group(field, ideal_from_generator(field.element(13)))
+    g = direct_product(dihedral_group(4), cyclic_group(4))
+    abelianization(g.subgroup(g.elements()))
+    assert [n for n, *_ in counted] == [144, 16]
+    for n, mul, identity, killed, calls in counted:
+        gens, reached = [], {identity}
+        for x in range(n):
+            if x not in reached:
+                gens.append(x)
+                reached = _reach(mul, identity, gens)
+        assert calls == n * len(gens) + len(_reach(mul, identity, killed)) * len(killed)
+
+
+def test_certificate_refuses_a_nonabelian_table():
+    # D3 with nothing killed: the walk's coordinates onto C2 are additive,
+    # but 6 elements are not 2 * |<nothing>|
+    d3 = dihedral_group(3)
+    with pytest.raises(InternalInconsistency, match="presentation fails its certificate"):
+        la.present_abelian(6, d3.mul, d3.identity)
+    comms = commutator_subgroup(d3.subgroup(d3.elements())).elements
+    assert la.present_abelian(6, d3.mul, d3.identity, killed=comms)[0] == (2,)
+
+
+def test_certificate_refuses_coordinates_off_the_smith_form(monkeypatch):
+    # V's column 0 added into column 3 on (7) over Z[i] (4 generators): the
+    # coordinates still reach every class, but stop being additive
+    smith = la.smith_normal_form
+
+    def skewed(m):
+        d, u, v = smith(m)
+        return d, u, tuple(row[:3] + (row[3] + row[0],) + row[4:] for row in v)
+
+    monkeypatch.setattr(la, "smith_normal_form", skewed)
+    field = QuadField(-1)
+    with pytest.raises(InternalInconsistency, match="coordinates are not additive"):
+        ray_class_group(field, ideal_from_generator(field.element(7)))
 
 
 @pytest.mark.parametrize(
