@@ -345,10 +345,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_fuse_dash_values(list(sys.argv[1:] if argv is None else argv)))
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CMError as exc:
+    except (InputError, CMError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -224,6 +224,8 @@ class CMType:
     cosets: tuple[int, ...]
 
     def __post_init__(self):
+        if self.field.is_degenerate:
+            raise NotACMType("degenerate rational context carries no CM-types")
         object.__setattr__(self, "cosets", tuple(sorted(self.cosets)))
 
     def coset_set(self) -> frozenset[int]:
@@ -232,8 +234,6 @@ class CMType:
 
 def validate_cm_type(field: CMFieldHandle, subset) -> CMType:
     """Check the half-system condition and return the validated CMType."""
-    if field.is_degenerate:
-        raise NotACMType("degenerate rational context carries no CM-types")
     subset = tuple(subset)
     for c in subset:
         # int() would truncate 1.7 to 1 and count True as 1
@@ -277,10 +277,33 @@ def require_enumerable(field: CMFieldHandle) -> None:
         raise CMError(f"2^{field.half_degree} CM-types exceed the enumeration bound")
 
 
+def _check_context_match(a: CMFieldHandle, b: CMFieldHandle) -> None:
+    if a.group != b.group or a.iota != b.iota:
+        raise NotNested("fields live in different ambient contexts")
+
+
+def require_nested(big: CMFieldHandle, small: CMFieldHandle) -> None:
+    """Raise NotNested unless big contains small, tested on big's fixer's generators."""
+    _check_context_match(big, small)
+    if not all(h in small.fixer for h in big.fixer.generators):
+        raise NotNested("first field does not contain the second")
+
+
 def enumerate_cm_types(field: CMFieldHandle) -> tuple[CMType, ...]:
-    """All 2^g CM-types of the field (field.cm_types), after the size bound."""
+    """All 2^g CM-types of the field (field.cm_types), after the size bound; none
+    in the degenerate rational context, where CMType refuses to be built."""
     require_enumerable(field)
     return field.cm_types
+
+
+def spanning_types(field: CMFieldHandle) -> dict[int, CMType]:
+    """Phi_0 (the first coset of every iota-pair) and its g single-pair flips, keyed by their
+    indices 0 and 2^(g-1-k) in field.cm_types; every indicator is Phi_0's plus flip differences."""
+    first, g = [c for c, _ in field.iota_pairs], field.half_degree
+    out = {0: CMType(field, tuple(first))}
+    for k, (_, d) in enumerate(field.iota_pairs):
+        out[1 << (g - 1 - k)] = CMType(field, (*first[:k], d, *first[k + 1:]))
+    return out
 
 
 def translate_left(tau: int, cm_type: CMType) -> CMType:
@@ -343,32 +366,20 @@ def reflex_type(cm_type: CMType) -> CMType:
     return validate_cm_type(e_field, chosen)
 
 
-def _check_context_match(a: CMFieldHandle, b: CMFieldHandle) -> None:
-    if a.group != b.group or a.iota != b.iota:
-        raise NotNested("fields live in different ambient contexts")
-
-
 def induce(big_field: CMFieldHandle, small_type: CMType) -> CMType:
     """Pull a CM-type back along the coset projection of nested fields."""
     small_field = small_type.field
-    _check_context_match(big_field, small_field)
-    if not all(h in small_field.fixer for h in big_field.fixer.elements):
-        raise NotNested("first field does not contain the second")
+    require_nested(big_field, small_field)
     members = small_type.coset_set()
-    lifted = [
-        c
-        for c in range(big_field.degree)
-        if small_field.coset_index(big_field.coset_rep(c)) in members
-    ]
+    inside = (small_field.coset_index(big_field.coset_rep(c)) for c in range(big_field.degree))
+    lifted = [c for c, c2 in enumerate(inside) if c2 in members]
     return validate_cm_type(big_field, lifted)
 
 
 def restricts_to(cm_type: CMType, small_field: CMFieldHandle) -> CMType | None:
     """The CM-type on a subfield inducing this one, or None if there is none."""
     big_field = cm_type.field
-    _check_context_match(big_field, small_field)
-    if not all(h in small_field.fixer for h in big_field.fixer.elements):
-        raise NotNested("not a subfield in this context")
+    require_nested(big_field, small_field)
     projected = sorted(
         {small_field.coset_index(big_field.coset_rep(c)) for c in cm_type.cosets}
     )

@@ -100,18 +100,18 @@ def make_group(table, names=None) -> FiniteGroup:
             continue
         if not any(row[b] == identity and tbl[b][a] == identity for b in range(n)):
             raise NotAGroup(f"element {a} has no two-sided inverse", witness=(a,))
-    for g in generating_set(range(n), lambda a, b: tbl[a][b], identity)[0]:
+    names = None if names is None else tuple(str(s) for s in names)
+    group = FiniteGroup(order=n, table=tbl, identity=identity, names=names)
+    for g in group.generators:  # cached: Light's test walks the group once
         right = [row[g] for row in tbl]  # right[x] = xg
         for a, row in enumerate(tbl):
             # (ab)g against a(bg), for every b at once
             if [right[x] for x in row] != [row[y] for y in right]:
                 b = next(b for b in range(n) if right[row[b]] != row[right[b]])
                 raise NotAGroup("associativity fails", witness=(a, b, g))
-    if names is not None:
-        names = tuple(str(s) for s in names)
-        if len(names) != n:
-            raise NotAGroup("names length does not match order")
-    return FiniteGroup(order=n, table=tbl, identity=identity, names=names)
+    if names is not None and len(names) != n:
+        raise NotAGroup("names length does not match order")
+    return group
 
 
 @dataclass(frozen=True)

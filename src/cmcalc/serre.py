@@ -22,15 +22,18 @@ from . import intlinalg as la
 from .cmtypes import (
     CMFieldHandle,
     CMType,
+    _check_context_match,
     enumerate_cm_types,
+    induce,
     require_enumerable,
+    require_nested,
+    spanning_types,
 )
 from .errors import (
     InternalInconsistency,
     NoSolution,
     NotDefinedOverE,
     NotGaloisContext,
-    NotNested,
     NotSerrePair,
 )
 from .groups import FiniteGroup
@@ -208,10 +211,7 @@ def norm_lattice_map(e1_field: CMFieldHandle, e2_field: CMFieldHandle) -> Lattic
     E1 must contain E2 (fixer of E1 inside fixer of E2); a subfield character
     [rho2] maps to the sum of the characters of E1 extending it.
     """
-    if e1_field.group != e2_field.group or e1_field.iota != e2_field.iota:
-        raise NotNested("fields live in different ambient contexts")
-    if not all(h in e2_field.fixer for h in e1_field.fixer.generators):
-        raise NotNested("first field does not contain the second")
+    require_nested(e1_field, e2_field)
     # M[c1][c2] = 1 iff the coset c1 of E1 sits inside the coset c2 of E2
     inside = (e2_field.coset_index(e1_field.coset_rep(c)) for c in range(e1_field.degree))
     matrix = la.freeze([[int(j == c2) for j in range(e2_field.degree)] for c2 in inside])
@@ -238,8 +238,7 @@ def reflex_norm_map(cm_type: CMType, e_field: CMFieldHandle) -> LatticeMap:
     evaluation row at the identity coset of E is re-checked against phi.
     """
     field = cm_type.field
-    if e_field.group != field.group or e_field.iota != field.iota:
-        raise NotNested("type and field live in different ambient contexts")
+    _check_context_match(field, e_field)
     _require_galois(e_field)
     # the stabilizer of phi is a subgroup, so it contains the fixer of E
     # exactly when it contains the fixer's generators
@@ -377,14 +376,12 @@ def check_norm_weight_triangle(field: CMFieldHandle) -> dict:
 
 
 def check_cm_type_generation(field: CMFieldHandle) -> dict:
-    """Indicator vectors of all CM-types generate the Serre sublattice.  Each is that of
-    phi_0 (the first coset of every iota-pair) plus flip differences e_d - e_c over some
-    pairs (c, d), so phi_0 and its g single-pair flips span all 2^g indicators."""
+    """Indicator vectors of all CM-types generate the Serre sublattice, read
+    from the g + 1 types of cmtypes.spanning_types, which span all 2^g."""
     _require_galois(field)
     serre = field.serre_lattice
-    first = [c for c, _ in field.iota_pairs]
-    flips = [first[:k] + [d] + first[k + 1:] for k, (_, d) in enumerate(field.iota_pairs)]
-    indicators = [[int(c in phi) for c in range(field.degree)] for phi in [first] + flips]
+    spanning = spanning_types(field).values()
+    indicators = [[int(c in phi.cosets) for c in range(field.degree)] for phi in spanning]
     # the HNF certificate shows that generated spans the indicators' lattice
     generated = la.hnf_basis(indicators)
     equal = generated == serre.basis
@@ -404,47 +401,41 @@ def check_cm_type_generation(field: CMFieldHandle) -> dict:
 
 
 def check_reflex_norms(field: CMFieldHandle) -> list[dict]:
-    """The reflex norm's compatibilities with translation and with norms down
-    to subfields, from one closure reflex norm matrix per type.
-
-    Translation: for every type and every tau, the matrix of the translated
-    type, read from the field's type translation table, is the original
-    matrix with its rows permuted by right translation [x] |-> [x tau^-1] of
-    the closure's embedding cosets.  Through a subfield: for every proper
-    Galois CM subfield E2 of the closure whose fixer stabilizes the type (the
-    fixer lies in the fixed points of the type's column of the translation
-    table), the reflex norm into E2 composed with the norm map equals the
-    reflex norm into the closure.
-    """
+    """The reflex norm's compatibilities with translation and with norms down to Galois
+    CM subfields E2, on cmtypes.spanning_types: both sides are Z-linear in the type's
+    indicator ([sigma^-1 c in phi]), the indicators form a G-stable lattice and right
+    translation is an action, so generators and spanning types suffice.  E2 (fixer H2)
+    stabilizes the types induced from K' fixed by H2 H, none if iota is in it.
+    pairs_checked counts the (type, E2) instances so certified; a failure names a
+    spanning type and a generator, or an induced spanning type and E2's fixer."""
     group, closure, left = field.group, field.closure, field.type_translation
-    types = enumerate_cm_types(field)
-    matrices = [reflex_norm_map(t, closure).matrix for t in types]
-    right = [
-        tuple(
-            closure.coset_index(group.mul(closure.coset_rep(c), group.inv(tau)))
-            for c in range(closure.degree)
-        )
-        for tau in group.elements()
+    types, spanning = enumerate_cm_types(field), spanning_types(field)
+    # right translation [x] |-> [x tau^-1]: the closure's coset x is {x}
+    rights = {tau: [row[group.inv(tau)] for row in group.table] for tau in group.generators}
+    subfields, checked = [], 0
+    for e2 in closure.cm_subfields:
+        h2h = {group.mul(x, h) for x in e2.fixer.elements for h in field.fixer.elements}
+        if e2.fixer.order == 1 or not e2.fixer.is_normal() or field.iota in h2h:
+            continue  # the closure itself, not Galois, or K' totally real (no type)
+        k_cut = CMFieldHandle(group=group, iota=field.iota, fixer=group.subgroup(h2h))
+        induced = [induce(field, t) for t in spanning_types(k_cut).values()]
+        subfields.append((e2, norm_lattice_map(closure, e2).matrix, induced))
+        checked += 2**k_cut.half_degree
+    reached = [*spanning.values(), *(types[left[tau][i]] for tau in rights for i in spanning)]
+    needed = {t.cosets: t for t in reached + [t for *_, induced in subfields for t in induced]}
+    matrices = {key: reflex_norm_map(t, closure).matrix for key, t in needed.items()}  # once each
+    moved = [
+        {"type": list(phi.cosets), "tau": tau}
+        for i, phi in spanning.items()
+        for tau, right in rights.items()
+        if matrices[types[left[tau][i]].cosets] != _permute(matrices[phi.cosets], right)
     ]
-    subfields = [
-        (e2, norm_lattice_map(closure, e2).matrix)
-        for e2 in closure.cm_subfields
-        if e2.fixer.order > 1 and e2.fixer.is_normal()
+    through = [
+        {"type": list(t.cosets), "through": list(e2.fixer.elements)}
+        for e2, norm, induced in subfields
+        for t in induced
+        if la.mat_mul(norm, reflex_norm_map(t, e2).matrix) != matrices[t.cosets]
     ]
-    moved, through, checked = [], [], 0
-    for i, cm_type in enumerate(types):
-        matrix = matrices[i]
-        for tau in group.elements():
-            if matrices[left[tau][i]] != _permute(matrix, right[tau]):
-                moved.append({"type": list(cm_type.cosets), "tau": tau})
-        for e2, norm in subfields:
-            if not all(left[x][i] == i for x in e2.fixer.elements):
-                continue
-            checked += 1
-            if la.mat_mul(norm, reflex_norm_map(cm_type, e2).matrix) != matrix:
-                through.append(
-                    {"type": list(cm_type.cosets), "through": list(e2.fixer.elements)}
-                )
     return [
         {
             "law": "reflex_norm_translation",
@@ -463,7 +454,7 @@ def check_reflex_norms(field: CMFieldHandle) -> list[dict]:
 
 def serre_report(field: CMFieldHandle) -> dict:
     """Aggregate lattice report for one Galois-presented field."""
-    require_enumerable(field)  # the checks sweep every type: refuse before any lattice
+    require_enumerable(field)  # the checks index every type: refuse before any lattice
     serre = field.serre_lattice
     checks = [check_norm_weight_triangle(field)]
     if not field.is_degenerate:

@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 COCYCLE = "tests/test_cocycle.py"
 CORRUPTED = f"{COCYCLE}::TestTables::test_corrupted_factor_matches_oracle"
 GENERATION = "tests/test_serre.py::TestGenerationClosedForm::test_matches_exhaustive_oracle"
+SHARING = "tests/test_serre.py::TestReportSharing"
 CERTIFICATES = "tests/test_serre.py::TestGeneratorCertificates"
 INDEPENDENCE = f"{COCYCLE}::TestRepIndependenceClosedForm"
 GENERATOR_CHECKS = "tests/test_groups.py::TestGeneratorChecks"
@@ -73,13 +74,14 @@ MUTANTS = (
         (CORRUPTED,),
     ),
     Mutant(
-        "generation_last_flip_dropped", "serre.py",
-        "in enumerate(field.iota_pairs)]", "in enumerate(field.iota_pairs[:-1])]",
+        "generation_last_flip_dropped", "cmtypes.py",
+        "for k, (_, d) in enumerate(field.iota_pairs):",
+        "for k, (_, d) in enumerate(field.iota_pairs[:-1]):",
         (GENERATION,),
     ),
     Mutant(
-        "generation_phi0_dropped", "serre.py",
-        "for phi in [first] + flips]", "for phi in flips]",
+        "generation_phi0_dropped", "cmtypes.py",
+        "    out = {0: CMType(field, tuple(first))}\n", "    out = {}\n",
         (GENERATION,),
     ),
     Mutant(
@@ -143,13 +145,52 @@ MUTANTS = (
     ),
     Mutant(
         "translation_comparison_disabled", "serre.py",
-        "if matrices[left[tau][i]] != _permute(matrix, right[tau]):", "if False:",
-        ("tests/test_serre.py::TestReportSharing::test_corrupted_closure_map_fails_translation",),
+        "if matrices[types[left[tau][i]].cosets] != _permute(matrices[phi.cosets], right)",
+        "if False",
+        (f"{SHARING}::test_corrupted_closure_map_fails_translation",),
     ),
     Mutant(
         "through_subfield_comparison_disabled", "serre.py",
-        "if la.mat_mul(norm, reflex_norm_map(cm_type, e2).matrix) != matrix:", "if False:",
-        ("tests/test_serre.py::TestReportSharing::test_corrupted_subfield_map_fails_triangle",),
+        "if la.mat_mul(norm, reflex_norm_map(t, e2).matrix) != matrices[t.cosets]", "if False",
+        (f"{SHARING}::test_corrupted_subfield_map_fails_triangle",),
+    ),
+    # the reflex norm identities on spanning types and generators
+    Mutant(
+        "translation_on_first_generator", "serre.py",
+        "for tau in group.generators}", "for tau in group.generators[:1]}",
+        (f"{SHARING}::test_corrupted_closure_map_fails_translation",),
+    ),
+    Mutant(
+        "reflex_spanning_last_flip_dropped", "serre.py",
+        "types, spanning = enumerate_cm_types(field), spanning_types(field)\n",
+        "types, spanning = enumerate_cm_types(field), spanning_types(field)\n"
+        "    spanning.popitem()\n",
+        (f"{SHARING}::test_corrupted_closure_map_fails_translation",),
+    ),
+    Mutant(
+        "subfield_check_on_phi0_only", "serre.py",
+        "for t in spanning_types(k_cut).values()]",
+        "for t in list(spanning_types(k_cut).values())[:1]]",
+        (f"{SHARING}::test_corrupted_subfield_map_fails_triangle",),
+    ),
+    Mutant(
+        "pairs_checked_off_by_one", "serre.py",
+        "checked += 2**k_cut.half_degree", "checked += 2**k_cut.half_degree + 1",
+        (f"{SHARING}::test_report_matches_public_checks",),
+    ),
+    Mutant(
+        "degenerate_gate_removed", "cmtypes.py",
+        '            raise NotACMType("degenerate rational context carries no CM-types")\n',
+        "            pass\n",
+        (
+            "tests/test_cmtypes.py::TestHandleValidation::test_rational_context_carries_no_types",
+            "tests/test_cli.py::TestEnumerate::test_one_element_field_file",
+        ),
+    ),
+    Mutant(
+        "require_nested_on_first_generator", "cmtypes.py",
+        "for h in big.fixer.generators)", "for h in big.fixer.generators[:1])",
+        ("tests/test_cmtypes.py::TestInductionRestriction::test_require_nested_on_every_generator",),
     ),
     # the lattice certificates on the group's generators
     Mutant(
@@ -209,8 +250,7 @@ MUTANTS = (
     # the group checks on the greedy generators
     Mutant(
         "light_test_on_first_generator", "groups.py",
-        "for g in generating_set(range(n), lambda a, b: tbl[a][b], identity)[0]:",
-        "for g in generating_set(range(n), lambda a, b: tbl[a][b], identity)[0][:1]:",
+        "for g in group.generators:  # cached", "for g in group.generators[:1]:  # cached",
         (f"{GENERATOR_CHECKS}::test_light_test_matches_all_triples",),
     ),
     Mutant(

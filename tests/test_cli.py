@@ -48,6 +48,18 @@ class TestEnumerate:
         assert code == 0
         assert json.loads(out)["degree"] == 4
 
+    def test_one_element_field_file(self, tmp_path, capsys):
+        # the degenerate rational context carries no CM-types: enumerate
+        # refuses it as input, and serre keeps its rank-one report
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"group": {"table": [[0]]}, "H": [0], "iota": 0}))
+        code, out, err = run_main(capsys, "enumerate", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: degenerate rational context carries no CM-types\n"
+        code, out, _ = run_main(capsys, "serre", str(path))
+        report = json.loads(out)["report"]
+        assert code == 0 and report["passed"] and report["serre_basis"] == [[1]]
+
     def test_field_file_with_group_path(self, tmp_path, capsys):
         group_path = tmp_path / "group.json"
         group_path.write_text(

@@ -152,6 +152,11 @@ malformed = st.fixed_dictionaries(
     command="enumerate",
     element=None,
 )
+@example(  # the degenerate rational context: no CM-types to enumerate
+    data={"group": {"table": [[0]]}, "H": [0], "iota": 0},
+    command="enumerate",
+    element=None,
+)
 def test_field_files_keep_the_contract(data, command, element):
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "field.json"

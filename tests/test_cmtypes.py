@@ -12,7 +12,9 @@ from cmcalc.cmtypes import (
     is_primitive,
     reflex_field,
     reflex_type,
+    require_nested,
     restricts_to,
+    spanning_types,
     stabilizer,
     subgroups_containing,
     translate_left,
@@ -75,6 +77,16 @@ class TestHandleValidation:
     def test_rational_degenerate(self):
         f = CMFieldHandle.rational()
         assert f.is_degenerate and f.degree == 1
+
+    def test_rational_context_carries_no_types(self):
+        # enumeration agrees with validate_cm_type, and the cocycle report,
+        # which starts from the enumeration, refuses with the same message
+        from cmcalc.cocycle import cocycle_report
+
+        f = CMFieldHandle.rational()
+        for call in (enumerate_cm_types, cocycle_report, lambda f: validate_cm_type(f, ())):
+            with pytest.raises(NotACMType, match="degenerate rational context carries no CM-types"):
+                call(f)
 
     def test_d4_field_cosets(self):
         f = battery_field("D4")
@@ -156,6 +168,14 @@ class TestEnumeration:
         with pytest.raises(CMError, match="exceed the enumeration bound"):
             enumerate_cm_types(field)
         assert "cm_types" not in vars(field)
+
+    @pytest.mark.parametrize("field", [c2_field(), c4_field(), klein_field(), ORDER16])
+    def test_spanning_types_are_indexed_picks(self, field):
+        # phi_0 and the g single-pair flips, read from cm_types at their keys
+        spanning = spanning_types(field)
+        g = field.half_degree
+        assert list(spanning) == [0] + [2 ** (g - 1 - k) for k in range(g)]
+        assert all(field.cm_types[i] == t for i, t in spanning.items())
 
     def test_census_all_fields(self):
         for field in ALL_TEST_FIELDS:
@@ -308,8 +328,22 @@ class TestInductionRestriction:
             group=f.group, iota=3, fixer=f.group.subgroup([0, 1])
         )
         small_type = restricts_to(t, other)
-        with pytest.raises(NotNested):
+        with pytest.raises(NotNested, match="first field does not contain the second"):
             restricts_to(small_type, f)  # wrong nesting direction
+
+    def test_require_nested_on_every_generator(self):
+        # in C2^3 with iota = 4, the field fixed by {0, 1, 2, 3} (generators 1
+        # and 2) does not contain the one fixed by {0, 1}: the first generator
+        # lies in the smaller fixer, the second does not
+        g = direct_product(direct_product(cyclic_group(2), cyclic_group(2)), cyclic_group(2))
+        big = CMFieldHandle(group=g, iota=4, fixer=g.subgroup([0, 1, 2, 3]))
+        small = CMFieldHandle(group=g, iota=4, fixer=g.subgroup([0, 1]))
+        assert big.fixer.generators == (1, 2)
+        require_nested(small, big)
+        with pytest.raises(NotNested, match="first field does not contain the second"):
+            require_nested(big, small)
+        with pytest.raises(NotNested, match="fields live in different ambient contexts"):
+            require_nested(klein_field(), small)
 
     def test_restriction_fails_for_primitive(self):
         f = klein_field()

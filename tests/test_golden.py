@@ -66,6 +66,11 @@ ORDER16 = {
     "serre": "5fb22c22947d4e2e5afefe8cf9d596f14da69c3201c503714f0a1c5548ad17cc",
     "enumerate": "c91899fb9cf98e5593017c3e923db86038d64f06f496b3a78216bd99cde66f96",
 }
+# cm serre on D4 x C2 x C2, iota 1, H = [0] (2^16 types), read as ORDER32_FILE, and the
+# sha256 of its "report" part, which the per-type sweep also produced
+ORDER32_FILE = "order32.json"
+ORDER32_SERRE = "0b94d3ec960813ae846179c5c82d25aa5aad62fb4e1fb9f5ab9d207259de96e7"
+ORDER32_REPORT = "a37e0c7826f67625d01e933890109dff57dfb0d0ddf1acabf0f7ea12585da3a6"
 # cocycle_report(trials=4, seed=0) on the same field and on its closure,
 # the two order-16 reports of the galois benchmark workload
 COCYCLE16 = {
@@ -111,6 +116,17 @@ def test_golden_order16_field_file(command, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / ORDER16_FILE).write_text(json.dumps(payload))
     assert sha256(report_text([command, ORDER16_FILE])) == ORDER16[command]
+
+
+def test_golden_order32_serre(tmp_path, monkeypatch):
+    group = direct_product(direct_product(dihedral_group(4), cyclic_group(2)), cyclic_group(2))
+    payload = {"group": {"table": [list(r) for r in group.table]}, "iota": 1, "H": [0]}
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / ORDER32_FILE).write_text(json.dumps(payload))
+    text = report_text(["serre", ORDER32_FILE])
+    assert sha256(text) == ORDER32_SERRE
+    report = json.loads(text)["report"]
+    assert sha256(json.dumps(report, sort_keys=True, indent=2) + "\n") == ORDER32_REPORT
 
 
 @pytest.mark.parametrize("which", sorted(COCYCLE16))

@@ -8,6 +8,7 @@ import pytest
 from cocycle_oracle import as_group
 from cmcalc.battery import BATTERY_NAMES, battery_field
 from cmcalc.errors import InternalInconsistency, NotAGroup, NotASubgroup
+from cmcalc.intlinalg import generating_set
 from cmcalc.groups import (
     abelianization,
     commutator_subgroup,
@@ -154,6 +155,22 @@ class TestGeneratorChecks:
             assert not missing, table
             if group is not None:
                 assert group.inverses == tuple(expected)
+
+    def test_one_walk_per_group(self, monkeypatch):
+        # make_group's Light's test runs on the generators the group caches:
+        # validating a table and reading .generators walks it once
+        import cmcalc.groups as groups
+
+        walks = []
+
+        def counted(elements, mul, identity):
+            walks.append(len(elements))
+            return generating_set(elements, mul, identity)
+
+        table = direct_product(dihedral_group(4), cyclic_group(2)).table
+        monkeypatch.setattr(groups, "generating_set", counted)
+        group = make_group(table)
+        assert group.generators == (1, 2, 8) and walks == [16]
 
     def test_definitions_on_every_subgroup(self):
         for g in GENERATOR_CHECK_GROUPS:

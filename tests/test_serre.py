@@ -10,7 +10,9 @@ from cmcalc.cmtypes import (
     CMFieldHandle,
     enumerate_cm_types,
     is_primitive,
+    induce,
     reflex_field,
+    spanning_types,
     stabilizer,
     subgroups_containing,
     translate_left,
@@ -478,37 +480,67 @@ class TestReportSharing:
 
     @pytest.mark.parametrize("field", [KLEIN, closure_of(battery_field("C2xC4"))])
     def test_corrupted_closure_map_fails_translation(self, field, monkeypatch):
-        # one type's closure reflex norm corrupted: the translation check
-        # names that type at every tau that moves it
+        # phi_0's or the last flip's closure reflex norm corrupted: the
+        # translation check names that type at every generator that moves it,
+        # and every failure names a spanning type and a generator
         import cmcalc.serre as serre
 
-        bad = enumerate_cm_types(field)[1]
+        spanning = [t.cosets for t in spanning_types(field).values()]
+        for bad in (spanning[0], spanning[-1]):
+
+            def corrupting(cm_type, e_field, bad=bad):
+                out = reflex_norm_map(cm_type, e_field)
+                if cm_type.cosets == bad and e_field is field.closure:
+                    return SimpleNamespace(matrix=_corrupted(out.matrix))
+                return out
+
+            monkeypatch.setattr(serre, "reflex_norm_map", corrupting)
+            translation = check_reflex_norms(field)[0]
+            assert not translation["passed"]
+            named = {f["tau"] for f in translation["failures"] if f["type"] == list(bad)}
+            stab = stabilizer(validate_cm_type(field, bad))
+            moving = {tau for tau in field.group.generators if tau not in stab}
+            assert moving and named >= moving
+            assert all(tuple(f["type"]) in spanning for f in translation["failures"])
+            assert {f["tau"] for f in translation["failures"]} <= set(field.group.generators)
+            assert not serre_report(field)["passed"]
+
+    @pytest.mark.parametrize("field", [KLEIN, closure_of(battery_field("C2xC4"))])
+    def test_corrupted_translate_fails_translation(self, field, monkeypatch):
+        # a type outside the spanning set, reached as tau phi_i, corrupted: it
+        # is named through each (spanning phi_i, generator tau) that reaches it
+        import cmcalc.serre as serre
+
+        spanning = spanning_types(field)
+        reached = {
+            (translate_left(tau, phi).cosets, tau, phi.cosets)
+            for phi in spanning.values()
+            for tau in field.group.generators
+        }
+        others = {t.cosets for t in spanning.values()}
+        bad = min(c for c, *_ in reached if c not in others)
 
         def corrupting(cm_type, e_field):
             out = reflex_norm_map(cm_type, e_field)
-            if cm_type == bad and e_field is field.closure:
+            if cm_type.cosets == bad and e_field is field.closure:
                 return SimpleNamespace(matrix=_corrupted(out.matrix))
             return out
 
         monkeypatch.setattr(serre, "reflex_norm_map", corrupting)
-        translation = check_reflex_norms(field)[0]
-        assert not translation["passed"]
-        named = {f["tau"] for f in translation["failures"] if f["type"] == list(bad.cosets)}
-        stab = stabilizer(bad)
-        assert named >= {tau for tau in field.group.elements() if tau not in stab}
-        assert not serre_report(field)["passed"]
+        translation, triangle = check_reflex_norms(field)
+        failures = {(tuple(f["type"]), f["tau"]) for f in translation["failures"]}
+        assert failures == {(phi, tau) for c, tau, phi in reached if c == bad}
+        assert all(f["type"] == list(bad) for f in triangle["failures"])
 
     @pytest.mark.parametrize("field", [KLEIN, closure_of(battery_field("C2xC4"))])
     def test_corrupted_subfield_map_fails_triangle(self, field, monkeypatch):
-        # one type's reflex norm through one subfield corrupted: the triangle
-        # names exactly that (type, subfield) pair, and translation still holds
+        # the reflex norm through one subfield corrupted on the type induced
+        # from its last spanning flip: the triangle names exactly that (type,
+        # subfield) pair, and translation still holds
         import cmcalc.serre as serre
 
-        bad = next(t for t in enumerate_cm_types(field) if stabilizer(t).order > 1)
-        through = next(
-            e for e in galois_subfields(field.closure)
-            if e.fixer.order > 1 and all(h in stabilizer(bad) for h in e.fixer.elements)
-        )
+        through = next(e for e in galois_subfields(field.closure) if e.fixer.order > 1)
+        bad = induce(field, list(spanning_types(through).values())[-1])
 
         def corrupting(cm_type, e_field):
             out = reflex_norm_map(cm_type, e_field)
@@ -524,22 +556,26 @@ class TestReportSharing:
         ]
 
     def test_closure_reflex_norm_once_per_type(self, monkeypatch):
-        # 256 closure matrices and 32 through a proper subfield, not 320
+        # on the order-16 closure (g = 8, three generators): 36 closure
+        # matrices, at most (g + 1)(k + 1), each type's built once, and 10
+        # through its two proper Galois CM subfields (g' + 1 = 5 each), which
+        # certify 2^4 types each; the per-type sweep built 256 and 32
         import cmcalc.serre as serre
 
         calls = []
 
         def counted(cm_type, e_field):
-            calls.append(e_field)
+            calls.append((cm_type.cosets, e_field))
             return reflex_norm_map(cm_type, e_field)
 
         monkeypatch.setattr(serre, "reflex_norm_map", counted)
         field = ORDER16.closure
         report = serre_report(field)
         triangle = next(c for c in report["checks"] if c["law"] == "reflex_norm_through_subfield")
-        types = len(enumerate_cm_types(field))
-        assert sum(e is field for e in calls) == types
-        assert len(calls) == types + triangle["pairs_checked"] == 288
+        closure = [t for t, e in calls if e is field]
+        g, k = field.half_degree, len(field.group.generators)
+        assert len(closure) == len(set(closure)) == 36 <= (g + 1) * (k + 1)
+        assert len(calls) == 46 and triangle["pairs_checked"] == 32
 
 
 class TestNormMap:

@@ -279,6 +279,26 @@ def test_serre_reflex_norms_in_one_pass():
     assert "stabilizer" not in names
 
 
+def test_reflex_norms_on_spanning_types():
+    # check_reflex_norms loops over spanning types, generators and subfields:
+    # nothing it iterates is the list of all types or the group's elements
+    path = SRC / "serre.py"
+    fn = next(
+        n for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(n, ast.FunctionDef) and n.name == "check_reflex_norms"
+    )
+    loops = [
+        ast.unparse(node.iter) for node in ast.walk(fn)
+        if isinstance(node, (ast.For, ast.comprehension))
+    ]
+    assert "group.generators" in loops
+    assert [
+        text for text in loops
+        if text in ("types", "enumerate(types)")
+        or text.endswith((".elements()", ".cm_types", ".type_translation"))
+    ] == []
+
+
 def test_cli_parser_built_once():
     # main parses with the cached build_parser and builds no parser itself
     path = SRC / "cli.py"
