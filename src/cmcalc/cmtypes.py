@@ -11,7 +11,6 @@ inside the one ambient group.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -22,6 +21,7 @@ from .errors import (
     NotAnAutomorphismOfK,
     NotAnInteger,
     NotNested,
+    Record,
 )
 from .groups import (
     AbelianQuotient,
@@ -37,8 +37,7 @@ if TYPE_CHECKING:
     from array import array
 
 
-@dataclass(frozen=True)
-class CMFieldHandle:
+class CMFieldHandle(Record):
     """A CM field K = L^H inside a fixed Galois closure with group G.
 
     Invariants: iota is a central involution of G not contained in H.  The
@@ -46,11 +45,10 @@ class CMFieldHandle:
     rational context (used only for lattice-rank anchors).
     """
 
-    group: FiniteGroup
-    iota: int
-    fixer: Subgroup
+    _fields = ("group", "iota", "fixer")
 
-    def __post_init__(self):
+    def __init__(self, group: FiniteGroup, iota: int, fixer: Subgroup):
+        self.__dict__.update(group=group, iota=iota, fixer=fixer)
         g = self.group
         if self.fixer.parent != g:
             raise CMError("fixing subgroup belongs to a different group")
@@ -216,17 +214,15 @@ class CMFieldHandle:
         return self.fixer.is_normal()
 
 
-@dataclass(frozen=True)
-class CMType:
+class CMType(Record):
     """Half-system of embedding cosets: phi together with iota*phi covers all."""
 
-    field: CMFieldHandle
-    cosets: tuple[int, ...]
+    _fields = ("field", "cosets")
 
-    def __post_init__(self):
-        if self.field.is_degenerate:
+    def __init__(self, field: CMFieldHandle, cosets: tuple[int, ...]):
+        if field.is_degenerate:
             raise NotACMType("degenerate rational context carries no CM-types")
-        object.__setattr__(self, "cosets", tuple(sorted(self.cosets)))
+        self.__dict__.update(field=field, cosets=tuple(sorted(cosets)))
 
     def coset_set(self) -> frozenset[int]:
         return frozenset(self.cosets)

@@ -15,26 +15,23 @@ in the type: they are checked on the factor tables, not per type.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 
 from .cmtypes import CMFieldHandle, CMType, enumerate_cm_types, stabilizer
-from .errors import CMError, FactorNotInH, InternalInconsistency, NotAnInteger
+from .errors import CMError, FactorNotInH, InternalInconsistency, NotAnInteger, Record
 from .groups import Subgroup, transfer, transfer_product
 
 CocycleValue = tuple[int, ...]
 """Coordinates in the invariant-factor presentation of H/[H,H]."""
 
 
-@dataclass(frozen=True)
-class WSystem:
+class WSystem(Record):
     """Coset representatives w_c, one per embedding coset, paired under iota."""
 
-    field: CMFieldHandle
-    reps: tuple[int, ...]
+    _fields = ("field", "reps")
 
-    def __post_init__(self):
-        field = self.field
+    def __init__(self, field: CMFieldHandle, reps: tuple[int, ...]):
+        self.__dict__.update(field=field, reps=reps)
         g = field.group
         if len(self.reps) != field.degree:
             raise CMError("one representative per embedding coset required")

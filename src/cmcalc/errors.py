@@ -1,4 +1,35 @@
-"""Exception types shared across the package."""
+"""Base types shared across the package: the immutable Record and the exceptions."""
+
+from operator import attrgetter
+
+
+class Record:
+    """An immutable value of one class: equality, hash and repr read the fields
+    a subclass names in ``_fields`` and stores through ``self.__dict__`` in its
+    ``__init__``; other attributes (caches, derived data) are not compared."""
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls._fields)
+        # attrgetter of one name returns the value itself, not a 1-tuple
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
 
 
 class CMError(Exception):

@@ -10,22 +10,21 @@ only.  All values are immutable after construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
 
-from .errors import InternalInconsistency, NotAGroup, NotASubgroup
+from .errors import InternalInconsistency, NotAGroup, NotASubgroup, Record
 from .intlinalg import closure, generating_set, present_abelian
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record):
     """A finite group on elements 0..order-1 with multiplication table."""
 
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    identity: int
-    names: tuple[str, ...] | None = None
+    _fields = ("order", "table", "identity", "names")
+
+    def __init__(self, order: int, table: tuple[tuple[int, ...], ...], identity: int,
+                 names: tuple[str, ...] | None = None):
+        self.__dict__.update(order=order, table=table, identity=identity, names=names)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -114,30 +113,27 @@ def make_group(table, names=None) -> FiniteGroup:
     return group
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Record):
     """A subgroup of a FiniteGroup, as a sorted tuple of element indices."""
 
-    parent: FiniteGroup
-    elements: tuple[int, ...]
-    _members: frozenset[int] = field(init=False, repr=False, compare=False)
-    generators: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("parent", "elements")
 
-    def __post_init__(self):
+    def __init__(self, parent: FiniteGroup, elements: tuple[int, ...]):
+        self.__dict__.update(parent=parent, elements=elements)
         for a in self.elements:  # before the frozenset hashes them
             if type(a) is not int:
                 raise NotASubgroup(f"element {a!r} is not an integer")
             if not 0 <= a < self.parent.order:
                 raise NotASubgroup(f"element {a} out of range")
         members = frozenset(self.elements)
-        object.__setattr__(self, "_members", members)
+        self.__dict__["_members"] = members
         if self.parent.identity not in members:
             raise NotASubgroup("subgroup must contain the identity")
         # H is closed once H g lies in H for each greedy generator g (read off
         # the walk's edge table); the walk may leave H, not the parent
         g = self.parent
         gens, edges = generating_set(self.elements, g.mul, g.identity)
-        object.__setattr__(self, "generators", tuple(gens))
+        self.__dict__["generators"] = tuple(gens)
         for a in self.elements:
             for b, ab in zip(gens, edges[a]):
                 if ab not in members:
@@ -195,8 +191,7 @@ def coset_of(group: FiniteGroup, sub: Subgroup, g: int) -> int:
     return next(i for i, coset in enumerate(left_cosets(group, sub)) if g in coset)
 
 
-@dataclass(frozen=True)
-class AbelianQuotient:
+class AbelianQuotient(Record):
     """H/[H,H] in invariant-factor coordinates.
 
     ``moduli`` lists the invariant factors > 1 (ascending divisibility);
@@ -204,9 +199,10 @@ class AbelianQuotient:
     The zero tuple is the identity class.
     """
 
-    source: Subgroup
-    moduli: tuple[int, ...]
-    _coords: dict[int, tuple[int, ...]] = field(repr=False, compare=False)
+    _fields = ("source", "moduli")
+
+    def __init__(self, source: Subgroup, moduli: tuple[int, ...], _coords: dict):
+        self.__dict__.update(source=source, moduli=moduli, _coords=_coords)
 
     @property
     def order(self) -> int:

@@ -10,7 +10,6 @@ here attempts general class-group computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from . import intlinalg as la
@@ -21,6 +20,7 @@ from .errors import (
     NotAnInteger,
     NotCoprime,
     NotPrime,
+    Record,
 )
 
 CLASS_NUMBER_ONE = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
@@ -40,17 +40,17 @@ def legendre(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-@dataclass(frozen=True)
-class QuadField:
+class QuadField(Record):
     """Q(sqrt(d)) for squarefree d < 0 with class number one.
 
     The ring of integers is Z[omega] with omega = sqrt(d) or (1+sqrt(d))/2
     depending on d mod 4; omega satisfies omega^2 = s*omega + t.
     """
 
-    d: int
+    _fields = ("d",)
 
-    def __post_init__(self):
+    def __init__(self, d: int):
+        self.__dict__.update(d=d)
         if type(self.d) is not int:
             raise NotAnInteger(f"d={self.d!r} is not an integer", witness=self.d)
         if self.d not in CLASS_NUMBER_ONE:
@@ -91,13 +91,15 @@ class QuadField:
         return self.element(-1)
 
 
-@dataclass(frozen=True)
-class QuadInt:
+class QuadInt(Record):
     """Ring integer a + b*omega."""
 
-    field: QuadField
-    a: int
-    b: int
+    _fields = ("field", "a", "b")
+
+    def __init__(self, field: QuadField, a: int, b: int):
+        if type(a) is not int or type(b) is not int:
+            raise NotAnInteger(f"coordinates {(a, b)!r} are not integers", witness=(a, b))
+        self.__dict__.update(field=field, a=a, b=b)
 
     def __add__(self, other: "QuadInt") -> "QuadInt":
         self._match(other)
@@ -148,8 +150,7 @@ class QuadInt:
         return self.a == 0 and self.b == 0
 
 
-@dataclass(frozen=True)
-class QuadIdeal:
+class QuadIdeal(Record):
     """Nonzero ideal in canonical Hermite basis form Z*n + Z*(c + d*omega).
 
     Canonical means n > 0, d > 0, 0 <= c < n, d | n, d | c, and the basis
@@ -157,12 +158,10 @@ class QuadIdeal:
     is n*d.
     """
 
-    field: QuadField
-    n: int
-    c: int
-    d: int
+    _fields = ("field", "n", "c", "d")
 
-    def __post_init__(self):
+    def __init__(self, field: QuadField, n: int, c: int, d: int):
+        self.__dict__.update(field=field, n=n, c=c, d=d)
         if type(self.n) is not int or type(self.c) is not int or type(self.d) is not int:
             raise NotAnInteger(f"ideal basis {(self.n, self.c, self.d)!r} is not integral")
         if self.n <= 0 or self.d <= 0 or not 0 <= self.c < self.n:
@@ -368,16 +367,16 @@ def _primary_associate(ideal: QuadIdeal, g: QuadInt, conductor: QuadIdeal | None
     return units[0] * g
 
 
-@dataclass(frozen=True)
-class PrimeFactorization:
+class PrimeFactorization(Record):
     """Decomposition of a rational prime (split, inert or ramified) into
     prime ideals, with ``generators[i]`` a generator of ``primes[i]``."""
 
-    p: int
-    kind: str
-    primes: tuple[QuadIdeal, ...]
-    residue_degrees: tuple[int, ...]
-    generators: tuple[QuadInt, ...]
+    _fields = ("p", "kind", "primes", "residue_degrees", "generators")
+
+    def __init__(self, p: int, kind: str, primes: tuple[QuadIdeal, ...],
+                 residue_degrees: tuple[int, ...], generators: tuple[QuadInt, ...]):
+        self.__dict__.update(p=p, kind=kind, primes=primes, residue_degrees=residue_degrees,
+                             generators=generators)
 
 
 def factor_rational_prime(field: QuadField, p: int) -> PrimeFactorization:
@@ -417,17 +416,17 @@ def factor_rational_prime(field: QuadField, p: int) -> PrimeFactorization:
     )
 
 
-@dataclass(frozen=True)
-class RayClassGroup:
+class RayClassGroup(Record):
     """Residue units modulo the image of the global units, with modulus.
 
     ``structure`` lists invariant factors > 1; ``dlog`` sends a coprime
     residue to its coordinate tuple.
     """
 
-    modulus: QuadIdeal
-    structure: tuple[int, ...]
-    _dlog: dict = field(repr=False, compare=False)
+    _fields = ("modulus", "structure")
+
+    def __init__(self, modulus: QuadIdeal, structure: tuple[int, ...], _dlog: dict):
+        self.__dict__.update(modulus=modulus, structure=structure, _dlog=_dlog)
 
     @property
     def order(self) -> int:
@@ -464,8 +463,7 @@ def ray_class_group(field: QuadField, modulus: QuadIdeal) -> RayClassGroup:
     return RayClassGroup(modulus=modulus, structure=structure, _dlog=dict(zip(keys, coords)))
 
 
-@dataclass(frozen=True)
-class HeckeCharacterSpec:
+class HeckeCharacterSpec(Record):
     """An algebraic character of ideals: finite twist times a power of the
     primary generator and its conjugate.
 
@@ -477,12 +475,17 @@ class HeckeCharacterSpec:
     has trivial ray class group.
     """
 
-    field: QuadField
-    conductor: QuadIdeal
-    infinity_type: tuple[int, int]
-    twist_exponents: tuple[int, ...] = ()
+    _fields = ("field", "conductor", "infinity_type", "twist_exponents")
 
-    def __post_init__(self):
+    def __init__(self, field: QuadField, conductor: QuadIdeal, infinity_type: tuple[int, int],
+                 twist_exponents: tuple[int, ...] = ()):
+        self.__dict__.update(field=field, conductor=conductor, infinity_type=infinity_type,
+                             twist_exponents=twist_exponents)
+        if type(self.infinity_type) is not tuple or len(self.infinity_type) != 2:
+            raise CMError(f"infinity type {self.infinity_type!r} is not a pair")
+        for e in (*self.infinity_type, *self.twist_exponents):
+            if type(e) is not int:
+                raise NotAnInteger(f"exponent {e!r} is not an integer", witness=e)
         n1, n2 = self.infinity_type
         if n1 < 0 or n2 < 0:
             raise CMError("infinity type must be nonnegative for ring values")

@@ -16,8 +16,6 @@ that equality of lattices is equality of bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-
 from . import intlinalg as la
 from .cmtypes import (
     CMFieldHandle,
@@ -35,6 +33,7 @@ from .errors import (
     NotDefinedOverE,
     NotGaloisContext,
     NotSerrePair,
+    Record,
 )
 from .groups import FiniteGroup
 
@@ -42,8 +41,7 @@ Matrix = la.Matrix
 Vector = la.Vector
 
 
-@dataclass(frozen=True)
-class CharLattice:
+class CharLattice(Record):
     """A sublattice of Z^ambient_rank stable under a group action.
 
     ``basis`` holds the canonical (row HNF) basis; ``action`` holds one
@@ -52,12 +50,11 @@ class CharLattice:
     handle's ``act_table``); a field's lattices carry its ``group`` too.
     """
 
-    ambient_rank: int
-    basis: Matrix
-    action: tuple[tuple[int, ...], ...]
-    group: FiniteGroup | None = dataclass_field(default=None, repr=False, compare=False)
+    _fields = ("ambient_rank", "basis", "action")
 
-    def __post_init__(self):
+    def __init__(self, ambient_rank: int, basis: Matrix, action: tuple[tuple[int, ...], ...],
+                 group: FiniteGroup | None = None):
+        self.__dict__.update(ambient_rank=ambient_rank, basis=basis, action=action, group=group)
         if self.group is not None and len(self.action) != self.group.order:
             raise InternalInconsistency("action does not match the group")
         for g in self.certified_elements:
@@ -83,16 +80,17 @@ class CharLattice:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
-class Cocharacter:
+class Cocharacter(Record):
     """A functional on a character lattice, stored as an ambient row vector.
 
     Only the restriction to the sublattice is meaningful; two ambient
     vectors describe the same cocharacter when they agree on the basis.
     """
 
-    lattice: CharLattice
-    functional: Vector
+    _fields = ("lattice", "functional")
+
+    def __init__(self, lattice: CharLattice, functional: Vector):
+        self.__dict__.update(lattice=lattice, functional=functional)
 
     def evaluate(self, vec: Vector) -> int:
         return sum(x * y for x, y in zip(self.functional, vec))
@@ -109,8 +107,7 @@ class Cocharacter:
         return Cocharacter(lattice=self.lattice, functional=_permute(self.functional, perm))
 
 
-@dataclass(frozen=True)
-class LatticeMap:
+class LatticeMap(Record):
     """An integer matrix mapping one character lattice into another.
 
     The matrix acts on ambient column vectors; it must carry the source
@@ -118,11 +115,10 @@ class LatticeMap:
     on the source sublattice.
     """
 
-    source: CharLattice
-    target: CharLattice
-    matrix: Matrix
+    _fields = ("source", "target", "matrix")
 
-    def __post_init__(self):
+    def __init__(self, source: CharLattice, target: CharLattice, matrix: Matrix):
+        self.__dict__.update(source=source, target=target, matrix=matrix)
         # basis vectors as columns, so the checks are sparse matrix products;
         # the target action permutes the rows of the pushed columns
         source, target, basis = self.source, self.target, self.source.basis

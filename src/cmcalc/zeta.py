@@ -26,12 +26,11 @@ the naive enumeration and the affine point laws are test oracles
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
 
 from .errors import (BadPrime, CMError, InternalInconsistency, NotAnInteger,
-                     RamifiedOrBadPrime, WeilBoundViolation)
+                     RamifiedOrBadPrime, Record, WeilBoundViolation)
 from .quadratic import (
     HeckeCharacterSpec,
     PrimeFactorization,
@@ -45,15 +44,13 @@ from .quadratic import (
 )
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(Record):
     """y^2 = x^3 + a4 x + a6 over the rationals, with its CM field."""
 
-    a4: int
-    a6: int
-    cm_field: QuadField
+    _fields = ("a4", "a6", "cm_field")
 
-    def __post_init__(self):
+    def __init__(self, a4: int, a6: int, cm_field: QuadField):
+        self.__dict__.update(a4=a4, a6=a6, cm_field=cm_field)
         if type(self.a4) is not int or type(self.a6) is not int:
             raise NotAnInteger(f"coefficients a4={self.a4!r}, a6={self.a6!r} are not integers")
         if self.discriminant == 0:
@@ -68,11 +65,13 @@ class CurveSpec:
         return self.discriminant % p != 0
 
 
-@dataclass(frozen=True)
-class EulerFactor:
+class EulerFactor(Record):
     """Local factor as polynomial coefficients in T, ascending degree."""
 
-    coefficients: tuple[int, ...]
+    _fields = ("coefficients",)
+
+    def __init__(self, coefficients: tuple[int, ...]):
+        self.__dict__.update(coefficients=coefficients)
 
     def __mul__(self, other: "EulerFactor") -> "EulerFactor":
         a, b = self.coefficients, other.coefficients

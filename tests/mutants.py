@@ -52,6 +52,7 @@ GENERATOR_CHECKS = "tests/test_groups.py::TestGeneratorChecks"
 FOOTPRINT = "tests/test_import_footprint.py"
 PRESENTER = "tests/test_presenter.py"
 RAYCLASS = "tests/test_quadratic.py::TestRayClass"
+RECORDS = "tests/test_records.py"
 
 MUTANTS = (
     # the closed forms of the cocycle law, the transfer identity and generation
@@ -136,6 +137,33 @@ MUTANTS = (
         "validate_cm_type_int_gate", "cmtypes.py",
         "if type(c) is not int:", "if False:",
         ("tests/test_cmtypes.py::TestValidation::test_non_integer_cosets_refused",),
+    ),
+    Mutant(
+        "quadint_int_gate", "quadratic.py",
+        "if type(a) is not int or type(b) is not int:", "if False:",
+        ("tests/test_quadratic.py::TestElements::test_coordinates_must_be_int",),
+    ),
+    Mutant(
+        "hecke_exponent_int_gate", "quadratic.py",
+        "if type(e) is not int:", "if False:",
+        ("tests/test_quadratic.py::TestHecke::test_exponents_must_be_int",),
+    ),
+    # the record base: immutable, compared within one class, over every field
+    Mutant(
+        "record_setattr_assigns", "errors.py",
+        'raise AttributeError(f"cannot assign to field {name!r}")',
+        "object.__setattr__(self, name, value)",
+        (f"{RECORDS}::TestContract::test_assignment_and_deletion_refused",),
+    ),
+    Mutant(
+        "record_eq_without_class_check", "errors.py",
+        "if other.__class__ is self.__class__:", "if isinstance(other, Record):",
+        (f"{RECORDS}::TestContract::test_other_class_with_equal_fields_is_unequal",),
+    ),
+    Mutant(
+        "quadideal_fields_without_d", "quadratic.py",
+        '_fields = ("field", "n", "c", "d")', '_fields = ("field", "n", "c")',
+        (f"{RECORDS}::test_reprs_as_the_dataclasses_printed",),
     ),
     # the reflex norms and the CLI parser
     Mutant(

@@ -4,6 +4,7 @@
 The CLI loads the arithmetic half (quadratic, zeta) at import, and each
 Galois command loads the Galois half (groups, cmtypes, serre, cocycle,
 battery) when it runs, so `cm rayclass` and `cm zeta` never compile it.
+No stage loads `dataclasses` or `inspect`.
 Each check runs in a fresh interpreter that imports the same cmcalc as
 this process (a mutated copy included).
 """
@@ -25,6 +26,8 @@ PRELUDE = """
 import contextlib, io, json, sys
 def loaded():
     return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("cmcalc."))
+def heavy():
+    return sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
 stages = {}
 """
 
@@ -47,14 +50,17 @@ import cmcalc
 stages["package"] = loaded()
 import cmcalc.cli
 stages["cli"] = loaded()
+stages["cli heavy"] = heavy()
 with contextlib.redirect_stdout(io.StringIO()):
     stages["rc"] = [
         cmcalc.cli.main(["rayclass", "--d", "-1", "--modulus", "gen:3,0"]),
         cmcalc.cli.main(["zeta", "--curve=-1,0", "--d", "-1", "--pmax", "50"]),
     ]
 stages["arithmetic commands"] = loaded()
+stages["arithmetic commands heavy"] = heavy()
 cmcalc.battery_field("C4")
 stages["battery"] = loaded()
+stages["battery heavy"] = heavy()
 """)
 
 
@@ -73,6 +79,12 @@ def test_arithmetic_commands_load_nothing_more(stages):
 
 def test_battery_field_loads_the_galois_half(stages):
     assert stages["battery"] == sorted(ARITHMETIC + GALOIS)
+
+
+@pytest.mark.parametrize("stage", ["cli", "arithmetic commands", "battery"])
+def test_no_stage_loads_dataclasses_or_inspect(stages, stage):
+    # records are plain classes on errors.Record: no code generated at import
+    assert stages[f"{stage} heavy"] == []
 
 
 def test_submodule_loaded_on_first_use_of_its_name():

@@ -11,7 +11,7 @@ def test_every_snippet_occurs_once():
 
 def test_registry_names_its_tests():
     names = [m.name for m in mutants.MUTANTS]
-    assert len(names) == len(set(names)) >= 51
+    assert len(names) == len(set(names)) >= 56
     for m in mutants.MUTANTS:
         assert m.tests and m.snippet != m.replacement, m.name
         for node in m.tests:

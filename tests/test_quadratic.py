@@ -159,6 +159,15 @@ class TestElements:
                 with pytest.raises(CMError, match="different fields"):
                     op(y, x)
 
+    @pytest.mark.parametrize("a, b", [(0.5, 0), (0, 0.5), (True, 0), (1, False), ("1", 0)])
+    def test_coordinates_must_be_int(self, a, b):
+        # QuadInt(GAUSS, 0.5, 0) had norm 0.25
+        with pytest.raises(NotAnInteger, match="are not integers") as info:
+            quadratic.QuadInt(GAUSS, a, b)
+        assert info.value.witness == (a, b)
+        with pytest.raises(NotAnInteger, match="are not integers"):
+            GAUSS.element(a, b)
+
     def test_power_is_repeated_product(self):
         rng = random.Random(3)
         for d in (-1, -2, -3, -7):
@@ -676,6 +685,24 @@ class TestHecke:
                 conductor=canonical_conductor(GAUSS),
                 infinity_type=(-1, 0),
             )
+
+    @pytest.mark.parametrize("infinity_type, twist, witness", [
+        ((1.0, 0), (), 1.0),  # verify_cm_zeta died in QuadInt.__pow__
+        ((1, True), (), True),
+        ((1, 0), (0.5,), 0.5),  # was reported as a wrong count
+    ])
+    def test_exponents_must_be_int(self, infinity_type, twist, witness):
+        with pytest.raises(NotAnInteger, match="is not an integer") as info:
+            HeckeCharacterSpec(field=GAUSS, conductor=canonical_conductor(GAUSS),
+                               infinity_type=infinity_type, twist_exponents=twist)
+        assert info.value.witness is witness
+
+    @pytest.mark.parametrize("infinity_type", [(1, 0, 0), (1,), [1, 0]])
+    def test_infinity_type_must_be_a_pair(self, infinity_type):
+        # (1, 0, 0) raised a bare ValueError from tuple unpacking
+        with pytest.raises(CMError, match="is not a pair"):
+            HeckeCharacterSpec(field=GAUSS, conductor=canonical_conductor(GAUSS),
+                               infinity_type=infinity_type)
 
     def test_twisted_character(self):
         # quadratic twist by the nontrivial class modulo 3*(1+i)^3

@@ -311,3 +311,29 @@ def test_cli_parser_built_once():
         for node in ast.walk(functions["main"]) if isinstance(node, ast.Call)
     }
     assert "build_parser" in called and "ArgumentParser" not in called
+
+
+def test_records_on_one_base_without_dataclasses():
+    # dataclasses generates and exec's methods at import (and loads inspect);
+    # every record is a plain class on errors.Record instead
+    imports, records, bases, defined = [], [], {}, []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imports += [f"{path.name}:{a.name}" for a in node.names if a.name == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                imports.append(f"{path.name}:{node.module}")
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "errors":
+                if "Record" in [a.name for a in node.names]:
+                    records.append(path.name)
+            if isinstance(node, ast.ClassDef) and node.name == "Record":
+                defined.append(path.name)
+            elif isinstance(node, ast.ClassDef) and any(
+                ast.unparse(s).startswith("_fields")
+                for s in node.body if isinstance(s, (ast.Assign, ast.AnnAssign))
+            ):
+                bases[f"{path.name}:{node.name}"] = [ast.unparse(b) for b in node.bases]
+    assert imports == [] and defined == ["errors.py"]
+    assert len(bases) == 17 and {tuple(b) for b in bases.values()} == {("Record",)}
+    assert {name.split(":")[0] for name in bases} == set(records)
