@@ -30,7 +30,6 @@ from .groups import (
     abelianization,
     cyclic_group,
     left_cosets,
-    subgroup_generated,
 )
 
 if TYPE_CHECKING:
@@ -135,15 +134,6 @@ class CMFieldHandle(Record):
     def canonical_w_system(self) -> cocycle.WSystem:
         """The canonical representative system (see cocycle.choose_w_system)."""
         return cocycle.choose_w_system(self)
-
-    @cached_property
-    def cm_subfields(self) -> tuple[CMFieldHandle, ...]:
-        """Handles of all CM subfields of K (iota acts nontrivially), K included."""
-        return tuple(
-            CMFieldHandle(group=self.group, iota=self.iota, fixer=sub)
-            for sub in subgroups_containing(self.group, self.fixer)
-            if self.iota not in sub  # otherwise the fixed field is totally real
-        )
 
     @cached_property
     def cm_types(self) -> tuple[CMType, ...]:
@@ -388,30 +378,15 @@ def restricts_to(cm_type: CMType, small_field: CMFieldHandle) -> CMType | None:
     return candidate
 
 
-def subgroups_containing(group: FiniteGroup, sub: Subgroup) -> tuple[Subgroup, ...]:
-    """All subgroups between ``sub`` and the full group (exhaustive closure walk)."""
-    found = {sub.elements: sub}
-    frontier = [sub]
-    while frontier:
-        current = frontier.pop()
-        for x in group.elements():
-            if x in current:
-                continue
-            bigger = subgroup_generated(group, current.generators + (x,))
-            if bigger.elements not in found:
-                found[bigger.elements] = bigger
-                frontier.append(bigger)
-    return tuple(found[k] for k in sorted(found))
-
-
 def is_primitive(cm_type: CMType) -> bool:
-    """True when the type is induced from no proper CM subfield."""
-    for small in cm_type.field.cm_subfields:
-        if small.fixer.order == cm_type.field.fixer.order:
-            continue
-        if restricts_to(cm_type, small) is not None:
-            return False
-    return True
+    """True when the type is induced from no proper CM subfield, that is when the right
+    stabilizer {s : Phi~ s = Phi~} of phi's preimage Phi~ in G is the fixer H: phi is
+    induced from the field fixed by H' > H exactly when Phi~ H' = Phi~, and iota is in
+    no such H', as Phi~ iota = iota Phi~ is disjoint from Phi~."""
+    field = cm_type.field
+    group, lifted = field.group, {x for c in cm_type.cosets for x in field.cosets[c]}
+    right = (s for s in group.elements() if all(group.mul(x, s) in lifted for x in lifted))
+    return tuple(right) == field.fixer.elements
 
 
 # the handle's lattices and representative systems live in serre and

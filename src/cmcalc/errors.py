@@ -9,23 +9,25 @@ class Record:
     ``__init__``; other attributes (caches, derived data) are not compared."""
 
     def __init_subclass__(cls):
-        get = attrgetter(*cls._fields)
-        # attrgetter of one name returns the value itself, not a 1-tuple
-        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
+        # methods bound per class over its attrgetter: no lookup or frame per call
+        get, one = attrgetter(*cls._fields), len(cls._fields) == 1  # one name: no 1-tuple
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return get(self) == get(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash((get(self),) if one else get(self))
+
+        cls._key = staticmethod((lambda record: (get(record),)) if one else get)
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key(self) == other._key(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key(self))
 
     def __repr__(self):
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

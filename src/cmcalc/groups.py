@@ -158,6 +158,22 @@ def subgroup_generated(group: FiniteGroup, generators) -> Subgroup:
     return group.subgroup(closure(group.mul, {group.identity: []}, tuple(set(generators))))
 
 
+def normal_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
+    """Every normal subgroup, ordered by elements.  A normal subgroup is a union of
+    conjugacy classes, and a union of classes generates a normal subgroup, so the
+    closure of the trivial one under joining a whole class reaches them all."""
+    classes = sorted({tuple(sorted({group.conj(g, x) for g in group.elements()}))
+                      for x in group.elements()})
+    found = {(group.identity,): group.trivial_subgroup()}
+
+    def join(elements: tuple[int, ...], cls: tuple[int, ...]) -> tuple[int, ...]:
+        bigger = subgroup_generated(group, found[elements].generators + cls)
+        return found.setdefault(bigger.elements, bigger).elements
+
+    closure(join, {(group.identity,): []}, classes)
+    return tuple(found[k] for k in sorted(found))
+
+
 def commutator_subgroup(h: Subgroup) -> Subgroup:
     g = h.parent
     comms = {

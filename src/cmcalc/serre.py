@@ -21,21 +21,22 @@ from .cmtypes import (
     CMFieldHandle,
     CMType,
     _check_context_match,
-    enumerate_cm_types,
     induce,
     require_enumerable,
     require_nested,
     spanning_types,
+    translate_left,
 )
 from .errors import (
     InternalInconsistency,
     NoSolution,
+    NotACMType,
     NotDefinedOverE,
     NotGaloisContext,
     NotSerrePair,
     Record,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, normal_subgroups
 
 Matrix = la.Matrix
 Vector = la.Vector
@@ -400,31 +401,37 @@ def check_reflex_norms(field: CMFieldHandle) -> list[dict]:
     """The reflex norm's compatibilities with translation and with norms down to Galois
     CM subfields E2, on cmtypes.spanning_types: both sides are Z-linear in the type's
     indicator ([sigma^-1 c in phi]), the indicators form a G-stable lattice and right
-    translation is an action, so generators and spanning types suffice.  E2 (fixer H2)
-    stabilizes the types induced from K' fixed by H2 H, none if iota is in it.
+    translation is an action, so generators and spanning types suffice.  E2 (fixer H2,
+    normal) stabilizes the types induced from K' fixed by H2 H, none if iota is in it.
     pairs_checked counts the (type, E2) instances so certified; a failure names a
     spanning type and a generator, or an induced spanning type and E2's fixer."""
-    group, closure, left = field.group, field.closure, field.type_translation
-    types, spanning = enumerate_cm_types(field), spanning_types(field)
+    group, closure, spanning = field.group, field.closure, spanning_types(field).values()
     # right translation [x] |-> [x tau^-1]: the closure's coset x is {x}
     rights = {tau: [row[group.inv(tau)] for row in group.table] for tau in group.generators}
+    translates = []  # (phi, tau, tau phi), read through the handle's act_table
+    try:
+        for phi in spanning:
+            for tau in rights:
+                translates.append((phi, tau, translate_left(tau, phi)))
+    except NotACMType:  # the tables are corrupt, not the input
+        raise InternalInconsistency("translate is no CM-type", witness=(tau, phi.cosets)) from None
     subfields, checked = [], 0
-    for e2 in closure.cm_subfields:
-        h2h = {group.mul(x, h) for x in e2.fixer.elements for h in field.fixer.elements}
-        if e2.fixer.order == 1 or not e2.fixer.is_normal() or field.iota in h2h:
-            continue  # the closure itself, not Galois, or K' totally real (no type)
+    for h2 in normal_subgroups(group):
+        h2h = {group.mul(x, h) for x in h2.elements for h in field.fixer.elements}
+        if h2.order == 1 or field.iota in h2h:
+            continue  # the closure itself, or K' totally real (no type)
+        e2 = CMFieldHandle(group=group, iota=field.iota, fixer=h2)
         k_cut = CMFieldHandle(group=group, iota=field.iota, fixer=group.subgroup(h2h))
         induced = [induce(field, t) for t in spanning_types(k_cut).values()]
         subfields.append((e2, norm_lattice_map(closure, e2).matrix, induced))
         checked += 2**k_cut.half_degree
-    reached = [*spanning.values(), *(types[left[tau][i]] for tau in rights for i in spanning)]
+    reached = [*spanning, *(image for *_, image in translates)]
     needed = {t.cosets: t for t in reached + [t for *_, induced in subfields for t in induced]}
     matrices = {key: reflex_norm_map(t, closure).matrix for key, t in needed.items()}  # once each
     moved = [
         {"type": list(phi.cosets), "tau": tau}
-        for i, phi in spanning.items()
-        for tau, right in rights.items()
-        if matrices[types[left[tau][i]].cosets] != _permute(matrices[phi.cosets], right)
+        for phi, tau, image in translates
+        if matrices[image.cosets] != _permute(matrices[phi.cosets], rights[tau])
     ]
     through = [
         {"type": list(t.cosets), "through": list(e2.fixer.elements)}
@@ -450,7 +457,7 @@ def check_reflex_norms(field: CMFieldHandle) -> list[dict]:
 
 def serre_report(field: CMFieldHandle) -> dict:
     """Aggregate lattice report for one Galois-presented field."""
-    require_enumerable(field)  # the checks index every type: refuse before any lattice
+    require_enumerable(field)  # guards the CLI's cost (no check enumerates the types)
     serre = field.serre_lattice
     checks = [check_norm_weight_triangle(field)]
     if not field.is_degenerate:

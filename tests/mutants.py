@@ -47,6 +47,7 @@ CORRUPTED = f"{COCYCLE}::TestTables::test_corrupted_factor_matches_oracle"
 GENERATION = "tests/test_serre.py::TestGenerationClosedForm::test_matches_exhaustive_oracle"
 SHARING = "tests/test_serre.py::TestReportSharing"
 CERTIFICATES = "tests/test_serre.py::TestGeneratorCertificates"
+WALK = "tests/test_serre.py::TestWithoutSubgroupWalk"
 INDEPENDENCE = f"{COCYCLE}::TestRepIndependenceClosedForm"
 GENERATOR_CHECKS = "tests/test_groups.py::TestGeneratorChecks"
 FOOTPRINT = "tests/test_import_footprint.py"
@@ -173,7 +174,7 @@ MUTANTS = (
     ),
     Mutant(
         "translation_comparison_disabled", "serre.py",
-        "if matrices[types[left[tau][i]].cosets] != _permute(matrices[phi.cosets], right)",
+        "if matrices[image.cosets] != _permute(matrices[phi.cosets], rights[tau])",
         "if False",
         (f"{SHARING}::test_corrupted_closure_map_fails_translation",),
     ),
@@ -190,10 +191,25 @@ MUTANTS = (
     ),
     Mutant(
         "reflex_spanning_last_flip_dropped", "serre.py",
-        "types, spanning = enumerate_cm_types(field), spanning_types(field)\n",
-        "types, spanning = enumerate_cm_types(field), spanning_types(field)\n"
-        "    spanning.popitem()\n",
+        "field.closure, spanning_types(field).values()\n",
+        "field.closure, list(spanning_types(field).values())[:-1]\n",
         (f"{SHARING}::test_corrupted_closure_map_fails_translation",),
+    ),
+    Mutant(
+        "translate_gate_removed", "serre.py",
+        "except NotACMType:  # the tables are corrupt", "except InternalInconsistency:  #",
+        (f"{COCYCLE}::TestTables::test_split_iota_pair_raises",),
+    ),
+    # primitivity and the norm triangle without the all-subgroups walk
+    Mutant(
+        "primitivity_from_left_stabilizer", "cmtypes.py",
+        "all(group.mul(x, s) in lifted", "all(group.mul(s, x) in lifted",
+        (f"{WALK}::test_primitivity_matches_restriction_oracle",),
+    ),
+    Mutant(
+        "normal_walk_joins_class_representative", "groups.py",
+        "found[elements].generators + cls)", "found[elements].generators + cls[:1])",
+        (f"{WALK}::test_normal_walk_matches_filtered_walk",),
     ),
     Mutant(
         "subfield_check_on_phi0_only", "serre.py",

@@ -532,8 +532,9 @@ class TestTables:
         with pytest.raises(InternalInconsistency) as err:
             field.type_translation
         assert err.value.witness == (tau, c1)
-        # the reflex norms still read the table; the cocycle law reads only the
-        # factors, and the swapped cosets put a factor outside the fixer
+        # the reflex norms translate their spanning types through act_table and
+        # refuse a translate that is not a half-system; the cocycle law reads
+        # only the factors, and the swapped cosets put a factor outside the fixer
         with pytest.raises(InternalInconsistency):
             check_reflex_norms(field)
         with pytest.raises(FactorNotInH):

@@ -14,7 +14,6 @@ from cmcalc.cmtypes import (
     reflex_field,
     spanning_types,
     stabilizer,
-    subgroups_containing,
     translate_left,
     validate_cm_type,
 )
@@ -32,6 +31,7 @@ from cmcalc.groups import (
     dihedral_group,
     direct_product,
     left_cosets,
+    normal_subgroups,
 )
 from cmcalc.serre import (
     CharLattice,
@@ -53,6 +53,8 @@ from cmcalc.serre import (
     type_cocharacter,
     weight_functional,
 )
+import cmtypes_oracle
+from cmtypes_oracle import cm_subfields, subgroups_containing
 from linalg_oracle import snf_kernel, snf_solve
 from serre_oracle import map_failure, unstable_element, weight_cocharacter
 
@@ -629,8 +631,9 @@ class TestGenerationClosedForm:
         assert check_cm_type_generation(field) == generation_oracle(field)
 
     def test_above_enumeration_bound(self, monkeypatch):
-        # C36 with iota = 18 has 2^18 types: the closed form needs none of
-        # them, while serre_report, which sweeps every type, still refuses
+        # C36 with iota = 18 has 2^18 types: the closed form and the reflex
+        # norm checks need none of them, while serre_report, whose size bound
+        # guards the CLI's cost, still refuses
         import cmcalc.cmtypes as cmtypes
 
         def refuse(self):
@@ -639,8 +642,13 @@ class TestGenerationClosedForm:
         g = cyclic_group(36)
         field = CMFieldHandle(group=g, iota=18, fixer=g.trivial_subgroup())
         monkeypatch.setattr(cmtypes.CMFieldHandle, "cm_types", property(refuse))
+        monkeypatch.setattr(cmtypes.CMFieldHandle, "type_translation", property(refuse))
         rep = check_cm_type_generation(field)
         assert rep["passed"] and (rep["generated_rank"], rep["index"]) == (19, 1)
+        translation, triangle = check_reflex_norms(field)
+        assert translation["passed"] and triangle["passed"]
+        # the subfields fixed by the subgroups of order 3 and 9: 2^6 + 2^2 types
+        assert triangle["pairs_checked"] == 68
         with pytest.raises(CMError, match="exceed the enumeration bound"):
             serre_report(field)
 
@@ -752,6 +760,32 @@ CERTIFICATE_FIELDS += [f.closure for f in CERTIFICATE_FIELDS] + [ORDER16, ORDER1
 CERTIFICATE_IDS = [
     f"{n}{suffix}" for suffix in ("", "-closure") for n in BATTERY_NAMES
 ] + ["order16", "order16-closure"]
+_C2XC6, _C18 = direct_product(cyclic_group(2), cyclic_group(6)), cyclic_group(18)
+WALK_FIELDS = CERTIFICATE_FIELDS + [
+    CMFieldHandle(group=_C2XC6, iota=6, fixer=_C2XC6.trivial_subgroup()),
+    CMFieldHandle(group=_C18, iota=9, fixer=_C18.trivial_subgroup()),
+]
+WALK_IDS = CERTIFICATE_IDS + ["C2xC6", "C18"]
+
+
+@pytest.mark.parametrize("field", WALK_FIELDS, ids=WALK_IDS)
+class TestWithoutSubgroupWalk:
+    """Primitivity from the right stabilizer, and the norm triangle's subfields
+    from the normal walk, against the all-subgroups walk of tests/cmtypes_oracle.py."""
+
+    def test_primitivity_matches_restriction_oracle(self, field):
+        verdicts = [is_primitive(t) for t in enumerate_cm_types(field)]
+        assert verdicts == [cmtypes_oracle.is_primitive(t) for t in enumerate_cm_types(field)]
+
+    def test_normal_walk_matches_filtered_walk(self, field):
+        g = field.group
+        every = subgroups_containing(g, g.trivial_subgroup())
+        assert normal_subgroups(g) == tuple(s for s in every if s.is_normal())
+        walked = [
+            CMFieldHandle(group=g, iota=field.iota, fixer=n)
+            for n in normal_subgroups(g) if field.iota not in n
+        ]
+        assert walked == galois_subfields(field)
 
 
 class TestGeneratorCertificates:
@@ -768,7 +802,7 @@ class TestGeneratorCertificates:
         assert [unstable_element(lat) for lat in lattices] == [None] * len(lattices)
         maps = [
             norm_lattice_map(closure, e2)
-            for e2 in closure.cm_subfields if e2.fixer.is_normal()
+            for e2 in cm_subfields(closure) if e2.fixer.is_normal()
         ]
         for t in enumerate_cm_types(field):
             maps.append(reflex_norm_map(t, closure))

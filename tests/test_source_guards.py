@@ -299,6 +299,28 @@ def test_reflex_norms_on_spanning_types():
     ] == []
 
 
+def test_no_walk_over_all_subgroups():
+    # primitivity reads the right stabilizer of the type's preimage and the
+    # norm triangle walks the normal subgroups: no module walks every
+    # subgroup, and check_reflex_norms reads no table over all types
+    texts = {path.name: path.read_text() for path in sorted(SRC.rglob("*.py"))}
+    assert [
+        name for name, text in texts.items()
+        if "subgroups_containing" in text or "cm_subfields" in text
+    ] == []
+    assert "type_translation" not in texts["serre.py"]
+    assert "enumerate_cm_types" not in texts["serre.py"]
+    fn = next(
+        n for n in ast.walk(ast.parse(texts["cmtypes.py"]))
+        if isinstance(n, ast.FunctionDef) and n.name == "is_primitive"
+    )
+    called = {
+        getattr(node.func, "attr", getattr(node.func, "id", None))
+        for node in ast.walk(fn) if isinstance(node, ast.Call)
+    }
+    assert called & {"restricts_to", "subgroup_generated", "normal_subgroups", "induce"} == set()
+
+
 def test_cli_parser_built_once():
     # main parses with the cached build_parser and builds no parser itself
     path = SRC / "cli.py"
