@@ -154,10 +154,6 @@ class Subgroup(Record):
         return all(g.conj(g_elt, h) in self._members for h in self.generators)
 
 
-def subgroup_generated(group: FiniteGroup, generators) -> Subgroup:
-    return group.subgroup(closure(group.mul, {group.identity: []}, tuple(set(generators))))
-
-
 def normal_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
     """Every normal subgroup, ordered by elements.  A normal subgroup is a union of
     conjugacy classes, and a union of classes generates a normal subgroup, so the
@@ -167,24 +163,17 @@ def normal_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
     found = {(group.identity,): group.trivial_subgroup()}
 
     def join(elements: tuple[int, ...], cls: tuple[int, ...]) -> tuple[int, ...]:
-        bigger = subgroup_generated(group, found[elements].generators + cls)
-        return found.setdefault(bigger.elements, bigger).elements
+        # a class lies inside a normal subgroup or misses it; otherwise N<cls>
+        # is N's elements walked under the class
+        if cls[0] in found[elements]:
+            return elements
+        bigger = tuple(sorted(closure(group.mul, {x: [] for x in elements}, cls)))
+        if bigger not in found:
+            found[bigger] = group.subgroup(bigger)
+        return bigger
 
     closure(join, {(group.identity,): []}, classes)
     return tuple(found[k] for k in sorted(found))
-
-
-def commutator_subgroup(h: Subgroup) -> Subgroup:
-    g = h.parent
-    comms = {
-        g.mul(g.mul(a, b), g.inv(g.mul(b, a)))
-        for a in h.elements
-        for b in h.elements
-    }
-    closure = subgroup_generated(g, comms)
-    if not all(x in h for x in closure.elements):
-        raise InternalInconsistency("commutator closure escaped the subgroup")
-    return closure
 
 
 def left_cosets(group: FiniteGroup, sub: Subgroup) -> tuple[tuple[int, ...], ...]:
@@ -248,20 +237,21 @@ class AbelianQuotient(Record):
 
 
 def abelianization(h: Subgroup) -> AbelianQuotient:
-    """Compute H/[H,H] with canonical Smith-normal-form coordinates."""
-    g = h.parent
-    comm = commutator_subgroup(h)
-    # cosets of [H,H] inside H, ordered by minimal element
-    cosets = [coset for coset in left_cosets(g, comm) if coset[0] in h]
-    class_of = {x: i for i, coset in enumerate(cosets) for x in coset}
-    reps = [c[0] for c in cosets]
+    """Compute H/[H,H] with canonical Smith-normal-form coordinates.
+
+    H's own table, indexed by its ascending elements, is presented modulo
+    its nontrivial commutators; the presenter certifies that the kernel is
+    the subgroup they generate, which is [H,H]."""
+    g, elements = h.parent, h.elements
+    index = {x: i for i, x in enumerate(elements)}
+    commutators = {g.mul(g.mul(a, b), g.inv(g.mul(b, a))) for a in elements for b in elements}
     moduli, coords = present_abelian(
-        len(cosets), lambda a, b: class_of[g.mul(reps[a], reps[b])], class_of[g.identity]
+        len(elements),
+        lambda a, b: index[g.mul(elements[a], elements[b])],
+        index[g.identity],
+        killed=sorted(index[c] for c in commutators - {g.identity}),
     )
-    # present_abelian certifies the coset coordinates as an isomorphism, and
-    # x -> class_of[x] is the quotient map by the normal subgroup [H,H]
-    coords = {x: coords[class_of[x]] for x in h.elements}
-    return AbelianQuotient(source=h, moduli=moduli, _coords=coords)
+    return AbelianQuotient(source=h, moduli=moduli, _coords=dict(zip(elements, coords)))
 
 
 def transfer_product(

@@ -571,31 +571,23 @@ MAX_IDEAL_NORM = 10**4
 
 
 def parse_ideal(field: QuadField, data) -> QuadIdeal:
-    """Ideal from serialized form: {"n","c","d"}, {"gen": [a, b]}, or a
-    CLI string 'gen:a,b' / 'gen:a,b^k' / 'hnf:n,c,d'.  A norm above
-    MAX_IDEAL_NORM raises CMError, for 'gen:a,b^k' before the power is built."""
+    """Ideal from a CLI string 'gen:a,b' / 'gen:a,b^k' / 'hnf:n,c,d'.  A norm
+    above MAX_IDEAL_NORM raises CMError, for 'gen:a,b^k' before the power is
+    built."""
     power = 1
-    if isinstance(data, str):
-        if data.startswith("gen:"):
-            body = data[4:]
-            if "^" in body:
-                body, exp = body.split("^", 1)
-                power = int(exp)
-            a, b = (int(x) for x in body.split(","))
-            gen = field.element(a, b)
-            ideal = ideal_from_generator(gen)
-        elif data.startswith("hnf:"):
-            n, c, d = (int(x) for x in data[4:].split(","))
-            ideal = QuadIdeal(field=field, n=n, c=c, d=d)
-        else:
-            raise CMError(f"unrecognized ideal spec {data!r}")
-    elif "gen" in data:
-        a, b = data["gen"]
-        ideal = ideal_from_generator(field.element(int(a), int(b)))
+    if not isinstance(data, str) or data[:4] not in ("gen:", "hnf:"):
+        raise CMError(f"unrecognized ideal spec {data!r}")
+    if data.startswith("gen:"):
+        body = data[4:]
+        if "^" in body:
+            body, exp = body.split("^", 1)
+            power = int(exp)
+        a, b = (int(x) for x in body.split(","))
+        gen = field.element(a, b)
+        ideal = ideal_from_generator(gen)
     else:
-        ideal = QuadIdeal(
-            field=field, n=int(data["n"]), c=int(data["c"]), d=int(data["d"])
-        )
+        n, c, d = (int(x) for x in data[4:].split(","))
+        ideal = QuadIdeal(field=field, n=n, c=c, d=d)
     # a norm N >= 2 has N^k > MAX_IDEAL_NORM once k reaches its bit length
     if ideal.norm > 1 and (
         power >= MAX_IDEAL_NORM.bit_length() or ideal.norm**power > MAX_IDEAL_NORM

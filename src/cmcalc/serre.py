@@ -137,8 +137,7 @@ class LatticeMap(Record):
         return la.mat_vec(self.matrix, vec)
 
     def image_rank(self) -> int:
-        pushed = tuple(la.mat_vec(self.matrix, row) for row in self.source.basis)
-        return la.rank(pushed)
+        return la.rank(la.mat_mul(self.matrix, la.transpose(self.source.basis)))
 
 
 def _permute(items, perm) -> tuple:

@@ -271,18 +271,13 @@ class _QuadraticExtension:
         return out
 
 
-def _mul(field, a, k: int, P):
-    """k P for k >= 0, by the field's double-and-add."""
-    return field.multiply(a, k, P)
-
-
 def _point_multiples(field, a, b, P, lo: int, hi: int) -> list[int]:
     """Every k in [lo, hi] with k P = O, ascending, for P on Y^2 = X^3 + a X
     + b, whose group order lies in [lo, hi]; the first is checked directly."""
     x, y = P
     on_curve = field.mul(y, y) == _cubic(field, a, b, x)
     ks = _multiple_in_interval(field, a, P, lo, hi) if on_curve else []
-    if not ks or _mul(field, a, ks[0], P) is not None:
+    if not ks or field.multiply(a, ks[0], P) is not None:
         raise InternalInconsistency("no multiple of the point in the Hasse interval",
                                     witness=(field.q, P, ks[0] if ks else None))
     return ks
@@ -310,7 +305,7 @@ def _multiple_in_interval(field, a, P, lo: int, hi: int) -> list[int]:
         return list(range(-(-lo // n) * n, hi + 1, n))
     step = field.add_points(a, field.add_points(a, R, R), P)  # (2m + 1) P
     out = []
-    G = _mul(field, a, lo + m, P)
+    G = field.multiply(a, lo + m, P)
     for c in range(lo + m, hi + m + 1, 2 * m + 1):
         if G is None:
             k = c

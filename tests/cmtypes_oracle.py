@@ -1,5 +1,7 @@
 """The exhaustive subgroup walk and the primitivity test built on it: the test
-oracles for cmcalc.cmtypes.is_primitive and groups.normal_subgroups.
+oracles for cmcalc.cmtypes.is_primitive and groups.normal_subgroups, and the
+subgroup generated by a set and the commutator subgroup, which the library no
+longer builds: groups.abelianization kills the commutators in H's own table.
 
 subgroups_containing walks every subgroup between a subgroup and the whole
 group, one subgroup_generated per (subgroup, element outside it).  The
@@ -12,7 +14,20 @@ and the norm triangle walks only the normal subgroups.
 from functools import cache
 
 from cmcalc.cmtypes import CMFieldHandle, restricts_to
-from cmcalc.groups import subgroup_generated
+from cmcalc.intlinalg import closure
+
+
+def subgroup_generated(group, generators):
+    """The subgroup the elements generate: the identity's closure walk."""
+    return group.subgroup(closure(group.mul, {group.identity: []}, tuple(set(generators))))
+
+
+def commutator_subgroup(h):
+    """[H,H]: the subgroup generated by every commutator a b a^-1 b^-1 in H."""
+    g = h.parent
+    return subgroup_generated(
+        g, {g.mul(g.mul(a, b), g.inv(g.mul(b, a))) for a in h.elements for b in h.elements}
+    )
 
 
 def subgroups_containing(group, sub):

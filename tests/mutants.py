@@ -208,7 +208,13 @@ MUTANTS = (
     ),
     Mutant(
         "normal_walk_joins_class_representative", "groups.py",
-        "found[elements].generators + cls)", "found[elements].generators + cls[:1])",
+        "{x: [] for x in elements}, cls)", "{x: [] for x in elements}, cls[:1])",
+        (f"{WALK}::test_normal_walk_matches_filtered_walk",),
+    ),
+    Mutant(
+        "normal_join_from_identity", "groups.py",
+        "closure(group.mul, {x: [] for x in elements}, cls)",
+        "closure(group.mul, {group.identity: []}, cls)",
         (f"{WALK}::test_normal_walk_matches_filtered_walk",),
     ),
     Mutant(
@@ -344,6 +350,11 @@ MUTANTS = (
         "killed_words_dropped", "intlinalg.py",
         "    rows += [words[y] for y in killed]\n", "",
         (f"{PRESENTER}::test_trivial_group_and_killed_everything",),
+    ),
+    Mutant(
+        "abelianization_kills_nothing", "groups.py",
+        "killed=sorted(index[c] for c in commutators - {g.identity}),", "killed=[],",
+        (f"{PRESENTER}::test_every_battery_subgroup_abelianization",),
     ),
     Mutant(
         "coordinates_through_v_transpose", "intlinalg.py",

@@ -53,6 +53,12 @@ GOLDEN = {
         ["check", "--suite", "all", "--battery", "all", "--seed", "7", "--trials", "20"],
         "9987cd74a36bb0bbca5002078c17debda8261b2996db2f0abdd9bcfd72e1279c",
     ),
+    # a non-abelian H: the Smith basis comes from H's own table modulo its
+    # commutators, so a change of presenter input may reorder the coordinates
+    "transfer_d4_whole_group": (
+        ["transfer", "--battery", "D4", "--subgroup", "[0,1,2,3,4,5,6,7]"],
+        "bd371fc96bb203d02db2b81459eb0745d6b92b80179b1fd3e079e77fb1a537cf",
+    ),
 }
 ENUMERATE_ALL = "522e9d379bfe474a55a10174868d80adcd0921e57cd38582638ca58c8606f50f"
 # concatenated over BATTERY_NAMES

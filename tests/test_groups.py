@@ -5,20 +5,19 @@ import random
 
 import pytest
 
+from cmtypes_oracle import commutator_subgroup, subgroup_generated
 from cocycle_oracle import as_group
 from cmcalc.battery import BATTERY_NAMES, battery_field
 from cmcalc.errors import InternalInconsistency, NotAGroup, NotASubgroup
 from cmcalc.intlinalg import generating_set
 from cmcalc.groups import (
     abelianization,
-    commutator_subgroup,
     coset_of,
     cyclic_group,
     dihedral_group,
     direct_product,
     left_cosets,
     make_group,
-    subgroup_generated,
     transfer,
     transfer_product,
 )

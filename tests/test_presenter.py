@@ -18,15 +18,9 @@ from cmcalc import intlinalg as la
 from cmcalc import groups, quadratic
 from cmcalc.battery import BATTERY_NAMES, battery_field
 from cmcalc.errors import InternalInconsistency
-from cmcalc.groups import (
-    abelianization,
-    commutator_subgroup,
-    cyclic_group,
-    dihedral_group,
-    direct_product,
-    subgroup_generated,
-)
+from cmcalc.groups import abelianization, cyclic_group, dihedral_group, direct_product
 from cmcalc.quadratic import QuadField, ideal_from_generator, ray_class_group
+from cmtypes_oracle import commutator_subgroup, subgroup_generated
 from linalg_oracle import snf_with_transforms
 from quadratic_oracle import unit_residues
 
@@ -118,9 +112,11 @@ def _all_subgroups(g):
     return sorted(found.values(), key=lambda s: s.elements)
 
 
-@pytest.mark.parametrize("name", BATTERY_NAMES)
-def test_every_battery_subgroup_abelianization(name):
-    g = battery_field(name).group
+def assert_abelianizations(g):
+    """abelianization on every subgroup H of g against the coset route: the
+    presenter on the cosets of [H,H] in H, ordered by least element.  On an
+    abelian H both routes present the same table, so the coordinates agree;
+    otherwise the invariants agree and the kernel is [H,H]."""
     subgroups = _all_subgroups(g)
     assert any(h.order == 1 for h in subgroups)
     for h in subgroups:
@@ -134,11 +130,25 @@ def test_every_battery_subgroup_abelianization(name):
                 seen.update(coset)
         class_of = {x: i for i, coset in enumerate(cosets) for x in coset}
         reps = [c[0] for c in cosets]
-        assert_presentation(
-            len(cosets),
-            lambda a, b: class_of[g.mul(reps[a], reps[b])],
-            class_of[g.identity],
-        )
+        mul = lambda a, b: class_of[g.mul(reps[a], reps[b])]
+        assert_presentation(len(cosets), mul, class_of[g.identity])
+        moduli, coords = la.present_abelian(len(cosets), mul, class_of[g.identity])
+        q = abelianization(h)
+        assert q.moduli == moduli, h.elements
+        if comm.order == 1:
+            assert [q.project(x) for x in h.elements] == coords, h.elements
+        else:
+            kernel = tuple(x for x in h.elements if q.project(x) == q.zero)
+            assert kernel == comm.elements, h.elements
+
+
+@pytest.mark.parametrize("name", BATTERY_NAMES)
+def test_every_battery_subgroup_abelianization(name):
+    assert_abelianizations(battery_field(name).group)
+
+
+def test_every_d4xc2_subgroup_abelianization():
+    assert_abelianizations(direct_product(dihedral_group(4), cyclic_group(2)))
 
 
 @pytest.mark.parametrize("d,gen,power", RAYCLASS_MODULI)
@@ -253,7 +263,7 @@ def test_each_edge_multiplied_once(monkeypatch):
     ray_class_group(field, ideal_from_generator(field.element(13)))
     g = direct_product(dihedral_group(4), cyclic_group(4))
     abelianization(g.subgroup(g.elements()))
-    assert [n for n, *_ in counted] == [144, 16]
+    assert [n for n, *_ in counted] == [144, 32]
     for n, mul, identity, killed, calls in counted:
         gens, reached = [], {identity}
         for x in range(n):

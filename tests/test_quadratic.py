@@ -320,12 +320,12 @@ class TestIdeals:
         assert a == ideal_from_generator(GAUSS.element(1, 1) ** 3)
         b = parse_ideal(GAUSS, "gen:3,0")
         assert b == ideal_from_generator(GAUSS.element(3, 0))
-        c = parse_ideal(GAUSS, {"gen": [2, 1]})
-        assert c.norm == 5
-        d = parse_ideal(GAUSS, {"n": 5, "c": 2, "d": 1})
-        assert d.norm == 5
         with pytest.raises(CMError):
             parse_ideal(GAUSS, "nope:1")
+        # only the string forms: a dict is refused, not coerced through int()
+        for data in ({"gen": [2, 1]}, {"n": 5, "c": 2, "d": 1}, {"n": 5.7, "c": 2, "d": 1}):
+            with pytest.raises(CMError, match="unrecognized ideal spec"):
+                parse_ideal(GAUSS, data)
 
 
 class TestFactorization:

@@ -321,6 +321,20 @@ def test_no_walk_over_all_subgroups():
     assert called & {"restricts_to", "subgroup_generated", "normal_subgroups", "induce"} == set()
 
 
+def test_abelianization_through_the_presenter_only():
+    # H/[H,H] is H's own table modulo its commutators, and the normal walk
+    # joins by closure: no commutator subgroup, generated subgroup or cosets
+    tree = ast.parse((SRC / "groups.py").read_text())
+    functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert {"commutator_subgroup", "subgroup_generated"} & set(functions) == set()
+    called = {
+        getattr(node.func, "attr", getattr(node.func, "id", None))
+        for node in ast.walk(functions["abelianization"]) if isinstance(node, ast.Call)
+    }
+    assert "present_abelian" in called
+    assert called & {"left_cosets", "subgroup"} == set()
+
+
 def test_cli_parser_built_once():
     # main parses with the cached build_parser and builds no parser itself
     path = SRC / "cli.py"

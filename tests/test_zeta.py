@@ -423,14 +423,14 @@ class TestMultiplesInInterval:
         import cmcalc.zeta as zeta
 
         calls = Counter()
-        for name in ("_mul", "_point_multiples"):
-            original = getattr(zeta, name)
+        for owner, name in ((zeta._PrimeField, "multiply"), (zeta, "_point_multiples")):
+            original = getattr(owner, name)
 
             def wrapper(*args, original=original, name=name):
                 calls[name] += 1
                 return original(*args)
 
-            monkeypatch.setattr(zeta, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
         drawn = 0
         for a4, a6 in COUNT_CURVES:
             for p in good_odd_primes(a4, a6, 2000):
@@ -438,7 +438,7 @@ class TestMultiplesInInterval:
                 count_fp(a4, a6, p)
                 # one giant-step start and one direct check per point drawn;
                 # no order is reduced
-                assert calls["_mul"] <= 2 * calls["_point_multiples"], (a4, a6, p, calls)
+                assert calls["multiply"] <= 2 * calls["_point_multiples"], (a4, a6, p, calls)
                 drawn += calls["_point_multiples"]
         assert drawn > 1000
 
