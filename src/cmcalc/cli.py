@@ -1,28 +1,24 @@
 """Command-line driver: enumerate, check, zeta, rayclass, transfer, serre.
 
 All input and output is JSON with sorted keys and integer-only payloads, so
-identical invocations produce byte-identical reports.  Exit codes: 0 all
-requested checks passed, 1 at least one failed, 2 input error.
+identical invocations produce byte-identical reports.  One table, COMMANDS,
+declares each command's flags, given as `--flag value` or `--flag=value` and
+never abbreviated.  Exit codes: 0 all requested checks passed, 1 at least one
+failed, 2 input error, the command line's included, printed as `error: ...`.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 # the arithmetic half only: each Galois command imports the Galois half
 # (groups, cmtypes, serre, cocycle, battery) when it runs, so that `cm
 # rayclass` and `cm zeta` never compile it
 from .errors import CMError
-from .quadratic import (
-    QuadField,
-    canonical_weight_one_spec,
-    parse_ideal,
-    ray_class_group,
-)
+from .quadratic import QuadField, canonical_weight_one_spec, parse_ideal, ray_class_group
 from .zeta import CurveSpec, verify_cm_zeta, verify_res_scalars
 
 if TYPE_CHECKING:
@@ -64,16 +60,17 @@ def _load_field_file(path: str) -> CMFieldHandle:
 def _resolve_field(args) -> tuple[str, CMFieldHandle]:
     from .battery import BATTERY_NAMES, battery_field
 
-    if getattr(args, "battery", None):
-        if args.battery not in BATTERY_NAMES:
-            raise InputError(
-                f"unknown battery context {args.battery!r}; "
-                f"choose from {', '.join(BATTERY_NAMES)}"
-            )
-        return args.battery, battery_field(args.battery)
-    if getattr(args, "field_file", None):
+    if (args.battery is None) == (args.field_file is None):
+        both = "" if args.battery is None else ", not both"
+        raise InputError(f"pass --battery NAME or a field file{both}")
+    if args.field_file is not None:
         return args.field_file, _load_field_file(args.field_file)
-    raise InputError("pass --battery NAME or a field file")
+    if args.battery not in BATTERY_NAMES:
+        raise InputError(
+            f"unknown battery context {args.battery!r}; "
+            f"choose from {', '.join(BATTERY_NAMES)}"
+        )
+    return args.battery, battery_field(args.battery)
 
 
 def _emit(report: dict) -> None:
@@ -263,88 +260,91 @@ def cmd_serre(args) -> int:
     return 0 if report["report"]["passed"] else 1
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser main uses, built on its first call, as every build
-    looks up a gettext translation for each help string."""
-    parser = argparse.ArgumentParser(
-        prog="cm",
-        description="Exact checks for CM-type combinatorics, character "
-        "lattices, transfer cocycles, and CM zeta factorizations.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of a flag that must be given
 
-    p_enum = sub.add_parser("enumerate", help="list CM-types with reflex data")
-    p_enum.add_argument("field_file", nargs="?", help="JSON field file")
-    p_enum.add_argument("--battery", help="built-in context name")
-    p_enum.set_defaults(func=cmd_enumerate)
-
-    p_check = sub.add_parser("check", help="run identity suites")
-    p_check.add_argument("--suite", choices=("serre", "cocycle", "all"), default="all")
-    p_check.add_argument("--battery", default="all")
-    p_check.add_argument("--trials", type=int, default=100)
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.set_defaults(func=cmd_check)
-
-    p_zeta = sub.add_parser("zeta", help="compare counting and character factors")
-    p_zeta.add_argument("--curve", required=True, help="a4,a6")
-    p_zeta.add_argument("--d", type=int, required=True, help="CM field selector")
-    p_zeta.add_argument("--pmax", type=int, default=1000)
-    p_zeta.add_argument(
-        "--res-scalars",
-        type=int,
-        default=0,
-        metavar="PMAX",
-        help="also run the scalar-restriction check up to PMAX",
-    )
-    p_zeta.add_argument("--verbose", action="store_true", help="list every prime")
-    p_zeta.set_defaults(func=cmd_zeta)
-
-    p_ray = sub.add_parser("rayclass", help="ray class group of a modulus")
-    p_ray.add_argument("--d", type=int, required=True)
-    p_ray.add_argument("--modulus", required=True, help="gen:a,b[^k] or hnf:n,c,d")
-    p_ray.set_defaults(func=cmd_rayclass)
-
-    p_tr = sub.add_parser("transfer", help="transfer values into a subgroup")
-    p_tr.add_argument("field_file", nargs="?")
-    p_tr.add_argument("--battery")
-    p_tr.add_argument("--element", type=int, default=None)
-    p_tr.add_argument("--subgroup", help="JSON list of element indices")
-    p_tr.set_defaults(func=cmd_transfer)
-
-    p_serre = sub.add_parser("serre", help="character-lattice report for a field")
-    p_serre.add_argument("field_file", nargs="?")
-    p_serre.add_argument("--battery")
-    p_serre.set_defaults(func=cmd_serre)
-
-    return parser
+# command -> (takes a field file, {flag: (kind, default)}, handler, help); a
+# kind is int, str, a tuple of choices, or bool for a flag that takes no value
+COMMANDS = {
+    "enumerate": (True, {"--battery": (str, None)}, cmd_enumerate,
+                  "list CM-types with reflex data"),
+    "check": (False, {"--suite": (("serre", "cocycle", "all"), "all"), "--battery": (str, "all"),
+                      "--trials": (int, 100), "--seed": (int, 0)}, cmd_check, "run identity suites"),
+    "zeta": (False, {"--curve": (str, REQUIRED), "--d": (int, REQUIRED), "--pmax": (int, 1000),
+                     "--res-scalars": (int, 0), "--verbose": (bool, False)}, cmd_zeta,
+             "compare counting and character factors"),
+    "rayclass": (False, {"--d": (int, REQUIRED), "--modulus": (str, REQUIRED)}, cmd_rayclass,
+                 "ray class group of a modulus"),
+    "transfer": (True, {"--battery": (str, None), "--element": (int, None),
+                        "--subgroup": (str, None)}, cmd_transfer, "transfer values into a subgroup"),
+    "serre": (True, {"--battery": (str, None)}, cmd_serre, "character-lattice report for a field"),
+}
 
 
-def _fuse_dash_values(argv: list[str]) -> list[str]:
-    """Join '--flag -1,0' into '--flag=-1,0' so leading-dash values parse."""
-    fused = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
+def usage(command: str | None) -> str:
+    """The usage of one command, or of every command, read from COMMANDS."""
+    lines = ["usage (--flag value or --flag=value; flags are not abbreviated):"]
+    for name in [command] if command else COMMANDS:
+        takes_file, flags, _, text = COMMANDS[name]
+        words = [f"  cm {name}"] + ["[FIELD_FILE]"] * takes_file
+        for flag, (kind, default) in flags.items():
+            meta = "{%s}" % ",".join(kind) if type(kind) is tuple else kind.__name__.upper()
+            word = flag if kind is bool else f"{flag} {meta}"
+            words.append(word if default is REQUIRED else f"[{word}]")
+        lines += [" ".join(words), f"      {text}"]
+    return "\n".join(lines) + "\n"
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command line as the handlers read it: ``command``, ``help``,
+    ``field_file`` and one attribute per flag of the command (``--res-scalars``
+    as ``res_scalars``).  The token after a value flag is its value, leading
+    dash or not.  Raises InputError on any error."""
+    command, *rest = argv or [None]
+    if command in ("-h", "--help"):
+        return SimpleNamespace(command=None, help=True)
+    if command not in COMMANDS:
+        got = f"unknown command {command!r}" if argv else "no command"
+        raise InputError(f"{got}; choose from {', '.join(COMMANDS)}")
+    tokens = iter(rest)
+    takes_file, flags, _, _ = COMMANDS[command]
+    values = {"command": command, "help": False, "field_file": None}
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return SimpleNamespace(command=command, help=True)
+        if not token.startswith("-"):
+            if not takes_file or values["field_file"] is not None:
+                raise InputError(f"{command}: unexpected argument {token!r}")
+            values["field_file"] = token
             continue
-        if (
-            tok in ("--curve", "--modulus", "--subgroup")
-            and i + 1 < len(argv)
-            and argv[i + 1].startswith("-")
-        ):
-            fused.append(f"{tok}={argv[i + 1]}")
-            skip = True
-        else:
-            fused.append(tok)
-    return fused
+        name, eq, value = token.partition("=")
+        if name not in flags or eq and flags[name][0] is bool:
+            raise InputError(f"{command}: unknown flag {token!r}")
+        kind = flags[name][0]
+        if kind is bool:
+            value = True
+        elif not eq and (value := next(tokens, None)) is None:
+            raise InputError(f"{name} needs a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise InputError(f"{name} expects an integer, got {value!r}") from None
+        elif type(kind) is tuple and value not in kind:
+            raise InputError(f"{name} must be one of {', '.join(kind)}, got {value!r}")
+        values[name[2:].replace("-", "_")] = value
+    for name, (_, default) in flags.items():
+        if values.setdefault(name[2:].replace("-", "_"), default) is REQUIRED:
+            raise InputError(f"{command} needs {name}")
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_fuse_dash_values(list(sys.argv[1:] if argv is None else argv)))
     try:
-        return args.func(args)
+        args = parse_args(list(sys.argv[1:] if argv is None else argv))
+        if args.help:
+            sys.stdout.write(usage(args.command))
+            return 0
+        return COMMANDS[args.command][2](args)
     except (InputError, CMError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -121,9 +121,9 @@ class LatticeMap(Record):
     def __init__(self, source: CharLattice, target: CharLattice, matrix: Matrix):
         self.__dict__.update(source=source, target=target, matrix=matrix)
         # basis vectors as columns, so the checks are sparse matrix products;
-        # the target action permutes the rows of the pushed columns
+        # the target action permutes the rows of the pushed columns, image_rank's input
         source, target, basis = self.source, self.target, self.source.basis
-        pushed = la.mat_mul(self.matrix, la.transpose(basis))
+        pushed = self.__dict__["_pushed"] = la.mat_mul(self.matrix, la.transpose(basis))
         if not la.rows_in_span(target.basis, la.transpose(pushed)):
             raise InternalInconsistency("map does not land in the target lattice")
         # two homomorphisms of one group: commuting with the generators suffices
@@ -137,7 +137,7 @@ class LatticeMap(Record):
         return la.mat_vec(self.matrix, vec)
 
     def image_rank(self) -> int:
-        return la.rank(la.mat_mul(self.matrix, la.transpose(self.source.basis)))
+        return la.rank(self._pushed)
 
 
 def _permute(items, perm) -> tuple:

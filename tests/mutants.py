@@ -54,6 +54,7 @@ FOOTPRINT = "tests/test_import_footprint.py"
 PRESENTER = "tests/test_presenter.py"
 RAYCLASS = "tests/test_quadratic.py::TestRayClass"
 RECORDS = "tests/test_records.py"
+PARSER = "tests/test_cli.py::TestParser"
 
 MUTANTS = (
     # the closed forms of the cocycle law, the transfer identity and generation
@@ -292,10 +293,29 @@ MUTANTS = (
         '                raise NotAnInteger(f"representative {w!r} is not an integer", witness=w)\n',
         (f"{COCYCLE}::TestWSystems::test_int_gate_before_pairing",),
     ),
+    # the command line: one table, its gates and the field it names
     Mutant(
-        "build_parser_uncached", "cli.py",
-        "@functools.cache\ndef build_parser", "def build_parser",
-        ("tests/test_cli.py::TestParser::test_main_reuses_one_parser",),
+        "required_flag_check_skipped", "cli.py",
+        "        if values.setdefault(name[2:].replace(\"-\", \"_\"), default) is REQUIRED:\n"
+        "            raise InputError(f\"{command} needs {name}\")\n",
+        "        values.setdefault(name[2:].replace(\"-\", \"_\"), default)\n",
+        (f"{PARSER}::test_errors_exit_two",),
+    ),
+    Mutant(
+        "int_conversion_skipped", "cli.py",
+        "value = int(value)", "value = value",
+        (f"{PARSER}::test_both_value_forms",),
+    ),
+    Mutant(
+        "choices_check_skipped", "cli.py",
+        "elif type(kind) is tuple and value not in kind:", "elif False:",
+        (f"{PARSER}::test_errors_exit_two",),
+    ),
+    Mutant(
+        "battery_and_field_file_both_accepted", "cli.py",
+        "if (args.battery is None) == (args.field_file is None):",
+        "if args.battery is None and args.field_file is None:",
+        ("tests/test_cli.py::TestEnumerate::test_battery_and_field_file_refused",),
     ),
     # the group checks on the greedy generators
     Mutant(
@@ -392,6 +412,11 @@ MUTANTS = (
         "cli_imports_serre_eagerly", "cli.py",
         "from .errors import CMError\n", "from . import serre\nfrom .errors import CMError\n",
         (f"{FOOTPRINT}::test_cli_loads_the_arithmetic_half",),
+    ),
+    Mutant(
+        "cli_imports_argparse", "cli.py",
+        "import json\n", "import argparse\nimport json\n",
+        (f"{FOOTPRINT}::test_no_stage_loads_dataclasses_or_inspect",),
     ),
     Mutant(
         "package_getattr_without_submodules", "__init__.py",

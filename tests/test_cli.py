@@ -2,13 +2,14 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 
 import pytest
 
-from cmcalc.cli import MAX_PMAX, MAX_RES_SCALARS, main
+from cmcalc.cli import COMMANDS, MAX_PMAX, MAX_RES_SCALARS, InputError, main, parse_args
 
 
 def run_main(capsys, *argv):
@@ -59,6 +60,17 @@ class TestEnumerate:
         code, out, _ = run_main(capsys, "serre", str(path))
         report = json.loads(out)["report"]
         assert code == 0 and report["passed"] and report["serre_basis"] == [[1]]
+
+    @pytest.mark.parametrize("command", ["enumerate", "transfer", "serre"])
+    def test_battery_and_field_file_refused(self, tmp_path, capsys, command):
+        # neither input is dropped in silence
+        cyclic4 = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"group": {"table": cyclic4}, "iota": 2, "H": [0]}))
+        code, out, err = run_main(capsys, command, "--battery", "C4", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: pass --battery NAME or a field file, not both\n"
+        assert run_main(capsys, command, str(path))[0] == 0
 
     def test_field_file_with_group_path(self, tmp_path, capsys):
         group_path = tmp_path / "group.json"
@@ -218,24 +230,115 @@ class TestCheck:
             assert fields[name]["serre"]["closure"] == fields[name]["serre"]["field"]
 
 
+# each command's flags and the values it runs with when they are not given
+DEFAULTS = {
+    "enumerate": {"field_file": None, "battery": None},
+    "check": {"field_file": None, "suite": "all", "battery": "all", "trials": 100, "seed": 0},
+    "zeta": {"field_file": None, "pmax": 1000, "res_scalars": 0, "verbose": False},
+    "rayclass": {"field_file": None},
+    "transfer": {"field_file": None, "battery": None, "element": None, "subgroup": None},
+    "serre": {"field_file": None, "battery": None},
+}
+FLAGS = {
+    "enumerate": ["--battery"],
+    "check": ["--suite", "--battery", "--trials", "--seed"],
+    "zeta": ["--curve", "--d", "--pmax", "--res-scalars", "--verbose"],
+    "rayclass": ["--d", "--modulus"],
+    "transfer": ["--battery", "--element", "--subgroup"],
+    "serre": ["--battery"],
+}
+REQUIRED = {
+    "zeta": {"--curve": "-1,0", "--d": "-1"},
+    "rayclass": {"--d": "-1", "--modulus": "gen:3,0"},
+}
+
+
+def required_argv(command):
+    return [tok for flag, value in REQUIRED.get(command, {}).items() for tok in (flag, value)]
+
+
 class TestParser:
-    def test_main_reuses_one_parser(self, capsys, monkeypatch):
-        # every build looks up a translation per help string, so main builds
-        # its parser once and parses each call with it
-        import argparse
+    def test_table_lists_every_flag(self):
+        assert {name: list(spec[1]) for name, spec in COMMANDS.items()} == FLAGS
 
-        parsers = []
-        parse_args = argparse.ArgumentParser.parse_args
+    @pytest.mark.parametrize("command", list(DEFAULTS))
+    def test_defaults(self, command):
+        args = parse_args([command] + required_argv(command))
+        assert args.command == command and args.help is False
+        for dest, value in DEFAULTS[command].items():
+            assert getattr(args, dest) == value, dest
 
-        def recording(self, *args, **kwargs):
-            parsers.append(self)
-            return parse_args(self, *args, **kwargs)
+    @pytest.mark.parametrize(
+        "argv, dest, value",
+        [
+            (["zeta", "--pmax", "50", "--curve", "-1,0", "--d", "-1"], "pmax", 50),
+            (["zeta", "--curve", "-1,0", "--d", "-3"], "d", -3),
+            (["zeta", "--curve", "-1,0", "--d", "-1", "--res-scalars", "7"], "res_scalars", 7),
+            (["zeta", "--curve", "-1,0", "--d", "-1", "--verbose"], "verbose", True),
+            (["check", "--suite", "serre"], "suite", "serre"),
+            (["check", "--seed", "-5"], "seed", -5),
+            (["transfer", "--subgroup", "[-1]"], "subgroup", "[-1]"),
+            (["transfer", "--element", "3"], "element", 3),
+            (["rayclass", "--d", "-1", "--modulus", "-gen:3,0"], "modulus", "-gen:3,0"),
+            (["serre", "field.json"], "field_file", "field.json"),
+        ],
+    )
+    def test_both_value_forms(self, argv, dest, value):
+        # --flag value and --flag=value; the token after a value flag is its
+        # value, leading dash or not
+        spaced = parse_args(argv)
+        assert getattr(spaced, dest) == value
+        fused, tokens = [], iter(argv)
+        for tok in tokens:
+            takes_value = tok.startswith("--") and tok != "--verbose"
+            fused.append(f"{tok}={next(tokens)}" if takes_value else tok)
+        assert vars(parse_args(fused)) == vars(spaced)
 
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
-        first = run_main(capsys, "serre", "--battery", "C4")
-        second = run_main(capsys, "serre", "--battery", "C4")
-        assert first[0] == 0 and first == second
-        assert len(parsers) == 2 and parsers[0] is parsers[1]
+    def test_last_repeat_wins(self):
+        assert parse_args(["check", "--seed", "1", "--seed=2"]).seed == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "no command"),
+            (["frobnicate"], "unknown command 'frobnicate'"),
+            (["enumerate", "--bogus", "1"], "unknown flag '--bogus'"),
+            (["check", "--tri", "5"], "unknown flag '--tri'"),  # no abbreviations
+            (["zeta", "--curve", "-1,0", "--d", "-1", "--verbose=1"], "unknown flag"),
+            (["check", "--trials", "x"], "--trials expects an integer, got 'x'"),
+            (["check", "--trials=1.5"], "--trials expects an integer"),
+            (["check", "--suite", "x"], "--suite must be one of serre, cocycle, all"),
+            (["zeta", "--curve", "-1,0"], "zeta needs --d"),
+            (["rayclass", "--modulus", "gen:3,0"], "rayclass needs --d"),
+            (["zeta", "--curve", "-1,0", "--d"], "--d needs a value"),
+            (["serre", "a.json", "b.json"], "unexpected argument 'b.json'"),
+            (["rayclass", "a.json"], "unexpected argument 'a.json'"),
+        ],
+    )
+    def test_errors_exit_two(self, capsys, argv, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            parse_args(argv)
+        code, out, err = run_main(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_per_command(self, capsys, command, flag):
+        # help wins over missing required flags and prints the command's usage
+        code, out, err = run_main(capsys, command, flag)
+        assert code == 0 and err == ""
+        assert out.startswith("usage") and f"cm {command} " in out
+        for name in FLAGS[command]:
+            assert name in out
+        assert [c for c in FLAGS if f"cm {c} " in out] == [command]
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_top_level(self, capsys, flag):
+        code, out, err = run_main(capsys, flag)
+        assert code == 0 and err == ""
+        assert [c for c in FLAGS if f"cm {c} " in out] == list(FLAGS)
+        assert "--flag=value" in out and "not abbreviated" in out
 
 
 class TestZeta:

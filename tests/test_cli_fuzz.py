@@ -1,7 +1,9 @@
 """The CLI contract under random input: exit 0, 1 or 2, never a traceback.
 
-Arguments are drawn for all six subcommands with small value ranges, and
-field files from small tables (groups and non-groups), iota and H in and
+Arguments are drawn for all six subcommands with small value ranges, as
+``--flag=value`` or ``--flag value``, followed by noise: unknown flags,
+repeated flags, help, stray positionals and a value flag with no value.
+Field files from small tables (groups and non-groups), iota and H in and
 out of range, and JSON values of the wrong type.  Ray class moduli from a
 generator stay at norm <= 1250 (entries up to 25 in size), and from a
 Hermite basis at norm <= 64, or are powers so large that they are refused
@@ -29,13 +31,11 @@ FUZZ = settings(
 
 
 def run_cli(argv) -> tuple[int, str]:
-    """Exit code and stderr of one in-process run; any other exception escapes."""
+    """Exit code and stderr of one in-process run; any exception escapes,
+    SystemExit included: main returns 2 for every command-line error."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the command line
-            code = exc.code
+        code = main(argv)
     return code, err.getvalue()
 
 
@@ -136,42 +136,69 @@ malformed = st.fixed_dictionaries(
     data=st.one_of(well_formed, malformed),
     command=st.sampled_from(["enumerate", "transfer", "serre"]),
     element=st.one_of(st.none(), st.integers(-2, 10)),
+    battery=st.one_of(st.none(), st.sampled_from(["C2", "C4", "Q8"])),
 )
 @example(
     data={"group": {"table": GROUP_TABLES[3]}, "iota": 99, "H": [0]},
     command="enumerate",
     element=None,
+    battery=None,
+)
+@example(  # a battery and a file: refused, neither dropped
+    data={"group": {"table": GROUP_TABLES[3]}, "iota": 2, "H": [0]},
+    command="transfer",
+    element=None,
+    battery="C4",
 )
 @example(  # JSON Infinity: int() raises OverflowError, not ValueError
     data={"group": {"table": GROUP_TABLES[1]}, "iota": float("inf"), "H": [0]},
     command="serre",
     element=None,
+    battery=None,
 )
 @example(
     data={"group": {"table": BROKEN_C200}, "iota": 100, "H": list(range(0, 200, 8))},
     command="enumerate",
     element=None,
+    battery=None,
 )
 @example(  # the degenerate rational context: no CM-types to enumerate
     data={"group": {"table": [[0]]}, "H": [0], "iota": 0},
     command="enumerate",
     element=None,
+    battery=None,
 )
-def test_field_files_keep_the_contract(data, command, element):
+def test_field_files_keep_the_contract(data, command, element, battery):
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "field.json"
         path.write_text(json.dumps(data))
         argv = [command, str(path)]
         if command == "transfer" and element is not None:
             argv += ["--element", str(element)]
+        if battery is not None:
+            argv += ["--battery", battery]
         assert_contract(argv)
 
 
 def flag(name, values, present=1):
-    """``--name=value`` for a drawn value, or nothing (about 1 in present + 1)."""
-    return st.tuples(st.integers(0, present), values).map(
-        lambda p: None if p[0] == present else f"--{name}={p[1]}"
+    """``--name=value`` or ``--name value`` for a drawn value, or nothing
+    (about 1 in present + 1)."""
+    return st.tuples(st.integers(0, present), st.booleans(), values).map(
+        lambda p: () if p[0] == present
+        else (f"--{name}={p[2]}",) if p[1] else (f"--{name}", str(p[2]))
     )
+
+
+# after a command's own flags: unknown and abbreviated flags, flags repeated
+# or of another command, help, a stray positional, a value flag last
+noise = st.lists(
+    st.sampled_from([
+        "--bogus", "--bogus=1", "--ver", "--verbose=1", "-x", "-h", "--help", "extra.json",
+        "--battery=C4", "--battery", "--d=-1", "--d", "--seed=2", "--trials=1", "--pmax=13",
+        "--element", "--subgroup=[0]",
+    ]),
+    max_size=2,
+)
 
 
 batteries = st.sampled_from(["C2", "C4", "C2xC2", "C2xC4", "D4", "Q8", ""])
@@ -198,6 +225,7 @@ subgroups = st.one_of(
 )
 argvs = st.one_of(
     st.tuples(st.just("enumerate"), flag("battery", batteries)),
+    st.tuples(st.sampled_from([(), "", "frobnicate", "-h", "--help", "--d"])),
     st.tuples(
         st.just("check"),
         flag("suite", st.sampled_from(["serre", "cocycle", "all", "x"])),
@@ -211,7 +239,7 @@ argvs = st.one_of(
         flag("d", fields_d, present=4),
         flag("pmax", st.integers(-5, 200)),
         flag("res-scalars", st.integers(-2, 60)),
-        st.sampled_from([None, "--verbose"]),
+        st.sampled_from([(), ("--verbose",)]),
     ),
     st.tuples(
         st.just("rayclass"), flag("d", fields_d, present=4), flag("modulus", moduli, present=4)
@@ -227,7 +255,9 @@ argvs = st.one_of(
 
 
 @settings(FUZZ)
-@given(argv=argvs)
-@example(argv=("zeta", "--curve=0,1000000007", "--d=-3", "--pmax=50"))  # |disc| ~ 4e20
-def test_arguments_keep_the_contract(argv):
-    assert_contract([a for a in argv if a is not None])
+@given(argv=argvs, extra=noise)
+@example(argv=("zeta", "--curve=0,1000000007", "--d=-3", "--pmax=50"), extra=[])  # |disc| ~ 4e20
+@example(argv=("zeta", ("--curve", "-1,0"), ("--d", "-1"), ("--pmax", "13")), extra=["--d"])
+def test_arguments_keep_the_contract(argv, extra):
+    assert_contract([tok for part in argv for tok in ((part,) if type(part) is str else part)]
+                    + extra)

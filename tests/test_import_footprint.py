@@ -4,7 +4,8 @@
 The CLI loads the arithmetic half (quadratic, zeta) at import, and each
 Galois command loads the Galois half (groups, cmtypes, serre, cocycle,
 battery) when it runs, so `cm rayclass` and `cm zeta` never compile it.
-No stage loads `dataclasses` or `inspect`.
+No stage loads `dataclasses` or `inspect`, nor `argparse`, `gettext` or
+`locale`: the CLI parses its command line from its own table.
 Each check runs in a fresh interpreter that imports the same cmcalc as
 this process (a mutated copy included).
 """
@@ -27,7 +28,8 @@ import contextlib, io, json, sys
 def loaded():
     return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("cmcalc."))
 def heavy():
-    return sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
+    names = ("dataclasses", "inspect", "argparse", "gettext", "locale")
+    return sorted(m for m in names if m in sys.modules)
 stages = {}
 """
 
@@ -83,8 +85,30 @@ def test_battery_field_loads_the_galois_half(stages):
 
 @pytest.mark.parametrize("stage", ["cli", "arithmetic commands", "battery"])
 def test_no_stage_loads_dataclasses_or_inspect(stages, stage):
-    # records are plain classes on errors.Record: no code generated at import
+    # records are plain classes on errors.Record: no code generated at import;
+    # the command line is read from cli.COMMANDS: no argparse, so no gettext
+    # lookups and no locale import
     assert stages[f"{stage} heavy"] == []
+
+
+def test_every_command_loads_nothing_heavy():
+    # the Galois commands, help and a command-line error (the stages above
+    # run the arithmetic commands)
+    stages = fresh_stages("""
+import cmcalc.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    stages["rc"] = [cmcalc.cli.main(argv) for argv in (
+        ["enumerate", "--battery", "C4"],
+        ["check", "--suite=all", "--battery", "C2", "--trials", "2"],
+        ["transfer", "--battery", "C4", "--element", "1"],
+        ["serre", "--battery=C2"],
+        ["--help"],
+        ["zeta", "-h"],
+        ["rayclass", "--d", "x"],
+    )]
+stages["heavy"] = heavy()
+""")
+    assert stages == {"rc": [0, 0, 0, 0, 0, 0, 2], "heavy": []}
 
 
 def test_submodule_loaded_on_first_use_of_its_name():

@@ -335,20 +335,6 @@ def test_abelianization_through_the_presenter_only():
     assert called & {"left_cosets", "subgroup"} == set()
 
 
-def test_cli_parser_built_once():
-    # main parses with the cached build_parser and builds no parser itself
-    path = SRC / "cli.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    decorators = [ast.unparse(d) for d in functions["build_parser"].decorator_list]
-    assert decorators == ["functools.cache"]
-    called = {
-        getattr(node.func, "attr", getattr(node.func, "id", None))
-        for node in ast.walk(functions["main"]) if isinstance(node, ast.Call)
-    }
-    assert "build_parser" in called and "ArgumentParser" not in called
-
-
 def test_records_on_one_base_without_dataclasses():
     # dataclasses generates and exec's methods at import (and loads inspect);
     # every record is a plain class on errors.Record instead
