@@ -29,25 +29,31 @@ class InputError(Exception):
     pass
 
 
+def _read_json(name: str, text: str | None = None):
+    """The JSON value of ``text``, or else of the file ``name``.  InputError when the file is
+    unreadable, or the JSON malformed, not UTF-8, past the digit limit or too deeply nested."""
+    try:
+        if text is None:
+            with open(name, encoding="utf-8") as fh:
+                text = fh.read()
+        return json.loads(text)
+    except OSError as exc:
+        raise InputError(f"cannot read {name}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{name}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{name}: {exc}") from exc
+
+
 def _load_field_file(path: str) -> CMFieldHandle:
     from .cmtypes import CMFieldHandle
     from .groups import make_group
 
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    data = _read_json(path)
     try:
         group_spec = data["group"]
         if isinstance(group_spec, str):
-            try:
-                with open(group_spec) as fh:
-                    group_spec = json.load(fh)
-            except OSError as exc:
-                raise InputError(f"cannot read {group_spec}: {exc}") from exc
+            group_spec = _read_json(group_spec)
         group = make_group(group_spec["table"], names=group_spec.get("names"))
         fixer = group.subgroup(data["H"])
         return CMFieldHandle(group=group, iota=data["iota"], fixer=fixer)
@@ -222,7 +228,7 @@ def cmd_transfer(args) -> int:
     sub = field.fixer
     if args.subgroup:
         try:
-            sub = group.subgroup(json.loads(args.subgroup))
+            sub = group.subgroup(_read_json("--subgroup", args.subgroup))
         except (ValueError, TypeError, CMError) as exc:
             raise InputError(f"bad --subgroup: {exc}") from exc
     quotient = abelianization(sub)

@@ -20,7 +20,6 @@ class Record:
         def __hash__(self):
             return hash((get(self),) if one else get(self))
 
-        cls._key = staticmethod((lambda record: (get(record),)) if one else get)
         cls.__eq__, cls.__hash__ = __eq__, __hash__
 
     def __setattr__(self, name, value):
@@ -76,7 +75,8 @@ class NoSolution(CMError):
 
 
 class NotSerrePair(CMError):
-    """A (lattice, cocharacter) pair violates one of the two pair axioms."""
+    """A (lattice, cocharacter) pair is refused: ``axiom`` is "input" (the cocharacter
+    or the lattice's group does not match) or "weight" (its weight is not rational)."""
 
     def __init__(self, message, axiom):
         super().__init__(message)

@@ -43,38 +43,33 @@ Vector = la.Vector
 
 
 class CharLattice(Record):
-    """A sublattice of Z^ambient_rank stable under a group action.
+    """A sublattice of Z^ambient_rank stable under an action of ``group``.
 
     ``basis`` holds the canonical (row HNF) basis; ``action`` holds one
     coordinate permutation per group element, indexed by element:
     ``action[g][c]`` is the coordinate that g sends c to (for a field, its
-    handle's ``act_table``); a field's lattices carry its ``group`` too.
+    handle's ``act_table``).  The action is certified a homomorphism, and the
+    lattice stable, on the group's generators: whatever is stable under the
+    generators, or commutes with them, is so under all their products.
     """
 
     _fields = ("ambient_rank", "basis", "action")
 
     def __init__(self, ambient_rank: int, basis: Matrix, action: tuple[tuple[int, ...], ...],
-                 group: FiniteGroup | None = None):
+                 group: FiniteGroup):
         self.__dict__.update(ambient_rank=ambient_rank, basis=basis, action=action, group=group)
-        if self.group is not None and len(self.action) != self.group.order:
+        if len(self.action) != self.group.order:
             raise InternalInconsistency("action does not match the group")
-        for g in self.certified_elements:
+        for g in self.group.generators:
             perm = self.action[g]
             # action[x g] is action[x] after action[g], for every x
-            if self.group is not None and any(
+            if any(
                 self.action[row[g]] != tuple(p_x[c] for c in perm)
                 for row, p_x in zip(self.group.table, self.action)
             ):
                 raise InternalInconsistency(f"action is not a homomorphism at element {g}")
             if not la.rows_in_span(self.basis, (_permute(row, perm) for row in self.basis)):
                 raise InternalInconsistency(f"sublattice not stable under element {g}")
-
-    @property
-    def certified_elements(self):
-        """What certificates on the action quantify over: with its group, a homomorphism
-        (checked above), the generators, as whatever is stable under them or commutes
-        with them is so under their products; a bare action, every element."""
-        return range(len(self.action)) if self.group is None else self.group.generators
 
     @property
     def rank(self) -> int:
@@ -111,24 +106,25 @@ class Cocharacter(Record):
 class LatticeMap(Record):
     """An integer matrix mapping one character lattice into another.
 
-    The matrix acts on ambient column vectors; it must carry the source
-    sublattice into the target sublattice and commute with the two actions
-    on the source sublattice.
+    The two lattices carry one group; the matrix acts on ambient column
+    vectors, and it must carry the source sublattice into the target
+    sublattice and commute with the two actions on the source sublattice.
     """
 
     _fields = ("source", "target", "matrix")
 
     def __init__(self, source: CharLattice, target: CharLattice, matrix: Matrix):
         self.__dict__.update(source=source, target=target, matrix=matrix)
+        source, target, basis = self.source, self.target, self.source.basis
+        if source.group != target.group:
+            raise InternalInconsistency("source and target lattices carry different groups")
         # basis vectors as columns, so the checks are sparse matrix products;
         # the target action permutes the rows of the pushed columns, image_rank's input
-        source, target, basis = self.source, self.target, self.source.basis
         pushed = self.__dict__["_pushed"] = la.mat_mul(self.matrix, la.transpose(basis))
         if not la.rows_in_span(target.basis, la.transpose(pushed)):
             raise InternalInconsistency("map does not land in the target lattice")
         # two homomorphisms of one group: commuting with the generators suffices
-        same = source.group == target.group
-        for g in source.certified_elements if same else range(len(source.action)):
+        for g in source.group.generators:
             moved = la.transpose(tuple(_permute(row, source.action[g]) for row in basis))
             if la.mat_mul(self.matrix, moved) != _permute(pushed, target.action[g]):
                 raise InternalInconsistency(f"map is not equivariant at element {g}")
@@ -269,38 +265,26 @@ def reciprocity_cocharacter(
 ) -> LatticeMap:
     """Reciprocity map of a pair: restrict mu to E, then norm down.
 
-    The pair must satisfy both axioms: the two orderings of the involution
-    act identically on the lattice, and the weight -(iota+1)mu is rational.
-    The result maps the pair's lattice into the full character lattice of E,
-    sending chi to sum_sigma <chi, sigma mu> [sigma] over embeddings of E.
+    The lattice must carry E's group, and the pair must satisfy the weight
+    axiom: -(iota+1)mu is rational.  The commuting axiom, that the two
+    orderings of the involution act identically, holds for every lattice:
+    its action is a homomorphism and iota is central.  The result maps the
+    pair's lattice into the full character lattice of E, sending chi to
+    sum_sigma <chi, sigma mu> [sigma] over embeddings of E.
     """
     if mu.lattice != t_lattice:
         raise NotSerrePair("cocharacter does not live on the given lattice", "input")
-    group = e_field.group
-    if len(t_lattice.action) != group.order or t_lattice.group not in (None, group):
+    if t_lattice.group != e_field.group:
         raise NotSerrePair("lattice action does not match the ambient group", "input")
-    # each axiom is an invariance under the group, certified where the lattice
-    # certifies (CharLattice.certified_elements); the fixer likewise
-    elements = t_lattice.certified_elements
-    fixer = e_field.fixer.elements if t_lattice.group is None else e_field.fixer.generators
-    iota = e_field.iota
-    p_iota = t_lattice.action[iota]
-    for g in elements:
-        p_g = t_lattice.action[g]
-        gi = tuple(p_g[c] for c in p_iota)  # g after iota
-        ig = tuple(p_iota[c] for c in p_g)  # iota after g
-        for row in t_lattice.basis:
-            if _permute(row, gi) != _permute(row, ig):
-                raise NotSerrePair(
-                    "the two involution orderings act differently", "commuting"
-                )
-    moved = mu.translated(iota).functional
+    # each invariance under a subgroup is certified on its generators, as the
+    # lattice's action is a homomorphism
+    moved = mu.translated(e_field.iota).functional
     w = Cocharacter(t_lattice, tuple(-(a + b) for a, b in zip(mu.functional, moved)))
-    for g in elements:
+    for g in t_lattice.group.generators:
         if not w.same_on_lattice(w.translated(g).functional):
             raise NotSerrePair("weight of mu is not rational", "weight")
     _require_galois(e_field)
-    for h in fixer:
+    for h in e_field.fixer.generators:
         if not mu.same_on_lattice(mu.translated(h).functional):
             raise NotDefinedOverE("mu is not fixed by the subgroup cutting out E")
     rows = [

@@ -442,41 +442,42 @@ def _sweep_primes(curve: CurveSpec, p_max: int, excluded: list, conductor_norm: 
         yield p, fac
 
 
+def _sweep_report(law: str, curve: CurveSpec, p_max: int, entries: list, excluded: list) -> dict:
+    """The report keys both sweeps share: it passes when every checked prime
+    matches and at least one prime was checked."""
+    mismatches = sum(not e["match"] for e in entries)
+    return {
+        "law": law,
+        "curve": {"a4": curve.a4, "a6": curve.a6, "d": curve.cm_field.d},
+        "p_max": p_max,
+        "primes": entries,
+        "excluded": excluded,
+        "summary": {"checked": len(entries), "mismatches": mismatches},
+        "passed": not mismatches and bool(entries),
+    }
+
+
 def verify_cm_zeta(curve: CurveSpec, spec: HeckeCharacterSpec, p_max: int) -> dict:
     """Exact comparison of counting and character factors for odd good p."""
-    primes_checked = []
-    excluded = []
-    mismatches = []
+    entries, excluded = [], []
     for p, fac in _sweep_primes(curve, p_max, excluded, spec.conductor.norm):
         count, a_p = count_points(curve, p)
         from_counts = euler_from_counts(p, a_p)
         from_hecke = euler_from_hecke(spec, fac)
-        match = from_counts == from_hecke
-        entry = {
-            "p": p,
-            "splitting": fac.kind,
-            "a_p_count": a_p,
-            "factor_count": list(from_counts.coefficients),
-            "factor_hecke": list(from_hecke.coefficients),
-            "match": match,
-        }
-        primes_checked.append(entry)
-        if not match:
-            mismatches.append(entry)
-    return {
-        "law": "zeta_factorization",
-        "curve": {"a4": curve.a4, "a6": curve.a6, "d": curve.cm_field.d},
-        "character": spec.to_json(),
-        "p_max": p_max,
-        "primes": primes_checked,
-        "excluded": excluded,
-        "summary": {
-            "checked": len(primes_checked),
-            "mismatches": len(mismatches),
-        },
-        "mismatch_witnesses": mismatches,
-        "passed": not mismatches and bool(primes_checked),
-    }
+        entries.append(
+            {
+                "p": p,
+                "splitting": fac.kind,
+                "a_p_count": a_p,
+                "factor_count": list(from_counts.coefficients),
+                "factor_hecke": list(from_hecke.coefficients),
+                "match": from_counts == from_hecke,
+            }
+        )
+    report = _sweep_report("zeta_factorization", curve, p_max, entries, excluded)
+    report["character"] = spec.to_json()
+    report["mismatch_witnesses"] = [e for e in entries if not e["match"]]
+    return report
 
 
 # --- scalar restriction ------------------------------------------------------
@@ -532,9 +533,7 @@ def verify_res_scalars(curve: CurveSpec, p_max: int) -> dict:
     places v | p of the curve factors in T^{f_v}.
     """
     field = curve.cm_field
-    results = []
-    excluded = []
-    mismatches = []
+    entries, excluded = [], []
     for p, fac in _sweep_primes(curve, p_max, excluded):
         if fac.kind == "split":
             # both places have residue field F_p, where the rational curve
@@ -561,30 +560,17 @@ def verify_res_scalars(curve: CurveSpec, p_max: int) -> dict:
             n1 = count_ext
             n2 = count_ext * count_ext
         quartic = _weil_quartic_from_counts(p, n1, n2)
-        match = quartic == induced and lift_consistent
-        entry = {
-            "p": p,
-            "splitting": fac.kind,
-            "induced": list(induced.coefficients),
-            "from_surface_counts": list(quartic.coefficients),
-            "lift_consistent": lift_consistent,
-            "match": match,
-        }
-        results.append(entry)
-        if not match:
-            mismatches.append(entry)
-    return {
-        "law": "scalar_restriction_local_factors",
-        "curve": {"a4": curve.a4, "a6": curve.a6, "d": field.d},
-        "p_max": p_max,
-        "primes": results,
-        "excluded": excluded,
-        "summary": {
-            "checked": len(results),
-            "mismatches": len(mismatches),
-        },
-        "passed": not mismatches and bool(results),
-    }
+        entries.append(
+            {
+                "p": p,
+                "splitting": fac.kind,
+                "induced": list(induced.coefficients),
+                "from_surface_counts": list(quartic.coefficients),
+                "lift_consistent": lift_consistent,
+                "match": quartic == induced and lift_consistent,
+            }
+        )
+    return _sweep_report("scalar_restriction_local_factors", curve, p_max, entries, excluded)
 
 
 def _non_residue(p: int) -> int:

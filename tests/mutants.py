@@ -170,7 +170,8 @@ MUTANTS = (
     # the reflex norms and the CLI parser
     Mutant(
         "containment_on_first_generator", "serre.py",
-        "for h in e_field.fixer.generators:", "for h in e_field.fixer.generators[:1]:",
+        "for h in e_field.fixer.generators:\n        if not all(",
+        "for h in e_field.fixer.generators[:1]:\n        if not all(",
         ("tests/test_serre.py::TestReflexNorm::test_no_solution_exactly_outside_stabilizer",),
     ),
     Mutant(
@@ -239,6 +240,11 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "reflex_pool_gate_disabled", "cmtypes.py",
+        "if covered != sorted(pool):", "if False:",
+        ("tests/test_cmtypes.py::TestReflex::test_pool_off_the_reflex_cosets_refused",),
+    ),
+    Mutant(
         "require_nested_on_first_generator", "cmtypes.py",
         "for h in big.fixer.generators)", "for h in big.fixer.generators[:1])",
         ("tests/test_cmtypes.py::TestInductionRestriction::test_require_nested_on_every_generator",),
@@ -246,13 +252,18 @@ MUTANTS = (
     # the lattice certificates on the group's generators
     Mutant(
         "stability_on_first_generator", "serre.py",
-        "for g in self.certified_elements:", "for g in self.certified_elements[:1]:",
+        "for g in self.group.generators:", "for g in self.group.generators[:1]:",
         (f"{CERTIFICATES}::test_stable_under_one_generator_only_refused",),
     ),
     Mutant(
         "equivariance_on_first_generator", "serre.py",
-        "in source.certified_elements if same", "in source.certified_elements[:1] if same",
+        "for g in source.group.generators:", "for g in source.group.generators[:1]:",
         (f"{CERTIFICATES}::test_equivariant_under_one_generator_only_refused",),
+    ),
+    Mutant(
+        "map_group_gate_removed", "serre.py",
+        "if source.group != target.group:", "if False:",
+        (f"{CERTIFICATES}::test_map_between_two_groups_refused",),
     ),
     Mutant(
         "landing_test_dropped", "serre.py",
@@ -261,8 +272,14 @@ MUTANTS = (
     ),
     Mutant(
         "reciprocity_fixer_on_first_generator", "serre.py",
-        "else e_field.fixer.generators", "else e_field.fixer.generators[:1]",
+        "for h in e_field.fixer.generators:\n        if not mu.same_on_lattice(",
+        "for h in e_field.fixer.generators[:1]:\n        if not mu.same_on_lattice(",
         (f"{CERTIFICATES}::test_reciprocity_fixer_on_every_generator",),
+    ),
+    Mutant(
+        "reciprocity_group_gate_removed", "serre.py",
+        "if t_lattice.group != e_field.group:", "if False:",
+        ("tests/test_serre.py::TestReciprocity::test_lattice_of_another_group_rejected",),
     ),
     # representative independence on the iota-pairs
     Mutant(
@@ -310,6 +327,19 @@ MUTANTS = (
         "choices_check_skipped", "cli.py",
         "elif type(kind) is tuple and value not in kind:", "elif False:",
         (f"{PARSER}::test_errors_exit_two",),
+    ),
+    Mutant(
+        "json_reader_recursion_uncaught", "cli.py",
+        "except (ValueError, RecursionError) as exc:", "except ValueError as exc:",
+        (
+            "tests/test_cli.py::TestEnumerate::test_undecodable_json_exits_two",
+            "tests/test_cli.py::TestTransferAndSerre::test_deeply_nested_subgroup",
+        ),
+    ),
+    Mutant(
+        "json_reader_value_error_uncaught", "cli.py",
+        "except (ValueError, RecursionError) as exc:", "except RecursionError as exc:",
+        ("tests/test_cli.py::TestEnumerate::test_undecodable_json_exits_two",),
     ),
     Mutant(
         "battery_and_field_file_both_accepted", "cli.py",

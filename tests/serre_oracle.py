@@ -1,9 +1,10 @@
 """The lattice certificates over every group element: the test oracles for
 cmcalc.serre.
 
-A CharLattice that carries its group certifies stability, and a LatticeMap
-between two such lattices certifies equivariance, on the group's generators
-only (the action is a homomorphism, checked at each generator).  The
+Every CharLattice carries its group and certifies stability, and a
+LatticeMap between two lattices of one group certifies equivariance, on the
+group's generators only (the action is a homomorphism, checked at each
+generator).  The
 routines here are the library's certificates before that change: stability
 under every element, one membership test per pushed basis vector, and
 equivariance at every element, as sparse matrix products.  Each returns the

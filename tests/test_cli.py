@@ -100,6 +100,35 @@ class TestEnumerate:
         assert code == 2
         assert "bad.json:1" in err
 
+    C4_TEXT = '{"table": [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]]}'
+
+    @pytest.mark.parametrize(
+        "field, group, message",
+        [
+            ("[" * 100_000 + "]" * 100_000, None, "field.json: maximum recursion depth exceeded"),
+            ('{"group": "GROUP", "iota": 2, "H": [0]}', "[" * 5000 + "]" * 5000,
+             "group.json: maximum recursion depth exceeded"),
+            ('{"group": %s, "iota": %s, "H": [0]}' % (C4_TEXT, "1" * 5000), None,
+             "field.json: Exceeds the limit (4300 digits)"),
+            (b'{"group": "\xff\xfe", "iota": 2, "H": [0]}', None, "field.json: 'utf-8' codec"),
+        ],
+        ids=["field-nested", "group-nested", "digits", "not-utf8"],
+    )
+    def test_undecodable_json_exits_two(self, tmp_path, capsys, field, group, message):
+        # each is raw text (or bytes) that json.dumps never writes
+        field_path, group_path = tmp_path / "field.json", tmp_path / "group.json"
+        if group is not None:
+            group_path.write_text(group)
+            field = field.replace("GROUP", str(group_path))
+        if isinstance(field, bytes):
+            field_path.write_bytes(field)
+        else:
+            field_path.write_text(field)
+        code, out, err = run_main(capsys, "enumerate", str(field_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     @pytest.mark.parametrize("iota", [99, -2])
     def test_iota_out_of_range(self, tmp_path, capsys, iota):
         cyclic4 = [[(a + b) % 4 for b in range(4)] for a in range(4)]
@@ -495,6 +524,12 @@ class TestTransferAndSerre:
         code, out, err = run_main(capsys, "transfer", "--battery", "C4", "--element", "99")
         assert code == 2 and out == ""
         assert "--element 99 out of range" in err
+
+    def test_deeply_nested_subgroup(self, capsys):
+        nested = "[" * 3000 + "]" * 3000
+        code, out, err = run_main(capsys, "transfer", "--battery", "C4", "--subgroup", nested)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --subgroup: maximum recursion depth exceeded")
 
     def test_field_file_subgroup_out_of_range(self, tmp_path, capsys):
         path = tmp_path / "field.json"

@@ -4,10 +4,11 @@ Arguments are drawn for all six subcommands with small value ranges, as
 ``--flag=value`` or ``--flag value``, followed by noise: unknown flags,
 repeated flags, help, stray positionals and a value flag with no value.
 Field files from small tables (groups and non-groups), iota and H in and
-out of range, and JSON values of the wrong type.  Ray class moduli from a
-generator stay at norm <= 1250 (entries up to 25 in size), and from a
-Hermite basis at norm <= 64, or are powers so large that they are refused
-(or units).
+out of range, and JSON values of the wrong type; raw field and group files
+nested too deeply, with integers past the digit limit, cut off or not
+UTF-8.  Ray class moduli from a generator stay at norm <= 1250 (entries up
+to 25 in size), and from a Hermite basis at norm <= 64, or are powers so
+large that they are refused (or units).
 """
 
 import contextlib
@@ -178,6 +179,48 @@ def test_field_files_keep_the_contract(data, command, element, battery):
         if battery is not None:
             argv += ["--battery", battery]
         assert_contract(argv)
+
+
+# raw text that json.dumps never writes: nesting past the decoder's depth,
+# integers past the digit limit, bytes that are not UTF-8, cut-off files
+CUT = b'{"group": {"table": [[0, 1], [1, 0]]}, "iota": 1, "H": [0]}'
+raw_values = st.one_of(
+    st.sampled_from([1, 10, 900, 999, 1000, 5000, 100_000]).map(lambda n: b"[" * n + b"]" * n),
+    st.integers(4290, 5000).map(lambda n: b"1" * n),
+    st.binary(max_size=6),
+    st.just(b"[0]"),
+)
+raw_fields = st.one_of(
+    st.tuples(
+        st.sampled_from([
+            b"%s",
+            b'{"group": {"table": [[0, 1], [1, 0]]}, "iota": %s, "H": [0]}',
+            b'{"group": {"table": [[0, 1], [1, 0]]}, "iota": 1, "H": %s}',
+            b'{"group": {"table": [[0, %s], [1, 0]]}, "iota": 1, "H": [0]}',
+            b'{"group": "GROUP", "iota": 1, "H": [0]}',
+        ]),
+        raw_values,
+    ),
+    st.binary(max_size=40).map(lambda b: (b"%s", b)),
+    st.integers(0, 60).map(lambda n: (b"%s", CUT[:n])),
+)
+
+
+@settings(FUZZ)
+@given(field=raw_fields, command=st.sampled_from(["enumerate", "transfer", "serre"]))
+@example(field=(b"%s", b"[" * 100_000 + b"]" * 100_000), command="enumerate")
+@example(field=(b'{"group": "GROUP", "iota": 1, "H": [0]}', b"[" * 5000 + b"]" * 5000),
+         command="serre")
+@example(field=(b'{"group": {"table": [[0, 1], [1, 0]]}, "iota": %s, "H": [0]}', b"1" * 5000),
+         command="transfer")
+@example(field=(b"%s", b'{"group": "\xff"}'), command="enumerate")
+def test_raw_field_files_keep_the_contract(field, command):
+    template, value = field
+    with tempfile.TemporaryDirectory() as tmp:
+        path, group = pathlib.Path(tmp) / "field.json", pathlib.Path(tmp) / "group.json"
+        group.write_bytes(value)
+        path.write_bytes(template.replace(b"GROUP", str(group).encode()).replace(b"%s", value))
+        assert_contract([command, str(path)])
 
 
 def flag(name, values, present=1):

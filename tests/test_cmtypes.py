@@ -20,7 +20,14 @@ from cmcalc.cmtypes import (
     translate_right,
     validate_cm_type,
 )
-from cmcalc.errors import CMError, NotACMType, NotAnAutomorphismOfK, NotAnInteger, NotNested
+from cmcalc.errors import (
+    CMError,
+    InternalInconsistency,
+    NotACMType,
+    NotAnAutomorphismOfK,
+    NotAnInteger,
+    NotNested,
+)
 from cmcalc.groups import cyclic_group, dihedral_group, direct_product
 
 from cmtypes_oracle import cm_subfields, subgroups_containing
@@ -244,6 +251,18 @@ class TestReflex:
         t = validate_cm_type(f, {0, 1})
         assert stabilizer(t).elements == (0, 1)
         assert reflex_field(t).degree == 2
+
+    @pytest.mark.parametrize("table", [(0, 2, 2, 3), (0, 2, 1, 3)])
+    def test_pool_off_the_reflex_cosets_refused(self, table):
+        # K's coset_table corrupted after its act_table is built: the stabilizer
+        # {0, 1} stands, but the pool is {0} or {0, 2}, and the second has the
+        # size of a union of reflex cosets without being one
+        f = klein_field()
+        t = validate_cm_type(f, {0, 1})
+        assert f.act_table and stabilizer(t).elements == (0, 1)
+        f.__dict__["coset_table"] = table
+        with pytest.raises(InternalInconsistency, match="not a union of reflex cosets"):
+            reflex_type(t)
 
     def test_stabilizer_matches_bruteforce(self):
         for field in ALL_TEST_FIELDS:

@@ -31,6 +31,7 @@ from cmcalc.groups import (
     dihedral_group,
     direct_product,
     left_cosets,
+    make_group,
     normal_subgroups,
 )
 from cmcalc.serre import (
@@ -734,11 +735,9 @@ class TestReciprocity:
         with pytest.raises(NotDefinedOverE):
             reciprocity_cocharacter(lat, mu, wrong)
 
-    def test_noncommuting_involution_rejected(self):
-        # action data whose permutation for some element fails to commute
-        # with the permutation assigned to the involution
-        from cmcalc.serre import CharLattice
-
+    def test_noncommuting_involution_refused_at_construction(self):
+        # action data whose permutation for some element fails to commute with
+        # the permutation assigned to the central involution is no homomorphism
         handle = battery_field("D4")
         d4 = handle.group
         swap01 = (1, 0, 2)
@@ -748,11 +747,19 @@ class TestReciprocity:
             swap01 if g == handle.iota else (swap12 if g == 1 else ident)
             for g in d4.elements()
         )
-        lat = CharLattice(ambient_rank=3, basis=la.identity_matrix(3), action=action)
-        mu = Cocharacter(lattice=lat, functional=(1, 0, 0))
-        with pytest.raises(NotSerrePair) as err:
-            reciprocity_cocharacter(lat, mu, closure_of(handle))
-        assert err.value.axiom == "commuting"
+        with pytest.raises(InternalInconsistency, match="action is not a homomorphism"):
+            CharLattice(3, la.identity_matrix(3), action, d4)
+
+    def test_lattice_of_another_group_rejected(self):
+        # the C4 lattice under the biquadratic E, and the biquadratic lattice
+        # under a copy of its group with other names
+        renamed = make_group(KLEIN.group.table, names=("e", "a", "b", "ab"))
+        copy = CharLattice(4, la.identity_matrix(4), KLEIN.act_table, renamed)
+        for lat, phi in ((C4.full_lattice, {0, 1}), (copy, {0, 1})):
+            mu = Cocharacter(lattice=lat, functional=tuple(int(c in phi) for c in range(4)))
+            with pytest.raises(NotSerrePair) as err:
+                reciprocity_cocharacter(lat, mu, KLEIN)
+            assert err.value.axiom == "input"
 
 
 CERTIFICATE_FIELDS = [battery_field(n) for n in BATTERY_NAMES]
@@ -842,6 +849,19 @@ class TestGeneratorCertificates:
         assert map_failure(unchecked) == 2
         with pytest.raises(InternalInconsistency, match="not equivariant at element 2"):
             LatticeMap(full, full, matrix)
+
+    def test_group_required(self):
+        with pytest.raises(TypeError):
+            CharLattice(2, la.identity_matrix(2), ((0, 1), (1, 0)))
+
+    def test_map_between_two_groups_refused(self):
+        # equal actions, but the target's group has other names: no certificate
+        # on one group's generators speaks for the other
+        field = self._klein()
+        renamed = make_group(field.group.table, names=("e", "a", "b", "ab"))
+        target = CharLattice(4, la.identity_matrix(4), field.act_table, renamed)
+        with pytest.raises(InternalInconsistency, match="carry different groups"):
+            LatticeMap(field.full_lattice, target, la.identity_matrix(4))
 
     def test_map_off_the_target_refused(self):
         # the identity commutes with every element but leaves the Serre lattice
